@@ -20,6 +20,7 @@
 #include "common/options.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "exec/pool.hpp"
 #include "par/stepmodel.hpp"
 #include "perf/machine.hpp"
 
@@ -47,10 +48,11 @@ int main(int argc, char** argv) {
   std::vector<double> r;
 
   auto time_flux = [&](int threads) {
+    exec::ThreadScope scope(threads);
     double best = 1e100;
     for (int rep = 0; rep < reps; ++rep) {
       Timer t;
-      disc.residual_threaded(q, r, threads);
+      disc.residual(q, r);
       best = std::min(best, t.seconds());
     }
     return best;

@@ -67,11 +67,9 @@ int main(int argc, char** argv) {
 
   // The paper: "the CFD application spends almost all of its time in two
   // phases: flux computations ... and sparse linear algebraic kernels."
-  std::printf("phase breakdown:");
-  for (const auto& [name, sec] : result.phases.buckets())
-    std::printf("  %s %.0f%%", name.c_str(),
-                100.0 * sec / result.phases.total());
-  std::printf("\n");
+  std::printf("time per phase: rerun with F3D_TRACE=1 for the span "
+              "timeline, or python3 perfbench/run.py --trace 1 for the "
+              "per-layer ledger\n");
 
   // 5. Wall pressure summary: integrate p n over the wall (force vector).
   double force[3] = {0, 0, 0};

@@ -1,11 +1,8 @@
 #!/usr/bin/env bash
 # Full CI gate in one command:
 #   1. release build + complete test suite, then the same suite against
-#      the scalar SIMD fallback (F3D_SIMD=OFF), then the sdc-labelled
-#      subset on its own (ABFT guards, bit-flip injection, Json/checkpoint
-#      hardening) and the failslow-labelled subset (straggler injection,
-#      outlier detector, mitigation ladder) so each defense layer's
-#      regressions are visible as their own stage
+#      the scalar SIMD fallback (F3D_SIMD=OFF). Every test carries a
+#      TIMEOUT property, so a wedged solve fails loudly here.
 #   2. thread-scaling bench of the exec-layer kernels (writes
 #      BENCH_threading.json; also re-verifies bit-identity across thread
 #      counts and exits nonzero on any mismatch), then the SIMD +
@@ -22,11 +19,10 @@
 #      degradation ladder's on-time rate drops below 95%, the stall
 #      watchdog false-positives on a clean scenario or misses the stall
 #      scenario, or p99 cancellation latency exceeds the documented
-#      work-unit bound at 1/2/4 threads)
-#      threads), then the self-tuning A/B (writes BENCH_tune.json +
-#      build/tune_db.json; exits nonzero when the tuned config is worse
-#      than the compiled defaults or the DB round-trip is not
-#      bit-identical), then the scenario-fleet storm campaign (writes
+#      work-unit bound at 1/2/4 threads), then the self-tuning A/B (writes
+#      BENCH_tune.json + build/tune_db.json; exits nonzero when the tuned
+#      config is worse than the compiled defaults or the DB round-trip is
+#      not bit-identical), then the scenario-fleet storm campaign (writes
 #      BENCH_fleet.json; exits nonzero when the retry ladder misses a
 #      non-poison scenario, poison escapes quarantine, kill-and-restart
 #      loses or double-commits a scenario, clean-lane overhead exceeds
@@ -38,10 +34,10 @@
 #      via tuned_solve -dump-knobs) must be documented in docs/TUNING.md
 #      (with a negative control proving the cross-check can fail), and
 #      the markdown must have no dead relative links
-#   4. ASan+UBSan build + the resilience-labelled tests (the fault
-#      injection / recovery / checkpoint / distributed-campaign paths,
-#      where memory bugs would hide behind error handling) + the sdc-,
-#      failslow- and simd-labelled tests under the same sanitizers
+#   4. ASan+UBSan build + the resilience-, sdc-, failslow-, tune-, fleet-
+#      and simd-labelled tests (fault injection, recovery, checkpoints,
+#      journals and the SIMD pack loads: where memory bugs would hide
+#      behind error handling)
 #   5. TSan build + the threaded-labelled tests (the exec pool, colored
 #      scatters, level-scheduled solves) with a 4-thread pool
 #
@@ -71,29 +67,6 @@ echo "=== scalar-fallback build (F3D_SIMD=OFF) + full test suite ==="
 cmake --preset release-scalar
 cmake --build --preset release-scalar -j "$JOBS"
 ctest --preset release-scalar -j "$JOBS"
-
-echo "=== sdc-labelled tests (release) ==="
-ctest --preset release-sdc -j "$JOBS"
-
-echo "=== failslow-labelled tests (release) ==="
-ctest --preset release-failslow -j "$JOBS"
-
-# Hang-detection lane: the run-to-completion tests exercise deadlines and
-# cancellation, where a regression shows up as a wedge, not a wrong
-# answer. Every test carries a TIMEOUT property and the preset adds a
-# hard 120 s cap, so a hung solve fails loudly here instead of stalling
-# the pipeline.
-echo "=== guard-labelled tests (release, hang-detection lane) ==="
-ctest --preset release-guard -j "$JOBS" --timeout 120
-
-echo "=== tune-labelled tests (release) ==="
-ctest --preset release-tune -j "$JOBS"
-
-# Fleet lane: journal replay/truncation sweeps, the retry/quarantine
-# ladder, and admission control. Kill-and-restart tests replay real
-# journals, so a hard TIMEOUT cap keeps a wedged resume from stalling CI.
-echo "=== fleet-labelled tests (release) ==="
-ctest --preset release-fleet -j "$JOBS" --timeout 120
 
 echo "=== thread-scaling bench (BENCH_threading.json) ==="
 ./build/bench/bench_threading -vertices 8000 -reps 3 -out BENCH_threading.json
@@ -150,19 +123,10 @@ if python3 scripts/check_docs.py --repo build/docs_negctl >/dev/null 2>&1; then
   exit 1
 fi
 
-echo "=== asan build + resilience-labelled tests ==="
+echo "=== asan build + resilience/sdc/failslow/tune/fleet/simd-labelled tests ==="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
-ctest --preset asan-resilience -j "$JOBS"
-ctest --preset asan-sdc -j "$JOBS"
-ctest --preset asan-failslow -j "$JOBS"
-ctest --preset asan-tune -j "$JOBS"
-ctest --preset asan-fleet -j "$JOBS" --timeout 240
-
-# UBSan over the explicit SIMD kernels: the memcpy-based pack loads and
-# the float promote paths must be alignment- and aliasing-clean.
-echo "=== simd-labelled tests (ASan+UBSan) ==="
-ctest --preset asan-simd -j "$JOBS"
+ctest --preset asan -j "$JOBS"
 
 echo "=== tsan build + threaded-labelled tests ==="
 cmake --preset tsan

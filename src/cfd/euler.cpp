@@ -441,13 +441,6 @@ void EulerDiscretization::residual(const FlowField& q,
     residual_impl_t<double>(q, r);
 }
 
-void EulerDiscretization::residual_threaded(const FlowField& q,
-                                            std::vector<double>& r,
-                                            int threads) const {
-  exec::ThreadScope scope(std::max(1, threads));
-  residual(q, r);
-}
-
 void EulerDiscretization::spectral_radius(const FlowField& q,
                                           std::vector<double>& sr) const {
   F3D_OBS_SPAN("spectral_radius");

@@ -77,12 +77,6 @@ public:
   /// per class — the accumulation order is the class order).
   void residual(const FlowField& q, std::vector<double>& r) const;
 
-  /// residual() under a temporary exec-pool size (resizes the pool for
-  /// the call — benches sweeping thread counts should prefer an outer
-  /// exec::ThreadScope around plain residual() calls).
-  void residual_threaded(const FlowField& q, std::vector<double>& r,
-                         int threads) const;
-
   /// The cached edge coloring driving the parallel scatters.
   [[nodiscard]] const mesh::EdgeColoring& edge_coloring() const {
     return coloring_;

@@ -2,10 +2,6 @@
 // Wall-clock timing utilities.
 
 #include <chrono>
-#include <map>
-#include <string>
-
-#include "obs/obs.hpp"
 
 namespace f3d {
 
@@ -24,54 +20,6 @@ public:
 private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named time buckets (e.g. "flux", "spmv", "trisolve").
-/// Used by the solver to report the per-phase breakdown the paper's
-/// Table 3 analyses.
-///
-/// A thin shim over obs::Registry time buckets: concurrent Scope
-/// destructors (e.g. from exec::Pool workers) accumulate into
-/// per-thread-striped shards, so adds never race on a shared map the way
-/// the old std::map-backed implementation did.
-class PhaseTimers {
-public:
-  /// RAII scope: adds elapsed time to the named bucket on destruction.
-  class Scope {
-  public:
-    Scope(PhaseTimers& owner, std::string name)
-        : owner_(owner), name_(std::move(name)) {}
-    ~Scope() { owner_.add(name_, t_.seconds()); }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-  private:
-    PhaseTimers& owner_;
-    std::string name_;
-    Timer t_;
-  };
-
-  void add(const std::string& name, double sec) { reg_.add_time(name, sec); }
-
-  [[nodiscard]] double get(const std::string& name) const {
-    return reg_.seconds(name);
-  }
-
-  [[nodiscard]] double total() const { return reg_.total_time(); }
-
-  /// Merged view of the buckets (by value: the per-thread shards are
-  /// folded together at the call).
-  [[nodiscard]] std::map<std::string, double> buckets() const {
-    return reg_.snapshot().times;
-  }
-
-  void clear() { reg_.clear(); }
-
-  /// The backing registry (counters/gauges ride along with the times).
-  [[nodiscard]] obs::Registry& registry() { return reg_; }
-
-private:
-  obs::Registry reg_;
 };
 
 }  // namespace f3d

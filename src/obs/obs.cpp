@@ -126,26 +126,6 @@ int Registry::thread_slot() {
   return slot;
 }
 
-Registry::Registry(const Registry& o) { merge_snapshot(o.snapshot()); }
-
-Registry& Registry::operator=(const Registry& o) {
-  if (this != &o) {
-    Snapshot s = o.snapshot();
-    clear();
-    merge_snapshot(s);
-  }
-  return *this;
-}
-
-void Registry::merge_snapshot(const Snapshot& s) {
-  Shard& sh = shards_[0];
-  std::lock_guard<std::mutex> lk(sh.mu);
-  for (const auto& [k, v] : s.counters) sh.counters[k] += v;
-  for (const auto& [k, v] : s.times) sh.times[k] += v;
-  std::lock_guard<std::mutex> gl(gauge_mu_);
-  for (const auto& [k, v] : s.gauges) gauges_[k] = v;
-}
-
 void Registry::count(const std::string& name, long long delta) {
   Shard& sh = my_shard();
   std::lock_guard<std::mutex> lk(sh.mu);
@@ -187,15 +167,6 @@ double Registry::gauge(const std::string& name) const {
   std::lock_guard<std::mutex> lk(gauge_mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second;
-}
-
-double Registry::total_time() const {
-  double total = 0;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    for (const auto& [k, v] : sh.times) total += v;
-  }
-  return total;
 }
 
 Snapshot Registry::snapshot() const {

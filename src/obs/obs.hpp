@@ -1,13 +1,14 @@
 #pragma once
 // f3d::obs — the unified observability layer of the ψNKS stack: an RAII
 // hierarchical span tracer and a thread-safe counter/gauge registry.
-// Every other instrumentation surface in the repo (solver PhaseTimers,
-// BENCH_*.json artifacts, the recovery log's tallies) is either a shim
-// over this layer or drains into it. See docs/OBSERVABILITY.md.
+// Every other instrumentation surface in the repo (the solver's phase
+// spans, BENCH_*.json artifacts, the recovery log's tallies) drains into
+// this layer. See docs/OBSERVABILITY.md.
 //
 // Design constraints, in order:
-//  * Dependency-free. obs sits BELOW f3d_common (PhaseTimers is a shim
-//    over obs::Registry), so it may not include any other f3d header.
+//  * Dependency-free. obs sits BELOW f3d_common (the table sinks in
+//    common/table.hpp print obs snapshots), so it may not include any
+//    other f3d header.
 //  * Near-zero cost when disabled: a Span construction is one relaxed
 //    atomic load and nothing else — no clock read, no allocation. The
 //    F3D_OBS_SPAN macro additionally compiles to nothing when
@@ -180,12 +181,6 @@ struct Snapshot {
 /// deterministic for a fixed assignment of adds to threads.
 class Registry {
  public:
-  Registry() = default;
-  /// Copies materialize the merged snapshot (a Registry member keeps
-  /// value semantics for result structs like PtcResult).
-  Registry(const Registry& o);
-  Registry& operator=(const Registry& o);
-
   /// The process-wide registry the instrumented layers tally into.
   static Registry& global();
 
@@ -196,8 +191,6 @@ class Registry {
   [[nodiscard]] long long counter(const std::string& name) const;
   [[nodiscard]] double seconds(const std::string& name) const;
   [[nodiscard]] double gauge(const std::string& name) const;
-  /// Sum of every time bucket.
-  [[nodiscard]] double total_time() const;
 
   [[nodiscard]] Snapshot snapshot() const;
   void clear();
@@ -211,7 +204,6 @@ class Registry {
   };
   static int thread_slot();
   Shard& my_shard() { return shards_[thread_slot() & (kShards - 1)]; }
-  void merge_snapshot(const Snapshot& s);
 
   Shard shards_[kShards];
   mutable std::mutex gauge_mu_;

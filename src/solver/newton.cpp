@@ -23,6 +23,43 @@ namespace {
 
 using resilience::RecoveryAction;
 
+// --- fixed ladder constants ---------------------------------------------
+// No caller tunes these, so they are constants rather than options.
+
+// Newton: one inexact correction per pseudo-timestep, globalized by a
+// backtracking line search (§2.4's "line search" knob).
+constexpr double kFdEps = 1e-7;    ///< relative FD step of the matrix-free action
+constexpr int kMaxLineSearch = 3;  ///< line-search halvings (0 = plain Newton)
+
+// Recovery ladder: step rejection.
+constexpr int kMaxStepRetries = 6;         ///< attempts per pseudo-timestep
+constexpr double kCflBacktrack = 0.25;     ///< CFL multiplier on a rejected step
+constexpr double kCflRegrow = 2.0;         ///< relaxation recovery per accepted step
+constexpr double kDivergenceFactor = 1e3;  ///< reject if ||r|| grows past this factor
+// Zero-pivot shift ladder (Manteuffel-style, relative to diag scale).
+constexpr double kPivotShift0 = 1e-8;
+constexpr int kPivotShiftAttempts = 8;  ///< x10 escalation per rung
+// Krylov escalation. A breakdown swaps BiCGStab -> GMRES; stagnation first
+// escalates the GMRES restart length, then (once per solve) swaps GMRES ->
+// BiCGStab. The swapped-to method stays active for the rest of the run.
+constexpr int kGmresRestartMax = 120;  ///< cap for restart-length escalation
+constexpr int kMaxLinearRetries = 2;   ///< escalating re-solves of one system
+
+// SDC guards: PtcSdcOptions::enabled turns all of them on (the ABFT
+// rounding-bound slack is sparse::AbftGuard's own default).
+constexpr double kGmresDriftTol = 1e-2;         ///< GmresOptions::sdc_drift_tol
+constexpr double kBicgstabDriftTol = 1e-2;      ///< BicgstabOptions::sdc_drift_tol
+constexpr int kBicgstabTrueResidualEvery = 10;  ///< extra matvec cadence
+/// Recompute-and-verify attempts per step before rolling back to the last
+/// verified state.
+constexpr int kMaxRecompute = 1;
+
+// Degradation rungs (their pressure thresholds are PtcDegradeOptions).
+constexpr double kDegradeRtolFactor = 10.0;  ///< linear-rtol multiplier for the loosen rung
+constexpr double kDegradeRtolMax = 0.3;      ///< cap on the loosened linear rtol
+constexpr int kDegradeRestartMin = 8;        ///< floor for the shrunk GMRES restart
+constexpr int kDegradeKrylovItersMin = 10;   ///< floor for the shrunk per-solve iterations
+
 // Block-sparsity adjacency graph for the default partitioner.
 mesh::Graph graph_from_jacobian(const sparse::Bcsr<double>& a) {
   std::vector<std::array<int, 2>> edges;
@@ -38,781 +75,187 @@ bool all_finite(const std::vector<double>& v) {
   return true;
 }
 
-// The actual solve. Wrapped by ptc_solve() below, which owns the root
-// trace span and the env-requested trace flush.
-PtcResult ptc_solve_impl(NonlinearProblem& problem, std::vector<double>& x,
-                         const PtcOptions& opts) {
-  const int n = problem.num_unknowns();
-  const int nb = problem.nb();
-  const int nv = problem.num_vertices();
-  F3D_CHECK(static_cast<int>(x.size()) == n);
-  F3D_CHECK(opts.num_subdomains >= 1);
+/// How one attempt at a pseudo-timestep ended.
+enum class StepOutcome {
+  kAccepted,     ///< x and rnorm hold the new state
+  kNumericFail,  ///< non-finite values, divergence, or a singular factor
+  kSdc,          ///< an SDC guard fired
+  kGuardTrip,    ///< budget or cancel trip; x is untouched
+};
 
-  const PtcRecoveryOptions& rec = opts.recovery;
-  const bool resilient = rec.enabled;
-  const PtcSdcOptions& sdc = opts.sdc;
-  const bool sdc_on = sdc.enabled;
-  // Register the fault injector for the duration of the solve so the
-  // instrumented sites deep in the stack (ILU factorization, Krylov inner
-  // loops) see it without threading it through every signature.
-  resilience::InjectorScope injector_scope(opts.fault_injector);
+/// What the recovery, SDC and degradation ladders carry across attempts
+/// and steps. A checkpoint saves cfl_relax, gmres.restart and krylov.
+struct Ladder {
+  double cfl_relax = 1.0;      ///< CFL backtrack multiplier (1 = no backtrack)
+  bool force_refresh = false;  ///< rebuild the preconditioner next attempt
+  GmresOptions gmres;          ///< linear settings after escalation/degradation
+  PtcOptions::Krylov krylov = PtcOptions::Krylov::kGmres;  ///< after swaps
+  int jacobian_refresh = 1;    ///< refresh cadence (the freeze rung stops it)
+  int sdc_recomputes = 0;      ///< recompute rungs taken at the current step
+  bool loosened = false, frozen = false, shrunk = false;  ///< degrade rungs fired
+};
 
+/// One psi-NKS solve: the plain pseudo-timestep (attempt_step) and the
+/// ladders that map a failed attempt's outcome to an action.
+struct Solve {
+  Solve(NonlinearProblem& p, std::vector<double>& x0, const PtcOptions& o);
+  PtcResult run();
+
+  // Around the steps.
+  void start();
+  bool restore();
+  bool take_step(int step, PtcStepRecord& rec);
+  bool commit(int step, PtcStepRecord& rec);
+  void checkpoint(int step);
+  PtcResult finish();
+
+  // The plain step: SER CFL -> Newton -> Krylov -> line search.
+  StepOutcome attempt_step(int step, double cfl, PtcStepRecord& rec);
+  bool refresh_preconditioner(int step, const std::vector<double>& diag);
+  LinearOperator jacobian_operator(const std::vector<double>& diag,
+                                   double xnorm, bool& abft_failed);
+  bool krylov_solve(int step, const LinearOperator& op, PtcStepRecord& rec);
+  void line_search(const std::vector<double>& diag, PtcStepRecord& rec);
+  bool eval_residual(const std::vector<double>& xx, std::vector<double>& rr,
+                     const char* what);
+
+  // Ladders.
+  void degrade(int step);
+  void verify_entry_state(int step);
+  void reject(int step, int attempt, PtcStepRecord& rec);
+  void backtrack(int step);
+  void recompute_or_rollback(int step, int attempt);
+  void rollback(int step);
+  void detect_sdc(const std::string& what);
+
+  /// Outcome of an attempt that stopped early: a guard trip outranks
+  /// every detection, and an SDC detection outranks a numerical failure
+  /// seen in the same attempt.
+  [[nodiscard]] StepOutcome failed() const {
+    if (tripped()) return StepOutcome::kGuardTrip;
+    return sdc_flagged ? StepOutcome::kSdc : StepOutcome::kNumericFail;
+  }
+  [[nodiscard]] bool tripped() const {
+    return sguard.tripped() != guard::TripReason::kNone;
+  }
+  /// Budget charge with immediate honor: the throw lands in run()'s
+  /// guard-exit handler before any of the charged work starts.
+  void charge(long long units) {
+    if (sguard.charge(units) != guard::TripReason::kNone)
+      throw guard::CancelledError(sguard.tripped());
+  }
+  void record(int step, RecoveryAction action, std::string detail) {
+    result.recovery_log.add(step, action, std::move(detail));
+  }
+
+  NonlinearProblem& problem;
+  std::vector<double>& x;
+  const PtcOptions& opts;
+  const int n, nb, nv;
+  const bool resilient;   ///< recovery ladder on; else failures throw
+  const bool sdc_on;      ///< SDC guards on
+  const bool mat_single;  ///< Krylov products read a float-storage copy
+  // Registered for the duration of the solve so the instrumented sites
+  // deep in the stack (ILU factorization, Krylov inner loops) see the
+  // injector without threading it through every signature.
+  resilience::InjectorScope injector_scope;
   // Run-to-completion contract: the guard is always constructed (an
   // unbounded budget never trips, so the plain path is unchanged) and
-  // registered process-wide so exec chunk boundaries, Schwarz subdomain
-  // loops, and the cfd kernels can poll it.
-  const PtcGuardOptions& gopts = opts.guard;
-  guard::SolveGuard sguard(gopts.budget);
-  guard::GuardScope guard_scope(&sguard);
-  guard::ProgressWatchdog stall_watchdog(gopts.watchdog);
+  // registered so exec chunk boundaries, Schwarz subdomain loops, and the
+  // cfd kernels can poll it.
+  guard::SolveGuard sguard;
+  guard::GuardScope guard_scope;
+  guard::ProgressWatchdog stall_watchdog;
 
   PtcResult result;
-  std::vector<double> r(n), g0(n), rhs(n), dx(n), scale(nv), work(n), xw(n);
-
-  // Ladder state that survives across steps.
-  double cfl_relax = 1.0;  ///< CFL backtrack multiplier (1 = no backtrack)
-  bool force_refresh = false;
-  GmresOptions gmres_active = opts.gmres;
-  gmres_active.guard = &sguard;  ///< charge/trip at iteration boundaries
-  if (sdc_on) gmres_active.sdc_drift_tol = sdc.gmres_drift_tol;
-  PtcOptions::Krylov krylov_active = opts.krylov;
-  int cur_step = 0;
-  bool nan_seen = false;
-  bool sdc_flagged = false;  ///< this attempt tripped an SDC guard
+  std::vector<double> r, g0, rhs, dx, scale, work, xw;
+  Ladder lad;
   sparse::AbftGuard abft_guard;
-  abft_guard.slack = sdc.abft_slack;
-
-  // Every SDC guard firing funnels through here: tallies, logs, and either
-  // hands the recovery ladder the attempt (resilient mode) or aborts.
-  auto detect_sdc = [&](const std::string& what) {
-    ++result.sdc_detections;
-    obs::Registry::global().count("resilience.sdc_detected");
-    F3D_NUMERIC_CHECK_MSG(resilient,
-                          "silent data corruption detected: " + what);
-    result.recovery_log.add(cur_step, RecoveryAction::kDetectSdc, what);
-    sdc_flagged = true;
-  };
-
-  // Residual evaluation wrapper: all driver-side residual calls funnel
-  // through here — it times into "flux", counts, hosts the NaN/Inf
-  // fault-injection site, and detects non-finite output. The plain path
-  // aborts on corruption exactly where it happens; the resilient path
-  // records it and lets the step-rejection ladder handle it.
-  auto eval_residual = [&](const std::vector<double>& xx,
-                           std::vector<double>& rr, const char* what) {
-    // Budget charge + immediate honor: a tripped guard abandons the
-    // evaluation before any work, so cancellation latency is zero extra
-    // units at every residual-class charge point regardless of whether
-    // the problem's kernels have their own poll points. The throw lands
-    // in this driver's own guard-exit handler.
-    if (sguard.charge(guard::kUnitsResidual) != guard::TripReason::kNone)
-      throw guard::CancelledError(sguard.tripped());
-    {
-      F3D_OBS_SPAN("flux");
-      PhaseTimers::Scope scope(result.phases, "flux");
-      problem.residual(xx, rr);
-    }
-    ++result.function_evaluations;
-    if (resilience::fault_fires(resilience::FaultSite::kResidual)) {
-      const auto* inj = resilience::active_injector();
-      rr[0] = (inj->fires(resilience::FaultSite::kResidual) % 2 == 0)
-                  ? std::numeric_limits<double>::infinity()
-                  : std::numeric_limits<double>::quiet_NaN();
-    }
-    // Transport checksum over the freshly evaluated residual. Both sums
-    // run the same serial order over the same memory, so on a clean path
-    // they are bit-identical — zero false positives by construction. A
-    // flip whose contribution is swallowed by summation rounding (low
-    // mantissa bits) stays invisible: that is the measured escape class.
-    double sum_before = 0;
-    if (sdc_on && sdc.abft)
-      for (int i = 0; i < n; ++i) sum_before += rr[i];
-    // SDC site: a silent finite flip in the freshly evaluated residual —
-    // transient corruption (the recompute-and-verify rung clears it).
-    resilience::maybe_flip(resilience::FlipTarget::kResidual, rr.data(), n);
-    const bool finite = all_finite(rr);
-    if (!finite) {
-      nan_seen = true;
-      if (resilient)
-        result.recovery_log.add(cur_step, RecoveryAction::kDetectNanResidual,
-                                what);
-      else
-        F3D_NUMERIC_CHECK_MSG(finite, std::string("non-finite residual (") +
-                                          what + ")");
-      return finite;
-    }
-    if (sdc_on && sdc.abft && std::isfinite(sum_before)) {
-      double sum_after = 0;
-      for (int i = 0; i < n; ++i) sum_after += rr[i];
-      if (sum_after != sum_before) {
-        detect_sdc(std::string("residual transport checksum mismatch (") +
-                   what + ")");
-        return false;
-      }
-    }
-    return finite;
-  };
-
-  // --- checkpoint restore -------------------------------------------------
+  bool nan_seen = false;     ///< this attempt saw a non-finite residual
+  bool sdc_flagged = false;  ///< this attempt tripped an SDC guard
+  int cur_step = 0;
   int start_step = 0;
   double rnorm = 0, r0 = 1.0;
-  bool restored = false;
-
   // Best committed iterate: the state every guard exit restores and
-  // returns. Updated only when x is set to an accepted/verified state, so
-  // for deterministic trips (work budget, armed cancel) the returned
-  // state is bit-identical at any thread count.
-  std::vector<double> x_commit = x;
+  // returns, and the SDC rollback target. Updated only when x is set to
+  // an accepted state that passed every active guard, so for
+  // deterministic trips (work budget, armed cancel) the returned state is
+  // bit-identical at any thread count.
+  std::vector<double> x_commit;
   double rnorm_commit = std::numeric_limits<double>::infinity();
-  bool fault_captured = false;
+  // Step-entry iterate: a rejected attempt restores it exactly.
+  std::vector<double> x_step;
+  double rnorm_step = 0;
   bool guard_exit = false;
-
-  // The whole solve runs under the guard-exit handler below: a
-  // CancelledError thrown from any charge or poll point (driver charges,
-  // exec chunk boundaries, Schwarz subdomain loops, cfd kernel entries)
-  // unwinds to it, the best committed state is restored, and the exit is
-  // mapped onto the verdict taxonomy — never propagated to the caller.
-  auto solve_body = [&]() {
-  if (resilient && rec.resume && !rec.checkpoint_path.empty()) {
-    std::string ck_source;
-    if (auto ck = resilience::load_checkpoint_with_fallback(
-            rec.checkpoint_path, &ck_source)) {
-      F3D_CHECK_MSG(static_cast<int>(ck->x.size()) == n,
-                    "checkpoint state size mismatch");
-      x = ck->x;
-      start_step = static_cast<int>(ck->step);
-      rnorm = ck->rnorm;
-      r0 = ck->r0;
-      cfl_relax = ck->cfl_relax;
-      result.steps = static_cast<int>(ck->steps_done);
-      result.function_evaluations = ck->function_evaluations;
-      result.total_linear_iterations = ck->total_linear_iterations;
-      if (ck->gmres_restart > 0) gmres_active.restart = ck->gmres_restart;
-      krylov_active = static_cast<PtcOptions::Krylov>(ck->krylov);
-      result.recovery_log = ck->log;
-      if (ck->has_injector && opts.fault_injector != nullptr)
-        opts.fault_injector->restore(ck->injector);
-      result.resumed = true;
-      result.resume_step = start_step;
-      result.initial_residual = r0;
-      result.recovery_log.add(start_step, RecoveryAction::kResume,
-                              "restored from " + ck_source);
-      restored = true;
-    }
-  }
-  if (!restored) {
-    // The initial evaluation may itself be hit by a (transient) injected
-    // fault; re-evaluating is the only recovery available before any step
-    // state exists.
-    for (int attempt = 0;; ++attempt) {
-      nan_seen = false;
-      sdc_flagged = false;
-      eval_residual(x, r, "initial residual");
-      if (!nan_seen && !sdc_flagged) break;
-      F3D_NUMERIC_CHECK_MSG(attempt < 3, "non-finite initial residual");
-    }
-    sdc_flagged = false;
-    rnorm = sparse::norm2(r);
-    result.initial_residual = rnorm;
-    r0 = rnorm > 0 ? rnorm : 1.0;
-  }
-
-  // Last state that passed every SDC guard — the rollback rung's target
-  // when the step-entry iterate itself is corrupted (so step-rejection's
-  // own snapshot is poisoned too).
-  std::vector<double> x_good;
-  double rnorm_good = rnorm;
-  if (sdc_on) x_good = x;
-  // Entry state (restored or freshly evaluated) is the first committed
-  // iterate; a trip before any accepted step returns it unchanged.
-  x_commit = x;
-  rnorm_commit = rnorm;
-  if (restored) result.last_checkpoint_step = start_step;
-
-  // Jacobian + Schwarz preconditioner built lazily on the first step.
-  sparse::Bcsr<double> jac = problem.allocate_jacobian();
-  // Float-storage copy of the assembled operator for mixed-precision
-  // mode: stored float, products accumulate in double (promote-on-load).
-  // Refreshed together with jac; the preconditioner keeps factoring from
-  // the double assembly (pair with schwarz.single_precision for float
-  // ILU factors too).
+  bool fault_captured = false;
+  // Jacobian + Schwarz preconditioner, built lazily on the first step.
+  // jac_f is the float-storage copy the Krylov products read in
+  // mixed-precision mode (refreshed with jac); the preconditioner keeps
+  // factoring from the double assembly.
+  sparse::Bcsr<double> jac;
   sparse::Bcsr<float> jac_f;
-  const bool mat_single = opts.matrix_single_precision && !opts.matrix_free;
+  part::Partition partition;
   std::unique_ptr<RefactorablePreconditioner> prec;
-  part::Partition partition = opts.partition;
-  if (partition.nparts == 0) {
-    F3D_OBS_SPAN("partition");
-    partition = part::kway_grow(graph_from_jacobian(jac), opts.num_subdomains);
-  }
-  F3D_CHECK(partition.nparts == opts.num_subdomains);
+};
 
-  auto make_preconditioner = [&]() -> std::unique_ptr<RefactorablePreconditioner> {
-    if (opts.use_coarse_space)
-      return std::make_unique<TwoLevelSchwarzPreconditioner>(jac, partition,
-                                                             opts.schwarz);
-    return std::make_unique<SchwarzPreconditioner>(jac, partition, opts.schwarz);
-  };
+Solve::Solve(NonlinearProblem& p, std::vector<double>& x0, const PtcOptions& o)
+    : problem(p),
+      x(x0),
+      opts(o),
+      n(p.num_unknowns()),
+      nb(p.nb()),
+      nv(p.num_vertices()),
+      resilient(o.recovery.enabled),
+      sdc_on(o.sdc.enabled),
+      mat_single(o.matrix_single_precision && !o.matrix_free),
+      injector_scope(o.fault_injector),
+      sguard(o.guard.budget),
+      guard_scope(&sguard),
+      stall_watchdog(o.guard.watchdog),
+      r(n), g0(n), rhs(n), dx(n), scale(nv), work(n), xw(n),
+      x_commit(x0) {
+  F3D_CHECK(static_cast<int>(x.size()) == n);
+  F3D_CHECK(opts.num_subdomains >= 1);
+  lad.gmres = opts.gmres;
+  lad.gmres.guard = &sguard;  // charge/trip at iteration boundaries
+  if (sdc_on) lad.gmres.sdc_drift_tol = kGmresDriftTol;
+  lad.krylov = opts.krylov;
+  lad.jacobian_refresh = opts.jacobian_refresh;
+}
 
-  // Degradation-ladder state: rungs fire once each as budget pressure
-  // crosses their thresholds. The freeze rung overrides the effective
-  // Jacobian-refresh cadence.
-  bool rung_loosen = false, rung_freeze = false, rung_shrink = false;
-  int jacobian_refresh_active = opts.jacobian_refresh;
-
-  for (int step = start_step; step < opts.max_steps && rnorm / r0 > opts.rtol;
-       ++step) {
-    cur_step = step;
-
-    // Guard exit between steps: a trip observed at a charge point that
-    // exits cleanly (Krylov iteration boundary) rather than by throwing.
-    if (sguard.tripped() != guard::TripReason::kNone) {
-      guard_exit = true;
-      break;
-    }
-
-    // Graceful degradation under budget pressure: trade accuracy for
-    // on-time completion instead of overrunning. Each rung is logged; the
-    // final rung — early-return of the best committed state — is the
-    // budget trip itself.
-    if (gopts.degrade.enabled && gopts.budget.bounded()) {
-      const PtcDegradeOptions& dg = gopts.degrade;
-      const double pr = sguard.pressure();
-      if (!rung_loosen && pr >= dg.loosen_at) {
-        rung_loosen = true;
-        ++result.degrade_rungs;
-        gmres_active.rtol =
-            std::min(dg.rtol_max, gmres_active.rtol * dg.rtol_factor);
-        result.recovery_log.add(
-            step, RecoveryAction::kDegradeRung,
-            "loosen linear rtol -> " + std::to_string(gmres_active.rtol));
-      }
-      if (!rung_freeze && pr >= dg.freeze_at) {
-        rung_freeze = true;
-        ++result.degrade_rungs;
-        jacobian_refresh_active = std::numeric_limits<int>::max();
-        result.recovery_log.add(step, RecoveryAction::kDegradeRung,
-                                "freeze jacobian/preconditioner refresh");
-      }
-      if (!rung_shrink && pr >= dg.shrink_at) {
-        rung_shrink = true;
-        ++result.degrade_rungs;
-        gmres_active.restart = std::max(dg.restart_min, gmres_active.restart / 2);
-        gmres_active.max_iters =
-            std::max(dg.krylov_iters_min, gmres_active.max_iters / 2);
-        result.recovery_log.add(
-            step, RecoveryAction::kDegradeRung,
-            "shrink krylov effort: restart -> " +
-                std::to_string(gmres_active.restart) + ", max_iters -> " +
-                std::to_string(gmres_active.max_iters));
-      }
-    }
-
-    problem.on_step(step, rnorm / r0);
-
-    // SDC site: a silent flip in the committed state vector. Deliberately
-    // BEFORE the step-rejection snapshot below — the corruption is
-    // persistent (recompute retries restart from the same poisoned
-    // x_step), so only the rollback rung's x_good can clear it.
-    resilience::maybe_flip(resilience::FlipTarget::kState, x.data(), n);
-
-    // Entry scan of the committed state. This must run BEFORE the Newton
-    // attempt: a corrupted-but-finite entry state is a legal (if terrible)
-    // initial guess, and Newton will often pull it back to an admissible
-    // commit — the flip would then silently cost extra iterations and a
-    // perturbed trajectory instead of being caught. Recompute cannot help
-    // (the committed vector itself is wrong), so detection goes straight
-    // to the rollback rung. Two guards stack here: the committed state
-    // must be byte-identical to the verified copy the rollback rung
-    // already keeps (nothing legitimate writes to x between steps), and
-    // it must be physically admissible (which also covers the very first
-    // step, where the verified copy IS the unchecked initial state).
-    if (sdc_on) {
-      const bool mutated =
-          !x_good.empty() &&
-          std::memcmp(x.data(), x_good.data(),
-                      sizeof(double) * x.size()) != 0;
-      if (mutated || (sdc.admissibility && !problem.admissible(x))) {
-        detect_sdc(mutated ? "committed state changed between steps"
-                           : "step-entry state is physically inadmissible");
-        sdc_flagged = false;  // handled here, not by the retry ladder
-        x = x_good;
-        rnorm = rnorm_good;
-        ++result.sdc_rollbacks;
-        result.recovery_log.add(step, RecoveryAction::kSdcRollback,
-                                "restored last verified state");
-      }
-    }
-
-    // Rollback state for the recovery ladder: a rejected attempt restores
-    // the step-entry iterate exactly.
-    const std::vector<double> x_step = x;
-    const double rnorm_step = rnorm;
-
-    PtcStepRecord rec_step;
-    rec_step.step = step;
-
-    // One attempt at this pseudo-timestep with the given CFL. Returns
-    // false only on a detected numerical failure (resilient mode; the
-    // plain path throws at the point of detection instead). On success x
-    // and rnorm are committed.
-    auto attempt_step = [&](double cfl) -> bool {
-      // D = diag over vertices of V_i / dt_i; with dt_i = cfl * V_i / sr_i
-      // this is sr_i / cfl = V_i / (cfl * scale_i).
-      if (sguard.charge(guard::kUnitsResidual) != guard::TripReason::kNone)
-        throw guard::CancelledError(sguard.tripped());
-      problem.timestep_scale(x, scale);
-      ++result.function_evaluations;  // spectral radius pass ~ a flux pass
-      std::vector<double> vols;
-      problem.cell_volumes(vols);
-      std::vector<double> diag(nv);
-      for (int v = 0; v < nv; ++v) {
-        F3D_CHECK(scale[v] > 0 && vols[v] > 0);
-        diag[v] = vols[v] / (cfl * scale[v]);
-      }
-
-      for (int newton = 0; newton < opts.newton_per_step; ++newton) {
-        // g(x) = r(x) + D (x - x_step_start); at the first Newton iterate
-        // the pseudo-time term vanishes, so g(x) = r(x).
-        if (!eval_residual(x, g0, "newton rhs")) return false;
-
-        // Build / refresh the preconditioner from the analytic first-order
-        // Jacobian plus the pseudo-time diagonal.
-        if (!prec || force_refresh ||
-            (step % std::max(1, jacobian_refresh_active)) == 0) {
-          if (sguard.charge(guard::kUnitsJacobian) !=
-              guard::TripReason::kNone)
-            throw guard::CancelledError(sguard.tripped());
-          {
-            F3D_OBS_SPAN("jacobian");
-            PhaseTimers::Scope scope(result.phases, "jacobian");
-            problem.jacobian(x, jac);
-          }
-          for (int v = 0; v < nv; ++v) {
-            double* blk = jac.find_block(v, v);
-            F3D_CHECK(blk != nullptr);
-            for (int c = 0; c < nb; ++c) blk[c * nb + c] += diag[v];
-          }
-          // Mixed precision: narrow the assembled operator (with its
-          // pseudo-time diagonal) to float storage. The Krylov products
-          // read this copy; the preconditioner still factors from the
-          // double assembly.
-          if (mat_single) jac_f = jac.convert<float>();
-          // ABFT checksums are a function of the values just assembled:
-          // rebuild here, and only here — any flip landing after this
-          // point is exactly what verify_spmv exists to catch. The guard
-          // checksums the matrix the operator actually multiplies with —
-          // the float copy in mixed-precision mode (rebuild widens the
-          // bound to FLT_EPSILON there).
-          if (sdc_on && sdc.abft && !opts.matrix_free) {
-            if (mat_single)
-              sparse::rebuild(abft_guard, jac_f);
-            else
-              sparse::rebuild(abft_guard, jac);
-          }
-          // SDC site: a silent flip in the assembled operator (after the
-          // checksum rebuild, so ABFT is the guard on the hook; with
-          // matrix_free on, the flip only degrades the preconditioner —
-          // a measured escape path). Strikes the storage the Krylov
-          // products read: the float copy in mixed-precision mode.
-          if (mat_single)
-            resilience::maybe_flip(resilience::FlipTarget::kMatrix,
-                                   jac_f.val.data(),
-                                   static_cast<long long>(jac_f.val.size()));
-          else
-            resilience::maybe_flip(resilience::FlipTarget::kMatrix,
-                                   jac.val.data(),
-                                   static_cast<long long>(jac.val.size()));
-          if (sguard.charge(guard::kUnitsFactor) != guard::TripReason::kNone)
-            throw guard::CancelledError(sguard.tripped());
-          F3D_OBS_SPAN("factor");
-          PhaseTimers::Scope scope(result.phases, "factor");
-          if (!prec) {
-            if (resilient) {
-              try {
-                prec = make_preconditioner();
-              } catch (const NumericalError& e) {
-                result.recovery_log.add(
-                    step, RecoveryAction::kDetectSingularFactor, e.what());
-                prec.reset();
-                return false;
-              }
-            } else {
-              prec = make_preconditioner();
-            }
-          } else if (resilient) {
-            resilience::FactorReport report;
-            const bool ok = prec->refactor_checked(
-                jac, rec.pivot_shift0, rec.pivot_shift_attempts, &report);
-            if (report.shift_attempts > 0) {
-              result.recovery_log.add(step,
-                                      RecoveryAction::kDetectSingularFactor,
-                                      "zero pivot in preconditioner refresh");
-              char shift_buf[32];
-              std::snprintf(shift_buf, sizeof shift_buf, "%.3g",
-                            report.shift_used);
-              result.recovery_log.add(
-                  step, RecoveryAction::kPivotShift,
-                  "shift=" + std::string(shift_buf) + " after " +
-                      std::to_string(report.shift_attempts) + " rung(s)");
-            }
-            if (report.coarse_disabled)
-              result.recovery_log.add(step, RecoveryAction::kCoarseDisabled,
-                                      report.detail);
-            if (!ok) {
-              result.recovery_log.add(
-                  step, RecoveryAction::kDetectSingularFactor,
-                  "shift ladder exhausted: " + report.detail);
-              return false;
-            }
-          } else {
-            prec->refactor(jac);
-          }
-          force_refresh = false;
-        }
-
-        // Matrix-free action of J_g = dr/dx + D via finite differences,
-        // or the assembled first-order Jacobian when matrix_free is off.
-        const double xnorm = sparse::norm2(x);
-        bool abft_failed = false;
-        bool krylov_sdc = false;
-        LinearOperator op;
-        op.n = n;
-        if (!opts.matrix_free) {
-          // jac already carries the pseudo-time diagonal from the refresh.
-          // With the ABFT guard built, every product is checksum-verified
-          // (an O(n) add-on to the O(nnz) product). Mixed-precision mode
-          // multiplies with the float-storage copy (double accumulation).
-          op.apply = [&](const double* v, double* y) {
-            if (mat_single)
-              jac_f.spmv(v, y);
-            else
-              jac.spmv(v, y);
-            if (sdc_on && sdc.abft && abft_guard.valid() &&
-                !sparse::verify_spmv(abft_guard, v, y, n))
-              abft_failed = true;
-          };
-        } else
-        op.apply = [&](const double* v, double* y) {
-          double vnorm = 0;
-          for (int i = 0; i < n; ++i) vnorm += v[i] * v[i];
-          vnorm = std::sqrt(vnorm);
-          if (vnorm == 0) {
-            std::fill(y, y + n, 0.0);
-            return;
-          }
-          const double eps = opts.fd_eps * (1.0 + xnorm) / vnorm;
-          for (int i = 0; i < n; ++i) xw[i] = x[i] + eps * v[i];
-          if (!eval_residual(xw, work, "matrix-free action")) {
-            // Corrupted evaluation: return a null action; the Krylov solve
-            // is already doomed (nan_seen fails the attempt) — keep its
-            // arithmetic finite on the way down.
-            std::fill(y, y + n, 0.0);
-            return;
-          }
-          for (int i = 0; i < n; ++i) y[i] = (work[i] - g0[i]) / eps;
-          // Pseudo-time diagonal term.
-          for (int vtx = 0; vtx < nv; ++vtx)
-            for (int c = 0; c < nb; ++c)
-              y[static_cast<std::size_t>(vtx) * nb + c] +=
-                  diag[vtx] * v[static_cast<std::size_t>(vtx) * nb + c];
-        };
-
-        // Solve J dx = -g, escalating through the Krylov recovery ladder:
-        // BiCGStab breakdown -> swap to GMRES; GMRES stagnation -> grow the
-        // restart length. (Residual calls inside the operator are timed
-        // into "flux"; everything else lands in "krylov".)
-        Timer krylov_timer;
-        for (int i = 0; i < n; ++i) rhs[i] = -g0[i];
-        std::fill(dx.begin(), dx.end(), 0.0);
-        int lin_retries = 0;
-        bool swapped_this_solve = false;
-        {
-        F3D_OBS_SPAN("krylov");
-        for (;;) {
-          if (krylov_active == PtcOptions::Krylov::kBicgstab) {
-            BicgstabOptions bo;
-            bo.rtol = gmres_active.rtol;
-            bo.max_iters = gmres_active.max_iters;
-            bo.guard = &sguard;
-            if (sdc_on) {
-              bo.true_residual_every = sdc.bicgstab_true_residual_every;
-              bo.sdc_drift_tol = sdc.bicgstab_drift_tol;
-            }
-            auto bres = bicgstab(op, *prec, rhs, dx, bo);
-            rec_step.linear_iterations += bres.iterations;
-            rec_step.linear_converged = bres.converged;
-            result.total_linear_iterations += bres.iterations;
-            result.counters += bres.counters;
-            if (bres.sdc_suspected) krylov_sdc = true;
-            if (bres.breakdown) {
-              rec_step.linear_breakdown = true;
-              ++result.krylov_breakdowns;
-              if (resilient) {
-                result.recovery_log.add(step, RecoveryAction::kDetectBreakdown,
-                                        "BiCGStab rho/omega collapse");
-                if (rec.allow_krylov_swap && !swapped_this_solve) {
-                  swapped_this_solve = true;
-                  krylov_active = PtcOptions::Krylov::kGmres;
-                  result.recovery_log.add(
-                      step, RecoveryAction::kKrylovSwap,
-                      "BiCGStab -> GMRES(m=" +
-                          std::to_string(gmres_active.restart) + ")");
-                  std::fill(dx.begin(), dx.end(), 0.0);
-                  continue;
-                }
-              }
-            }
-          } else {
-            auto gres = gmres(op, *prec, rhs, dx, gmres_active);
-            rec_step.linear_iterations += gres.iterations;
-            rec_step.linear_converged = gres.converged;
-            result.total_linear_iterations += gres.iterations;
-            result.counters += gres.counters;
-            if (gres.sdc_suspected) krylov_sdc = true;
-            if (gres.stagnated) {
-              rec_step.linear_stagnated = true;
-              if (resilient) {
-                result.recovery_log.add(step, RecoveryAction::kDetectStagnation,
-                                        gres.reason);
-                if (gmres_active.restart < rec.gmres_restart_max &&
-                    lin_retries < rec.max_linear_retries) {
-                  gmres_active.restart =
-                      std::min(rec.gmres_restart_max, gmres_active.restart * 2);
-                  gmres_active.max_iters =
-                      std::max(gmres_active.max_iters, gmres_active.restart);
-                  result.recovery_log.add(
-                      step, RecoveryAction::kRestartEscalation,
-                      "restart -> " + std::to_string(gmres_active.restart));
-                  std::fill(dx.begin(), dx.end(), 0.0);
-                  ++lin_retries;
-                  continue;
-                }
-                // Escalation exhausted: last rung is a method swap — a
-                // persistently poisoned GMRES (e.g. an injected fault in
-                // the Arnoldi process) is unrecoverable from inside GMRES.
-                if (rec.allow_krylov_swap && !swapped_this_solve) {
-                  swapped_this_solve = true;
-                  krylov_active = PtcOptions::Krylov::kBicgstab;
-                  result.recovery_log.add(step, RecoveryAction::kKrylovSwap,
-                                          "GMRES -> BiCGStab");
-                  std::fill(dx.begin(), dx.end(), 0.0);
-                  continue;
-                }
-              }
-            }
-          }
-          break;
-        }
-        }
-        result.phases.add("krylov", krylov_timer.seconds());
-        // Guard trip inside the Krylov solve: abandon the attempt before
-        // the line search touches x. The retry ladder below checks the
-        // trip before treating the false return as a numerical failure.
-        if (sguard.tripped() != guard::TripReason::kNone) return false;
-        if (nan_seen) return false;
-        if (sdc_on && (abft_failed || krylov_sdc)) {
-          detect_sdc(abft_failed
-                         ? "ABFT checksum violation in assembled SpMV"
-                         : "Krylov recurrence/true-residual drift");
-          return false;
-        }
-        // Residual-checksum detection inside a matrix-free action lands
-        // here (the operator returns a null action instead of failing).
-        if (sdc_flagged) return false;
-        if (resilient && !all_finite(dx)) {
-          result.recovery_log.add(step, RecoveryAction::kDetectDivergence,
-                                  "non-finite Newton correction");
-          return false;
-        }
-
-        // Backtracking line search on ||g|| (globalization; §2.4's "line
-        // search" knob). g at trial x' uses the same pseudo-time anchor.
-        double lambda = 1.0;
-        const double gnorm0 = sparse::norm2(g0);
-        for (int ls = 0; ls <= opts.max_line_search; ++ls) {
-          for (int i = 0; i < n; ++i) xw[i] = x[i] + lambda * dx[i];
-          eval_residual(xw, work, "line search");
-          for (int vtx = 0; vtx < nv; ++vtx)
-            for (int c = 0; c < nb; ++c) {
-              const std::size_t k = static_cast<std::size_t>(vtx) * nb + c;
-              work[k] += diag[vtx] * (xw[k] - x[k]);
-            }
-          const double gnorm = sparse::norm2(work);
-          if (gnorm <= (1.0 - 1e-4 * lambda) * gnorm0 ||
-              ls == opts.max_line_search) {
-            x = xw;
-            rec_step.line_search_lambda = lambda;
-            break;
-          }
-          lambda *= 0.5;
-        }
-        if (nan_seen || sdc_flagged) return false;
-      }
-
-      if (!eval_residual(x, r, "step residual")) return false;
-      const double rnorm_new = sparse::norm2(r);
-      if (!std::isfinite(rnorm_new)) {
-        F3D_NUMERIC_CHECK_MSG(resilient, "psi-NKS diverged (NaN residual)");
-        result.recovery_log.add(step, RecoveryAction::kDetectNanResidual,
-                                "non-finite step residual norm");
-        return false;
-      }
-      if (resilient && rnorm_new > rec.divergence_factor * rnorm_step) {
-        result.recovery_log.add(
-            step, RecoveryAction::kDetectDivergence,
-            "||r|| grew " + std::to_string(rnorm_new / rnorm_step) + "x");
-        return false;
-      }
-      // Numerical health watchdog: the step is numerically fine — is the
-      // state physically possible? (Finite wrong values from a bit flip
-      // pass every norm test above.)
-      if (sdc_on && sdc.admissibility) {
-        bool ok;
-        {
-          F3D_OBS_SPAN("admissibility");
-          ok = problem.admissible(x);
-        }
-        if (!ok) {
-          detect_sdc("physically inadmissible state after step");
-          return false;
-        }
-      }
-      rnorm = rnorm_new;
-      return true;
-    };
-
-    int sdc_retries = 0;
-    for (int attempt = 0;; ++attempt) {
-      nan_seen = false;
-      sdc_flagged = false;
-      // SER continuation, scaled by the ladder's backtrack multiplier.
-      const double cfl =
-          std::min(opts.cfl_max, opts.cfl0 *
-                                     std::pow(r0 / rnorm, opts.ser_exponent) *
-                                     cfl_relax);
-      rec_step.cfl = cfl;
-      if (attempt_step(cfl)) break;
-
-      // Guard exits outrank the recovery ladder — and must be checked
-      // before the plain-path abort below, so a budget trip works with
-      // recovery disabled too. x was not touched by the failed attempt
-      // (the trip aborts before the line search), so it still holds the
-      // committed step-entry state.
-      if (sguard.tripped() != guard::TripReason::kNone) {
+// The whole solve runs under the guard-exit handler: a CancelledError
+// thrown from any charge or poll point (driver charges, exec chunk
+// boundaries, Schwarz subdomain loops, cfd kernel entries) unwinds to it,
+// the best committed state is restored, and the exit is mapped onto the
+// verdict taxonomy — never propagated to the caller.
+PtcResult Solve::run() {
+  try {
+    start();
+    for (int step = start_step; step < opts.max_steps && rnorm / r0 > opts.rtol;
+         ++step) {
+      cur_step = step;
+      // Guard exit between steps: a trip observed at a charge point that
+      // exits cleanly (Krylov iteration boundary) rather than by throwing.
+      if (tripped()) {
         guard_exit = true;
         break;
       }
-
-      // Plain path only reaches a false return through states it used to
-      // tolerate silently; keep the historical abort semantics.
-      F3D_NUMERIC_CHECK_MSG(resilient, "psi-NKS diverged (NaN residual)");
-
-      // Reject: roll back, shrink the pseudo-timestep, rebuild the
-      // preconditioner at the new state.
-      ++result.steps_rejected;
-      ++rec_step.rejections;
-      x = x_step;
-      rnorm = rnorm_step;
-      result.recovery_log.add(step, RecoveryAction::kStepRejected,
-                              "attempt " + std::to_string(attempt + 1));
-      F3D_NUMERIC_CHECK_MSG(
-          attempt + 1 < rec.max_step_retries,
-          "recovery ladder exhausted at step " + std::to_string(step));
-      if (sdc_flagged) {
-        // SDC rungs. The numerics were fine — the data was corrupt — so
-        // no CFL backtrack. force_refresh reassembles the Jacobian (and
-        // its checksums), which clears matrix corruption.
-        force_refresh = true;
-        if (sdc_retries < sdc.max_recompute) {
-          ++sdc_retries;
-          ++result.sdc_recomputes;
-          result.recovery_log.add(step, RecoveryAction::kSdcRecompute,
-                                  "reassemble and re-run attempt " +
-                                      std::to_string(attempt + 1));
-          continue;
-        }
-        // Recompute didn't clear it: the step-entry state itself is
-        // corrupted. Restore the last iterate that passed every guard.
-        x = x_good;
-        rnorm = rnorm_good;
-        sdc_retries = 0;
-        ++result.sdc_rollbacks;
-        result.recovery_log.add(step, RecoveryAction::kSdcRollback,
-                                "restored last verified state");
-        continue;
+      degrade(step);
+      problem.on_step(step, rnorm / r0);
+      // SDC site: a silent flip in the committed state vector. Deliberately
+      // before the entry scan and the rejection snapshot: the corruption
+      // is persistent (recompute retries restart from the same poisoned
+      // snapshot), so only the rollback rung can clear it.
+      resilience::maybe_flip(resilience::FlipTarget::kState, x.data(), n);
+      verify_entry_state(step);
+      PtcStepRecord rec;
+      rec.step = step;
+      if (!take_step(step, rec)) {
+        guard_exit = true;
+        break;
       }
-      cfl_relax *= rec.cfl_backtrack;
-      result.recovery_log.add(step, RecoveryAction::kCflBacktrack,
-                              "cfl_relax=" + std::to_string(cfl_relax));
-      force_refresh = true;
-      result.recovery_log.add(step, RecoveryAction::kPrecRefresh,
-                              "forced by step rejection");
+      if (!commit(step, rec)) break;
     }
-
-    if (guard_exit) break;
-
-    rec_step.residual = rnorm;
-    result.history.push_back(rec_step);
-    ++result.steps;
-    // Let the CFL relaxation recover toward 1 after accepted steps.
-    if (resilient && cfl_relax < 1.0)
-      cfl_relax = std::min(1.0, cfl_relax * rec.cfl_regrow);
-    // The committed state passed every active guard: it becomes the
-    // rollback rung's restore point.
-    if (sdc_on) {
-      x_good = x;
-      rnorm_good = rnorm;
-    }
-
-    // Periodic checkpoint of the committed state.
-    if (resilient && rec.checkpoint_every > 0 && !rec.checkpoint_path.empty() &&
-        result.steps % rec.checkpoint_every == 0) {
-      F3D_OBS_SPAN("checkpoint");
-      resilience::PtcCheckpoint ck;
-      ck.step = step + 1;
-      ck.steps_done = result.steps;
-      ck.x = x;
-      ck.rnorm = rnorm;
-      ck.r0 = r0;
-      ck.cfl_relax = cfl_relax;
-      ck.function_evaluations = result.function_evaluations;
-      ck.total_linear_iterations = result.total_linear_iterations;
-      ck.gmres_restart = gmres_active.restart;
-      ck.krylov = static_cast<std::int32_t>(krylov_active);
-      if (opts.fault_injector != nullptr) {
-        ck.has_injector = true;
-        ck.injector = opts.fault_injector->state();
-      }
-      ck.log = result.recovery_log;
-      if (resilience::save_checkpoint(rec.checkpoint_path, ck)) {
-        result.recovery_log.add(step, RecoveryAction::kCheckpointWrite,
-                                rec.checkpoint_path);
-        result.last_checkpoint_step = step + 1;
-      }
-    }
-
-    // The accepted state becomes the best committed iterate every guard
-    // exit restores.
-    x_commit = x;
-    rnorm_commit = rnorm;
-
-    // Progress watchdog over accepted-step residuals: a window that ends
-    // no lower than stall_ratio x where it began is a livelock-style
-    // stall the per-rung watchdogs cannot see (every individual step
-    // looks healthy). Deterministic — no wall clock involved.
-    if (stall_watchdog.observe(rnorm)) {
-      result.watchdog_fired = true;
-      result.recovery_log.add(
-          step, RecoveryAction::kDetectStall,
-          "residual stalled across " +
-              std::to_string(gopts.watchdog.window) + " accepted step(s)");
-      break;
-    }
-  }
-  };  // solve_body
-
-  try {
-    solve_body();
   } catch (const guard::CancelledError&) {
     // Thrown from a charge or poll point anywhere in the stack. The
     // in-flight attempt is discarded; the best committed iterate is the
@@ -821,20 +264,171 @@ PtcResult ptc_solve_impl(NonlinearProblem& problem, std::vector<double>& x,
     rnorm = rnorm_commit;
     guard_exit = true;
   } catch (const NumericalError& e) {
-    if (!gopts.capture_faults) throw;
+    if (!opts.guard.capture_faults) throw;
     // Opted-in graceful fault capture: an exhausted recovery ladder (or a
     // plain-path abort) still returns the best committed state, graded,
     // instead of losing the whole solve.
     fault_captured = true;
     x = x_commit;
     rnorm = rnorm_commit;
-    result.recovery_log.add(cur_step, RecoveryAction::kGuardTrip,
-                            std::string("fault captured: ") + e.what());
+    record(cur_step, RecoveryAction::kGuardTrip,
+           std::string("fault captured: ") + e.what());
   }
+  return finish();
+}
 
-  // Exit taxonomy + quality grade. disarm() first: the grading scan below
-  // may fan out on the exec pool, whose poll points must not cancel the
-  // exit path itself.
+// Entry state, restored from the checkpoint or freshly evaluated. It is
+// the first committed iterate: a trip before any accepted step returns it
+// unchanged.
+void Solve::start() {
+  const bool restored = restore();
+  if (!restored) {
+    // The initial evaluation may itself be hit by a (transient) injected
+    // fault; re-evaluating is the only recovery available before any step
+    // state exists.
+    for (int attempt = 0;; ++attempt) {
+      nan_seen = sdc_flagged = false;
+      eval_residual(x, r, "initial residual");
+      if (!nan_seen && !sdc_flagged) break;
+      F3D_NUMERIC_CHECK_MSG(attempt < 3, "non-finite initial residual");
+    }
+    rnorm = sparse::norm2(r);
+    result.initial_residual = rnorm;
+    r0 = rnorm > 0 ? rnorm : 1.0;
+  }
+  x_commit = x;
+  rnorm_commit = rnorm;
+  if (restored) result.last_checkpoint_step = start_step;
+
+  jac = problem.allocate_jacobian();
+  partition = opts.partition;
+  if (partition.nparts == 0) {
+    F3D_OBS_SPAN("partition");
+    partition = part::kway_grow(graph_from_jacobian(jac), opts.num_subdomains);
+  }
+  F3D_CHECK(partition.nparts == opts.num_subdomains);
+}
+
+// Resumes from the recovery checkpoint when asked to and one loads.
+bool Solve::restore() {
+  const PtcRecoveryOptions& ro = opts.recovery;
+  if (!resilient || !ro.resume || ro.checkpoint_path.empty()) return false;
+  std::string source;
+  auto ck =
+      resilience::load_checkpoint_with_fallback(ro.checkpoint_path, &source);
+  if (!ck) return false;
+  F3D_CHECK_MSG(static_cast<int>(ck->x.size()) == n,
+                "checkpoint state size mismatch");
+  x = ck->x;
+  start_step = static_cast<int>(ck->step);
+  rnorm = ck->rnorm;
+  r0 = ck->r0;
+  lad.cfl_relax = ck->cfl_relax;
+  result.steps = static_cast<int>(ck->steps_done);
+  result.function_evaluations = ck->function_evaluations;
+  result.total_linear_iterations = ck->total_linear_iterations;
+  if (ck->gmres_restart > 0) {
+    lad.gmres.restart = ck->gmres_restart;
+    // The checkpoint stores the restart length alone. The escalation rung,
+    // the only one that grows it, also keeps max_iters >= restart.
+    if (lad.gmres.restart > opts.gmres.restart)
+      lad.gmres.max_iters = std::max(lad.gmres.max_iters, lad.gmres.restart);
+  }
+  lad.krylov = static_cast<PtcOptions::Krylov>(ck->krylov);
+  result.recovery_log = ck->log;
+  if (ck->has_injector && opts.fault_injector != nullptr)
+    opts.fault_injector->restore(ck->injector);
+  result.resumed = true;
+  result.resume_step = start_step;
+  result.initial_residual = r0;
+  record(start_step, RecoveryAction::kResume, "restored from " + source);
+  return true;
+}
+
+// Attempts pseudo-timestep `step` until one attempt is accepted; each
+// failed attempt goes to the ladder its outcome selects. Returns false on
+// a guard trip, which outranks the ladders (and the plain-path abort, so
+// a budget trip works with recovery disabled too). The tripped attempt
+// stopped before its line search, so x still holds the committed state.
+bool Solve::take_step(int step, PtcStepRecord& rec) {
+  x_step = x;
+  rnorm_step = rnorm;
+  lad.sdc_recomputes = 0;
+  for (int attempt = 0;; ++attempt) {
+    nan_seen = sdc_flagged = false;
+    // SER continuation, scaled by the ladder's backtrack multiplier.
+    const double cfl = std::min(
+        opts.cfl_max,
+        opts.cfl0 * std::pow(r0 / rnorm, opts.ser_exponent) * lad.cfl_relax);
+    rec.cfl = cfl;
+    const StepOutcome outcome = attempt_step(step, cfl, rec);
+    if (outcome == StepOutcome::kAccepted) return true;
+    if (outcome == StepOutcome::kGuardTrip) return false;
+    reject(step, attempt, rec);
+    if (outcome == StepOutcome::kSdc)
+      recompute_or_rollback(step, attempt);
+    else
+      backtrack(step);
+  }
+}
+
+// The accepted state becomes the committed iterate. Returns false when
+// the progress watchdog ends the solve.
+bool Solve::commit(int step, PtcStepRecord& rec) {
+  rec.residual = rnorm;
+  result.history.push_back(rec);
+  ++result.steps;
+  // Let the CFL relaxation recover toward 1 after accepted steps.
+  if (resilient && lad.cfl_relax < 1.0)
+    lad.cfl_relax = std::min(1.0, lad.cfl_relax * kCflRegrow);
+  const PtcRecoveryOptions& ro = opts.recovery;
+  if (resilient && ro.checkpoint_every > 0 && !ro.checkpoint_path.empty() &&
+      result.steps % ro.checkpoint_every == 0)
+    checkpoint(step);
+  x_commit = x;
+  rnorm_commit = rnorm;
+
+  // Progress watchdog over accepted-step residuals: a window that ends no
+  // lower than stall_ratio x where it began is a livelock-style stall the
+  // per-rung watchdogs cannot see (every individual step looks healthy).
+  // Deterministic — no wall clock involved.
+  if (!stall_watchdog.observe(rnorm)) return true;
+  result.watchdog_fired = true;
+  record(step, RecoveryAction::kDetectStall,
+         "residual stalled across " +
+             std::to_string(opts.guard.watchdog.window) + " accepted step(s)");
+  return false;
+}
+
+void Solve::checkpoint(int step) {
+  F3D_OBS_SPAN("checkpoint");
+  resilience::PtcCheckpoint ck;
+  ck.step = step + 1;
+  ck.steps_done = result.steps;
+  ck.x = x;
+  ck.rnorm = rnorm;
+  ck.r0 = r0;
+  ck.cfl_relax = lad.cfl_relax;
+  ck.function_evaluations = result.function_evaluations;
+  ck.total_linear_iterations = result.total_linear_iterations;
+  ck.gmres_restart = lad.gmres.restart;
+  ck.krylov = static_cast<std::int32_t>(lad.krylov);
+  if (opts.fault_injector != nullptr) {
+    ck.has_injector = true;
+    ck.injector = opts.fault_injector->state();
+  }
+  ck.log = result.recovery_log;
+  const std::string& path = opts.recovery.checkpoint_path;
+  if (resilience::save_checkpoint(path, ck)) {
+    record(step, RecoveryAction::kCheckpointWrite, path);
+    result.last_checkpoint_step = step + 1;
+  }
+}
+
+// Exit taxonomy + quality grade. disarm() first: the grading scan below
+// may fan out on the exec pool, whose poll points must not cancel the
+// exit path itself.
+PtcResult Solve::finish() {
   sguard.disarm();
   result.final_residual = rnorm;
   result.converged = rnorm / r0 <= opts.rtol;
@@ -843,10 +437,9 @@ PtcResult ptc_solve_impl(NonlinearProblem& problem, std::vector<double>& x,
   result.cancel_latency_units = sguard.latency_units();
   result.watchdog_fired = result.watchdog_fired || stall_watchdog.fired();
   if (guard_exit && result.trip != guard::TripReason::kNone)
-    result.recovery_log.add(
-        cur_step, RecoveryAction::kGuardTrip,
-        std::string(guard::trip_reason_name(result.trip)) + " after " +
-            std::to_string(result.work_units) + " work unit(s)");
+    record(cur_step, RecoveryAction::kGuardTrip,
+           std::string(guard::trip_reason_name(result.trip)) + " after " +
+               std::to_string(result.work_units) + " work unit(s)");
 
   if (result.converged)
     result.verdict = guard::SolveVerdict::kConverged;
@@ -862,14 +455,504 @@ PtcResult ptc_solve_impl(NonlinearProblem& problem, std::vector<double>& x,
     result.verdict = guard::SolveVerdict::kMaxIters;
 
   result.residual_drop_orders =
-      (r0 > 0 && rnorm > 0 && std::isfinite(rnorm))
-          ? std::log10(r0 / rnorm)
-          : 0.0;
+      (r0 > 0 && rnorm > 0 && std::isfinite(rnorm)) ? std::log10(r0 / rnorm)
+                                                    : 0.0;
   {
     F3D_OBS_SPAN("admissibility");
     result.best_state_admissible = problem.admissible(x);
   }
-  return result;
+  return std::move(result);
+}
+
+// --- the plain step -----------------------------------------------------
+
+// One attempt at pseudo-timestep `step`: one inexact Newton correction of
+// g(x) = r(x) + D (x - x_step), solved by Schwarz-preconditioned Krylov
+// and globalized by a line search. The plain path throws where it detects
+// a failure; the resilient path returns the outcome instead.
+StepOutcome Solve::attempt_step(int step, double cfl, PtcStepRecord& rec) {
+  // D = diag over vertices of V_i / dt_i; with dt_i = cfl * V_i / sr_i
+  // this is sr_i / cfl = V_i / (cfl * scale_i).
+  charge(guard::kUnitsResidual);
+  problem.timestep_scale(x, scale);
+  ++result.function_evaluations;  // spectral radius pass ~ a flux pass
+  std::vector<double> vols;
+  problem.cell_volumes(vols);
+  std::vector<double> diag(nv);
+  for (int v = 0; v < nv; ++v) {
+    F3D_CHECK(scale[v] > 0 && vols[v] > 0);
+    diag[v] = vols[v] / (cfl * scale[v]);
+  }
+
+  // At the Newton iterate x = x_step the pseudo-time term vanishes, so
+  // g(x) = r(x).
+  if (!eval_residual(x, g0, "newton rhs")) return failed();
+  if ((!prec || lad.force_refresh ||
+       (step % std::max(1, lad.jacobian_refresh)) == 0) &&
+      !refresh_preconditioner(step, diag))
+    return failed();
+
+  const double xnorm = sparse::norm2(x);
+  bool abft_failed = false;
+  const LinearOperator op = jacobian_operator(diag, xnorm, abft_failed);
+  const bool krylov_sdc = krylov_solve(step, op, rec);
+  // A trip inside the Krylov solve abandons the attempt before the line
+  // search touches x.
+  if (tripped() || nan_seen) return failed();
+  if (sdc_on && (abft_failed || krylov_sdc)) {
+    detect_sdc(abft_failed ? "ABFT checksum violation in assembled SpMV"
+                           : "Krylov recurrence/true-residual drift");
+    return failed();
+  }
+  // A residual-checksum detection inside a matrix-free action lands here
+  // (the operator returns a null action instead of failing).
+  if (sdc_flagged) return failed();
+  if (resilient && !all_finite(dx)) {
+    record(step, RecoveryAction::kDetectDivergence,
+           "non-finite Newton correction");
+    return failed();
+  }
+  line_search(diag, rec);
+  if (nan_seen || sdc_flagged) return failed();
+
+  if (!eval_residual(x, r, "step residual")) return failed();
+  const double rnorm_new = sparse::norm2(r);
+  if (!std::isfinite(rnorm_new)) {
+    F3D_NUMERIC_CHECK_MSG(resilient, "psi-NKS diverged (NaN residual)");
+    record(step, RecoveryAction::kDetectNanResidual,
+           "non-finite step residual norm");
+    return failed();
+  }
+  if (resilient && rnorm_new > kDivergenceFactor * rnorm_step) {
+    record(step, RecoveryAction::kDetectDivergence,
+           "||r|| grew " + std::to_string(rnorm_new / rnorm_step) + "x");
+    return failed();
+  }
+  // Numerical health watchdog: the step is numerically fine — is the state
+  // physically possible? (Finite wrong values from a bit flip pass every
+  // norm test above.)
+  if (sdc_on) {
+    bool ok;
+    {
+      F3D_OBS_SPAN("admissibility");
+      ok = problem.admissible(x);
+    }
+    if (!ok) {
+      detect_sdc("physically inadmissible state after step");
+      return failed();
+    }
+  }
+  rnorm = rnorm_new;
+  return StepOutcome::kAccepted;
+}
+
+// Assembles the analytic first-order Jacobian plus the pseudo-time
+// diagonal and builds or refactors the preconditioner from it. Returns
+// false on a singular factorization the resilient path could not absorb.
+bool Solve::refresh_preconditioner(int step, const std::vector<double>& diag) {
+  charge(guard::kUnitsJacobian);
+  {
+    F3D_OBS_SPAN("jacobian");
+    problem.jacobian(x, jac);
+  }
+  for (int v = 0; v < nv; ++v) {
+    double* blk = jac.find_block(v, v);
+    F3D_CHECK(blk != nullptr);
+    for (int c = 0; c < nb; ++c) blk[c * nb + c] += diag[v];
+  }
+  if (mat_single) jac_f = jac.convert<float>();
+  // ABFT checksums are a function of the values just assembled: rebuild
+  // here, and only here — any flip landing after this point is exactly
+  // what verify_spmv exists to catch. The guard checksums the matrix the
+  // operator actually multiplies with (rebuild widens the bound to
+  // FLT_EPSILON for the float copy).
+  if (sdc_on && !opts.matrix_free) {
+    if (mat_single)
+      sparse::rebuild(abft_guard, jac_f);
+    else
+      sparse::rebuild(abft_guard, jac);
+  }
+  // SDC site: a silent flip in the assembled operator (after the checksum
+  // rebuild, so ABFT is the guard on the hook; with matrix_free on, the
+  // flip only degrades the preconditioner — a measured escape path).
+  // Strikes the storage the Krylov products read.
+  if (mat_single)
+    resilience::maybe_flip(resilience::FlipTarget::kMatrix, jac_f.val.data(),
+                           static_cast<long long>(jac_f.val.size()));
+  else
+    resilience::maybe_flip(resilience::FlipTarget::kMatrix, jac.val.data(),
+                           static_cast<long long>(jac.val.size()));
+
+  charge(guard::kUnitsFactor);
+  F3D_OBS_SPAN("factor");
+  if (!prec) {
+    try {
+      if (opts.use_coarse_space)
+        prec = std::make_unique<TwoLevelSchwarzPreconditioner>(jac, partition,
+                                                               opts.schwarz);
+      else
+        prec = std::make_unique<SchwarzPreconditioner>(jac, partition,
+                                                       opts.schwarz);
+    } catch (const NumericalError& e) {
+      if (!resilient) throw;
+      record(step, RecoveryAction::kDetectSingularFactor, e.what());
+      return false;
+    }
+  } else if (resilient) {
+    resilience::FactorReport report;
+    const bool ok = prec->refactor_checked(jac, kPivotShift0,
+                                           kPivotShiftAttempts, &report);
+    if (report.shift_attempts > 0) {
+      record(step, RecoveryAction::kDetectSingularFactor,
+             "zero pivot in preconditioner refresh");
+      char shift_buf[32];
+      std::snprintf(shift_buf, sizeof shift_buf, "%.3g", report.shift_used);
+      record(step, RecoveryAction::kPivotShift,
+             "shift=" + std::string(shift_buf) + " after " +
+                 std::to_string(report.shift_attempts) + " rung(s)");
+    }
+    if (report.coarse_disabled)
+      record(step, RecoveryAction::kCoarseDisabled, report.detail);
+    if (!ok) {
+      record(step, RecoveryAction::kDetectSingularFactor,
+             "shift ladder exhausted: " + report.detail);
+      return false;
+    }
+  } else {
+    prec->refactor(jac);
+  }
+  lad.force_refresh = false;
+  return true;
+}
+
+// The action of J_g = dr/dx + D: finite differences of the residual
+// (matrix-free), or the assembled first-order Jacobian, which carries D
+// from the refresh (the float-storage copy in mixed-precision mode, with
+// double accumulation). With the ABFT guard built, every assembled
+// product is checksum-verified (an O(n) add-on to the O(nnz) product) and
+// a violation sets `abft_failed`.
+LinearOperator Solve::jacobian_operator(const std::vector<double>& diag,
+                                        double xnorm, bool& abft_failed) {
+  LinearOperator op;
+  op.n = n;
+  if (!opts.matrix_free) {
+    op.apply = [this, &abft_failed](const double* v, double* y) {
+      if (mat_single)
+        jac_f.spmv(v, y);
+      else
+        jac.spmv(v, y);
+      if (sdc_on && abft_guard.valid() &&
+          !sparse::verify_spmv(abft_guard, v, y, n))
+        abft_failed = true;
+    };
+    return op;
+  }
+  op.apply = [this, &diag, xnorm](const double* v, double* y) {
+    double vnorm = 0;
+    for (int i = 0; i < n; ++i) vnorm += v[i] * v[i];
+    vnorm = std::sqrt(vnorm);
+    if (vnorm == 0) {
+      std::fill(y, y + n, 0.0);
+      return;
+    }
+    const double eps = kFdEps * (1.0 + xnorm) / vnorm;
+    for (int i = 0; i < n; ++i) xw[i] = x[i] + eps * v[i];
+    if (!eval_residual(xw, work, "matrix-free action")) {
+      // Corrupted evaluation: return a null action. The attempt's flags
+      // already fail it; keep the Krylov arithmetic finite on the way down.
+      std::fill(y, y + n, 0.0);
+      return;
+    }
+    for (int i = 0; i < n; ++i) y[i] = (work[i] - g0[i]) / eps;
+    for (int vtx = 0; vtx < nv; ++vtx)
+      for (int c = 0; c < nb; ++c)
+        y[static_cast<std::size_t>(vtx) * nb + c] +=
+            diag[vtx] * v[static_cast<std::size_t>(vtx) * nb + c];
+  };
+  return op;
+}
+
+// Solves J dx = -g through the Krylov escalation ladder (see the
+// constants above). Returns whether an invariant monitor suspected silent
+// corruption.
+bool Solve::krylov_solve(int step, const LinearOperator& op,
+                         PtcStepRecord& rec) {
+  for (int i = 0; i < n; ++i) rhs[i] = -g0[i];
+  std::fill(dx.begin(), dx.end(), 0.0);
+  int lin_retries = 0;
+  bool swapped = false;
+  bool sdc_suspected = false;
+  F3D_OBS_SPAN("krylov");
+  for (;;) {
+    if (lad.krylov == PtcOptions::Krylov::kBicgstab) {
+      BicgstabOptions bo;
+      bo.rtol = lad.gmres.rtol;
+      bo.max_iters = lad.gmres.max_iters;
+      bo.guard = &sguard;
+      if (sdc_on) {
+        bo.true_residual_every = kBicgstabTrueResidualEvery;
+        bo.sdc_drift_tol = kBicgstabDriftTol;
+      }
+      const auto res = bicgstab(op, *prec, rhs, dx, bo);
+      rec.linear_iterations += res.iterations;
+      rec.linear_converged = res.converged;
+      result.total_linear_iterations += res.iterations;
+      result.counters += res.counters;
+      sdc_suspected = sdc_suspected || res.sdc_suspected;
+      if (res.breakdown) {
+        rec.linear_breakdown = true;
+        ++result.krylov_breakdowns;
+        if (resilient) {
+          record(step, RecoveryAction::kDetectBreakdown,
+                 "BiCGStab rho/omega collapse");
+          if (!swapped) {
+            swapped = true;
+            lad.krylov = PtcOptions::Krylov::kGmres;
+            record(step, RecoveryAction::kKrylovSwap,
+                   "BiCGStab -> GMRES(m=" +
+                       std::to_string(lad.gmres.restart) + ")");
+            std::fill(dx.begin(), dx.end(), 0.0);
+            continue;
+          }
+        }
+      }
+    } else {
+      const auto res = gmres(op, *prec, rhs, dx, lad.gmres);
+      rec.linear_iterations += res.iterations;
+      rec.linear_converged = res.converged;
+      result.total_linear_iterations += res.iterations;
+      result.counters += res.counters;
+      sdc_suspected = sdc_suspected || res.sdc_suspected;
+      if (res.stagnated) {
+        rec.linear_stagnated = true;
+        if (resilient) {
+          record(step, RecoveryAction::kDetectStagnation, res.reason);
+          if (lad.gmres.restart < kGmresRestartMax &&
+              lin_retries < kMaxLinearRetries) {
+            lad.gmres.restart =
+                std::min(kGmresRestartMax, lad.gmres.restart * 2);
+            lad.gmres.max_iters =
+                std::max(lad.gmres.max_iters, lad.gmres.restart);
+            record(step, RecoveryAction::kRestartEscalation,
+                   "restart -> " + std::to_string(lad.gmres.restart));
+            std::fill(dx.begin(), dx.end(), 0.0);
+            ++lin_retries;
+            continue;
+          }
+          // Escalation exhausted: the last rung is a method swap — a
+          // persistently poisoned GMRES (e.g. an injected fault in the
+          // Arnoldi process) is unrecoverable from inside GMRES.
+          if (!swapped) {
+            swapped = true;
+            lad.krylov = PtcOptions::Krylov::kBicgstab;
+            record(step, RecoveryAction::kKrylovSwap, "GMRES -> BiCGStab");
+            std::fill(dx.begin(), dx.end(), 0.0);
+            continue;
+          }
+        }
+      }
+    }
+    return sdc_suspected;
+  }
+}
+
+// Backtracking line search on ||g||; g at a trial x' keeps the same
+// pseudo-time anchor. The last trial is taken whatever its norm. A
+// corrupted trial evaluation fails the attempt afterwards, through the
+// attempt flags.
+void Solve::line_search(const std::vector<double>& diag, PtcStepRecord& rec) {
+  double lambda = 1.0;
+  const double gnorm0 = sparse::norm2(g0);
+  for (int ls = 0; ls <= kMaxLineSearch; ++ls) {
+    for (int i = 0; i < n; ++i) xw[i] = x[i] + lambda * dx[i];
+    eval_residual(xw, work, "line search");
+    for (int vtx = 0; vtx < nv; ++vtx)
+      for (int c = 0; c < nb; ++c) {
+        const std::size_t k = static_cast<std::size_t>(vtx) * nb + c;
+        work[k] += diag[vtx] * (xw[k] - x[k]);
+      }
+    const double gnorm = sparse::norm2(work);
+    if (gnorm <= (1.0 - 1e-4 * lambda) * gnorm0 || ls == kMaxLineSearch) {
+      x = xw;
+      rec.line_search_lambda = lambda;
+      return;
+    }
+    lambda *= 0.5;
+  }
+}
+
+// Every driver-side residual evaluation comes through here: it charges
+// the budget, counts, hosts the NaN/Inf fault-injection site and the
+// transport checksum, and detects non-finite output. The plain path
+// aborts on corruption exactly where it happens; the resilient path notes
+// it in the attempt flags and returns false.
+bool Solve::eval_residual(const std::vector<double>& xx,
+                          std::vector<double>& rr, const char* what) {
+  // Charged before any work, so cancellation latency is zero extra units
+  // at every residual-class charge point, whether or not the problem's
+  // kernels have their own poll points.
+  charge(guard::kUnitsResidual);
+  {
+    F3D_OBS_SPAN("flux");
+    problem.residual(xx, rr);
+  }
+  ++result.function_evaluations;
+  if (resilience::fault_fires(resilience::FaultSite::kResidual)) {
+    const auto* inj = resilience::active_injector();
+    rr[0] = (inj->fires(resilience::FaultSite::kResidual) % 2 == 0)
+                ? std::numeric_limits<double>::infinity()
+                : std::numeric_limits<double>::quiet_NaN();
+  }
+  // Transport checksum over the freshly evaluated residual. Both sums run
+  // the same serial order over the same memory, so on a clean path they
+  // are bit-identical — zero false positives by construction. A flip
+  // whose contribution is swallowed by summation rounding (low mantissa
+  // bits) stays invisible: that is the measured escape class.
+  double sum_before = 0;
+  if (sdc_on)
+    for (int i = 0; i < n; ++i) sum_before += rr[i];
+  // SDC site: a silent finite flip in the freshly evaluated residual —
+  // transient corruption (the recompute-and-verify rung clears it).
+  resilience::maybe_flip(resilience::FlipTarget::kResidual, rr.data(), n);
+  const bool finite = all_finite(rr);
+  if (!finite) {
+    nan_seen = true;
+    if (resilient)
+      record(cur_step, RecoveryAction::kDetectNanResidual, what);
+    else
+      F3D_NUMERIC_CHECK_MSG(finite, std::string("non-finite residual (") +
+                                        what + ")");
+    return false;
+  }
+  if (sdc_on && std::isfinite(sum_before)) {
+    double sum_after = 0;
+    for (int i = 0; i < n; ++i) sum_after += rr[i];
+    if (sum_after != sum_before) {
+      detect_sdc(std::string("residual transport checksum mismatch (") +
+                 what + ")");
+      return false;
+    }
+  }
+  return true;
+}
+
+// --- ladders ------------------------------------------------------------
+
+// Graceful degradation under budget pressure: trade accuracy for on-time
+// completion instead of overrunning. Each rung fires once and is logged;
+// the final rung — early return of the best committed state — is the
+// budget trip itself.
+void Solve::degrade(int step) {
+  const PtcDegradeOptions& dg = opts.guard.degrade;
+  if (!dg.enabled || !opts.guard.budget.bounded()) return;
+  const double pr = sguard.pressure();
+  if (!lad.loosened && pr >= dg.loosen_at) {
+    lad.loosened = true;
+    ++result.degrade_rungs;
+    lad.gmres.rtol =
+        std::min(kDegradeRtolMax, lad.gmres.rtol * kDegradeRtolFactor);
+    record(step, RecoveryAction::kDegradeRung,
+           "loosen linear rtol -> " + std::to_string(lad.gmres.rtol));
+  }
+  if (!lad.frozen && pr >= dg.freeze_at) {
+    lad.frozen = true;
+    ++result.degrade_rungs;
+    lad.jacobian_refresh = std::numeric_limits<int>::max();
+    record(step, RecoveryAction::kDegradeRung,
+           "freeze jacobian/preconditioner refresh");
+  }
+  if (!lad.shrunk && pr >= dg.shrink_at) {
+    lad.shrunk = true;
+    ++result.degrade_rungs;
+    lad.gmres.restart = std::max(kDegradeRestartMin, lad.gmres.restart / 2);
+    lad.gmres.max_iters =
+        std::max(kDegradeKrylovItersMin, lad.gmres.max_iters / 2);
+    record(step, RecoveryAction::kDegradeRung,
+           "shrink krylov effort: restart -> " +
+               std::to_string(lad.gmres.restart) + ", max_iters -> " +
+               std::to_string(lad.gmres.max_iters));
+  }
+}
+
+// Entry scan of the committed state. It must run BEFORE the Newton
+// attempt: a corrupted-but-finite entry state is a legal (if terrible)
+// initial guess, and Newton will often pull it back to an admissible
+// commit — the flip would then silently cost extra iterations and a
+// perturbed trajectory instead of being caught. Recompute cannot help (the
+// committed vector itself is wrong), so detection goes straight to the
+// rollback rung. Two guards stack here: the state must be byte-identical
+// to the committed copy (nothing legitimate writes to x between steps),
+// and it must be physically admissible (which also covers the very first
+// step, where the committed copy is the unchecked initial state).
+void Solve::verify_entry_state(int step) {
+  if (!sdc_on) return;
+  const bool mutated =
+      std::memcmp(x.data(), x_commit.data(), sizeof(double) * x.size()) != 0;
+  if (!mutated && problem.admissible(x)) return;
+  detect_sdc(mutated ? "committed state changed between steps"
+                     : "step-entry state is physically inadmissible");
+  rollback(step);
+}
+
+// Every failed attempt: roll back to the step-entry state. The plain path
+// only gets here through states it used to tolerate silently, so it keeps
+// the historical abort.
+void Solve::reject(int step, int attempt, PtcStepRecord& rec) {
+  F3D_NUMERIC_CHECK_MSG(resilient, "psi-NKS diverged (NaN residual)");
+  ++result.steps_rejected;
+  ++rec.rejections;
+  x = x_step;
+  rnorm = rnorm_step;
+  record(step, RecoveryAction::kStepRejected,
+         "attempt " + std::to_string(attempt + 1));
+  F3D_NUMERIC_CHECK_MSG(
+      attempt + 1 < kMaxStepRetries,
+      "recovery ladder exhausted at step " + std::to_string(step));
+}
+
+// Numerical failure: shrink the pseudo-timestep and rebuild the
+// preconditioner at the restored state.
+void Solve::backtrack(int step) {
+  lad.cfl_relax *= kCflBacktrack;
+  record(step, RecoveryAction::kCflBacktrack,
+         "cfl_relax=" + std::to_string(lad.cfl_relax));
+  lad.force_refresh = true;
+  record(step, RecoveryAction::kPrecRefresh, "forced by step rejection");
+}
+
+// SDC detection: the numerics were fine, the data was corrupt, so no CFL
+// backtrack. force_refresh reassembles the Jacobian (and its checksums),
+// which clears matrix corruption; a transient flip clears on recompute.
+void Solve::recompute_or_rollback(int step, int attempt) {
+  lad.force_refresh = true;
+  if (lad.sdc_recomputes < kMaxRecompute) {
+    ++lad.sdc_recomputes;
+    ++result.sdc_recomputes;
+    record(step, RecoveryAction::kSdcRecompute,
+           "reassemble and re-run attempt " + std::to_string(attempt + 1));
+    return;
+  }
+  // Recompute didn't clear it: the step-entry state itself is corrupted.
+  lad.sdc_recomputes = 0;
+  rollback(step);
+}
+
+// Restores the committed state, the last one that passed every guard.
+void Solve::rollback(int step) {
+  x = x_commit;
+  rnorm = rnorm_commit;
+  ++result.sdc_rollbacks;
+  record(step, RecoveryAction::kSdcRollback, "restored last verified state");
+}
+
+// Every SDC guard firing funnels through here: tallies, logs, and either
+// hands the attempt to the ladder (resilient mode) or aborts.
+void Solve::detect_sdc(const std::string& what) {
+  ++result.sdc_detections;
+  obs::Registry::global().count("resilience.sdc_detected");
+  F3D_NUMERIC_CHECK_MSG(resilient, "silent data corruption detected: " + what);
+  record(cur_step, RecoveryAction::kDetectSdc, what);
+  sdc_flagged = true;
 }
 
 }  // namespace
@@ -879,7 +962,7 @@ PtcResult ptc_solve(NonlinearProblem& problem, std::vector<double>& x,
   PtcResult result;
   try {
     obs::Span root("ptc_solve");
-    result = ptc_solve_impl(problem, x, opts);
+    result = Solve(problem, x, opts).run();
   } catch (...) {
     // Abnormal exit (plain-path numerical abort, harness error): the
     // buffered spans and counters are exactly the postmortem evidence —

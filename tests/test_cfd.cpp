@@ -10,6 +10,7 @@
 
 #include "cfd/euler.hpp"
 #include "common/rng.hpp"
+#include "exec/pool.hpp"
 #include "mesh/generator.hpp"
 
 namespace {
@@ -233,8 +234,14 @@ TEST(EulerDisc, ThreadedResidualMatchesSerial) {
     for (int c = 0; c < q.nb(); ++c)
       q.set(v, c, q.get(v, c) + 0.05 * rng.uniform(-1, 1));
   std::vector<double> r1, r2;
-  disc.residual(q, r1);
-  disc.residual_threaded(q, r2, 2);
+  {
+    exec::ThreadScope scope(1);
+    disc.residual(q, r1);
+  }
+  {
+    exec::ThreadScope scope(2);
+    disc.residual(q, r2);
+  }
   ASSERT_EQ(r1.size(), r2.size());
   for (std::size_t k = 0; k < r1.size(); ++k) EXPECT_NEAR(r1[k], r2[k], 1e-11);
 }

@@ -41,30 +41,6 @@ TEST(Timer, MeasuresElapsedTime) {
   EXPECT_GT(t.seconds(), 0.0);
 }
 
-TEST(PhaseTimers, AccumulatesBuckets) {
-  f3d::PhaseTimers pt;
-  pt.add("flux", 1.5);
-  pt.add("flux", 0.5);
-  pt.add("spmv", 1.0);
-  EXPECT_DOUBLE_EQ(pt.get("flux"), 2.0);
-  EXPECT_DOUBLE_EQ(pt.get("spmv"), 1.0);
-  EXPECT_DOUBLE_EQ(pt.get("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(pt.total(), 3.0);
-  pt.clear();
-  EXPECT_DOUBLE_EQ(pt.total(), 0.0);
-}
-
-TEST(PhaseTimers, ScopeAddsOnDestruction) {
-  f3d::PhaseTimers pt;
-  {
-    f3d::PhaseTimers::Scope s(pt, "work");
-    double x = 0;
-    for (int i = 0; i < 1000; ++i) x += i;
-    benchmark_do_not_optimize(x);
-  }
-  EXPECT_GT(pt.get("work"), 0.0);
-}
-
 TEST(Rng, DeterministicForSeed) {
   f3d::Rng a(42), b(42), c(43);
   EXPECT_EQ(a.next(), b.next());

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "cfd/problem.hpp"
@@ -355,10 +356,18 @@ TEST(GuardedSolve, DegradationLadderFiresUnderBudgetPressure) {
   solver::PtcOptions o = base_options();
   o.guard.budget.max_work_units = full.work_units;  // pressure reaches 1.0
   o.guard.degrade.enabled = true;
+  // bench_deadline's thresholds: all three rungs fire inside the budget.
+  o.guard.degrade.loosen_at = 0.35;
+  o.guard.degrade.freeze_at = 0.55;
+  o.guard.degrade.shrink_at = 0.75;
   const auto res = run_wing(o);
-  EXPECT_GE(res.degrade_rungs, 1);
-  EXPECT_GT(res.recovery_log.count(resilience::RecoveryAction::kDegradeRung),
-            0);
+  EXPECT_EQ(res.degrade_rungs, 3);
+  std::vector<std::string> rungs;
+  for (const auto& e : res.recovery_log.events()) {
+    EXPECT_EQ(e.action, resilience::RecoveryAction::kDegradeRung);
+    rungs.push_back(e.detail.substr(0, e.detail.find(' ')));
+  }
+  EXPECT_EQ(rungs, (std::vector<std::string>{"loosen", "freeze", "shrink"}));
   // Whatever the outcome, the answer is a graded committed state.
   EXPECT_TRUE(res.best_state_admissible);
 }

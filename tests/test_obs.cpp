@@ -1,7 +1,7 @@
-// Tests for f3d::obs — the span tracer, counter/gauge registry, sinks,
-// and the PhaseTimers shim over the registry. The thread-count sweeps
-// (1/2/4 workers) pin the determinism contract: counter totals and span
-// counts are identical regardless of how the work was chunked.
+// Tests for f3d::obs — the span tracer, counter/gauge registry, and
+// sinks. The thread-count sweeps (1/2/4 workers) pin the determinism
+// contract: counter totals and span counts are identical regardless of
+// how the work was chunked.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "common/timer.hpp"
 #include "exec/pool.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -136,12 +135,19 @@ TEST(ObsRegistry, CounterIdentityAcrossThreadCounts) {
     exec::pool().parallel_for(
         0, n,
         [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) reg.count("hits");
+          for (std::int64_t k = lo; k < hi; ++k) {
+            reg.count("hits");
+            reg.add_time("phase", 0.5);
+          }
         },
         /*grain=*/1);
     EXPECT_EQ(reg.counter("hits"), n) << threads << " threads";
     auto snap = reg.snapshot();
     EXPECT_EQ(snap.counters.at("hits"), n);
+    // Concurrent time adds from pool workers all land (halves sum exactly
+    // in any order).
+    EXPECT_EQ(reg.seconds("phase"), 0.5 * static_cast<double>(n))
+        << threads << " threads";
   }
 }
 
@@ -153,23 +159,11 @@ TEST(ObsRegistry, TimesGaugesAndClear) {
   reg.set_gauge("rate", 0.125);
   reg.set_gauge("rate", 0.5);  // last write wins
   EXPECT_DOUBLE_EQ(reg.seconds("phase"), 0.5);
-  EXPECT_DOUBLE_EQ(reg.total_time(), 1.5);
+  EXPECT_DOUBLE_EQ(reg.seconds("other"), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("rate"), 0.5);
   EXPECT_EQ(reg.counter("absent"), 0);
   reg.clear();
   EXPECT_TRUE(reg.snapshot().empty());
-}
-
-TEST(ObsRegistry, CopyMaterializesMergedSnapshot) {
-  obs::Registry reg;
-  reg.count("c", 7);
-  reg.add_time("t", 2.0);
-  obs::Registry copy(reg);
-  EXPECT_EQ(copy.counter("c"), 7);
-  EXPECT_DOUBLE_EQ(copy.seconds("t"), 2.0);
-  copy.count("c", 1);  // copies are independent
-  EXPECT_EQ(reg.counter("c"), 7);
-  EXPECT_EQ(copy.counter("c"), 8);
 }
 
 TEST(ObsJson, ParseRoundTrip) {
@@ -294,42 +288,6 @@ TEST(ObsTable, RegistryAndSpanTables) {
   const auto st = spans_table(tracer.drain()).to_string();
   EXPECT_NE(st.find("rep"), std::string::npos);
   EXPECT_NE(st.find("| 3"), std::string::npos);  // count column
-}
-
-TEST(ObsPhaseTimers, ShimAccumulatesAndMerges) {
-  PhaseTimers pt;
-  pt.add("flux", 0.25);
-  pt.add("flux", 0.25);
-  pt.add("krylov", 1.0);
-  EXPECT_DOUBLE_EQ(pt.get("flux"), 0.5);
-  EXPECT_DOUBLE_EQ(pt.total(), 1.5);
-  auto b = pt.buckets();
-  ASSERT_EQ(b.size(), 2u);
-  EXPECT_DOUBLE_EQ(b.at("krylov"), 1.0);
-  pt.clear();
-  EXPECT_DOUBLE_EQ(pt.total(), 0.0);
-}
-
-TEST(ObsPhaseTimers, ConcurrentScopesFromPoolWorkers) {
-  for (int threads : {1, 2, 4}) {
-    exec::ThreadScope scope(threads);
-    PhaseTimers pt;
-    const std::int64_t n = 64;
-    exec::pool().parallel_for(
-        0, n,
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            PhaseTimers::Scope s(pt, "phase");
-            volatile double sink = 0;
-            for (int it = 0; it < 100; ++it) sink = sink + 1.0;
-          }
-        },
-        /*grain=*/1);
-    // Every scope contributed; the total is positive and the bucket map
-    // merges the shards.
-    EXPECT_GT(pt.get("phase"), 0.0) << threads << " threads";
-    EXPECT_EQ(pt.buckets().size(), 1u);
-  }
 }
 
 }  // namespace

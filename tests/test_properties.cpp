@@ -109,6 +109,11 @@ struct MeshCase {
   bool shuffle;
 };
 
+// Print the case by name. gtest's default prints the raw bytes — the
+// `name` pointer and the struct padding — which change from build to
+// build and would leak into the registered ctest names.
+void PrintTo(const MeshCase& c, std::ostream* os) { *os << c.name; }
+
 class DualClosureProperty : public ::testing::TestWithParam<MeshCase> {};
 
 TEST_P(DualClosureProperty, ClosureHolds) {

@@ -750,52 +750,72 @@ TEST(Checkpoint, TornPrimaryFallsBackToPreviousGeneration) {
 // resumed trajectory to be bit-identical to an uninterrupted run — with a
 // live fault injector, so the injector stream restore is exercised too.
 TEST(Checkpoint, KilledRunResumesBitIdentically) {
-  const std::string full_path = temp_path("f3d_ck_full.bin");
-  const std::string kill_path = temp_path("f3d_ck_killed.bin");
-  std::remove(full_path.c_str());
-  std::remove(kill_path.c_str());
+  // NaN residual faults, killed well before convergence (~6 steps).
+  const auto nan_opts = class_options(FaultClass::kNanResidual, true);
+  // A poisoned GMRES, killed after the Krylov ladder escalated the restart
+  // length twice (growing the iteration cap past 10) and swapped to
+  // BiCGStab, which inherits that cap: the resumed run must keep it.
+  auto gmres_opts = class_options(FaultClass::kGmresPoison, true);
+  gmres_opts.gmres.rtol = 1e-12;
+  gmres_opts.gmres.max_iters = 10;
+  const struct {
+    FaultClass cls;
+    std::uint64_t seed;
+    int kill_at_steps;
+    PtcOptions opts;
+  } cases[] = {{FaultClass::kNanResidual, 4, 3, nan_opts},
+               {FaultClass::kGmresPoison, 3, 2, gmres_opts}};
 
-  auto opts = class_options(FaultClass::kNanResidual, true);
-  opts.recovery.checkpoint_every = 1;
+  for (const auto& c : cases) {
+    SCOPED_TRACE("fault class " + std::to_string(static_cast<int>(c.cls)));
+    const std::string full_path = temp_path("f3d_ck_full.bin");
+    const std::string kill_path = temp_path("f3d_ck_killed.bin");
+    std::remove(full_path.c_str());
+    std::remove(kill_path.c_str());
+    PtcOptions opts = c.opts;
+    opts.recovery.checkpoint_every = 1;
 
-  // Uninterrupted reference run.
-  auto inj_full = make_campaign_injector(FaultClass::kNanResidual, 4);
-  PtcOptions o_full = opts;
-  o_full.recovery.checkpoint_path = full_path;
-  std::vector<double> x_full;
-  auto res_full = run_wing(&inj_full, o_full, &x_full);
-  ASSERT_TRUE(res_full.converged);
+    // Uninterrupted reference run.
+    auto inj_full = make_campaign_injector(c.cls, c.seed);
+    PtcOptions o_full = opts;
+    o_full.recovery.checkpoint_path = full_path;
+    std::vector<double> x_full;
+    auto res_full = run_wing(&inj_full, o_full, &x_full);
+    ASSERT_TRUE(res_full.converged);
 
-  // "Killed" run: same faults, stopped early, leaving a checkpoint.
-  auto inj_kill = make_campaign_injector(FaultClass::kNanResidual, 4);
-  PtcOptions o_kill = opts;
-  o_kill.recovery.checkpoint_path = kill_path;
-  o_kill.max_steps = 3;  // well before convergence (~6 steps)
-  auto res_kill = run_wing(&inj_kill, o_kill);
-  ASSERT_FALSE(res_kill.converged);
-  ASSERT_GT(res_kill.recovery_log.count(RecoveryAction::kCheckpointWrite), 0);
+    // "Killed" run: same faults, stopped early, leaving a checkpoint.
+    auto inj_kill = make_campaign_injector(c.cls, c.seed);
+    PtcOptions o_kill = opts;
+    o_kill.recovery.checkpoint_path = kill_path;
+    o_kill.max_steps = c.kill_at_steps;
+    auto res_kill = run_wing(&inj_kill, o_kill);
+    ASSERT_FALSE(res_kill.converged);
+    ASSERT_GT(res_kill.recovery_log.count(RecoveryAction::kCheckpointWrite), 0);
 
-  // Resume: a fresh process would re-arm the injector and restore.
-  auto inj_resume = make_campaign_injector(FaultClass::kNanResidual, 4);
-  PtcOptions o_resume = opts;
-  o_resume.recovery.checkpoint_path = kill_path;
-  o_resume.recovery.resume = true;
-  std::vector<double> x_resume;
-  auto res_resume = run_wing(&inj_resume, o_resume, &x_resume);
-  EXPECT_TRUE(res_resume.resumed);
-  EXPECT_GT(res_resume.resume_step, 0);
-  EXPECT_TRUE(res_resume.converged);
-  EXPECT_GT(res_resume.recovery_log.count(RecoveryAction::kResume), 0);
+    // Resume: a fresh process would re-arm the injector and restore.
+    auto inj_resume = make_campaign_injector(c.cls, c.seed);
+    PtcOptions o_resume = opts;
+    o_resume.recovery.checkpoint_path = kill_path;
+    o_resume.recovery.resume = true;
+    std::vector<double> x_resume;
+    auto res_resume = run_wing(&inj_resume, o_resume, &x_resume);
+    EXPECT_TRUE(res_resume.resumed);
+    EXPECT_GT(res_resume.resume_step, 0);
+    EXPECT_TRUE(res_resume.converged);
+    EXPECT_GT(res_resume.recovery_log.count(RecoveryAction::kResume), 0);
 
-  // Bitwise-identical final state: exact double equality, no tolerance.
-  EXPECT_EQ(res_resume.final_residual, res_full.final_residual);
-  EXPECT_EQ(res_resume.steps, res_full.steps);
-  ASSERT_EQ(x_resume.size(), x_full.size());
-  EXPECT_EQ(0, std::memcmp(x_resume.data(), x_full.data(),
-                           x_full.size() * sizeof(double)));
+    // Bitwise-identical final state: exact double equality, no tolerance.
+    EXPECT_EQ(res_resume.final_residual, res_full.final_residual);
+    EXPECT_EQ(res_resume.steps, res_full.steps);
+    EXPECT_EQ(res_resume.total_linear_iterations,
+              res_full.total_linear_iterations);
+    ASSERT_EQ(x_resume.size(), x_full.size());
+    EXPECT_EQ(0, std::memcmp(x_resume.data(), x_full.data(),
+                             x_full.size() * sizeof(double)));
 
-  std::remove(full_path.c_str());
-  std::remove(kill_path.c_str());
+    std::remove(full_path.c_str());
+    std::remove(kill_path.c_str());
+  }
 }
 
 }  // namespace

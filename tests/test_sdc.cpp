@@ -557,6 +557,71 @@ TEST(PtcSdc, StateCorruptionAbortsWithoutRecoveryLadder) {
                f3d::NumericalError);
 }
 
+std::vector<RecoveryAction> actions_of(const solver::PtcResult& res) {
+  std::vector<RecoveryAction> out;
+  for (const auto& e : res.recovery_log.events()) out.push_back(e.action);
+  return out;
+}
+
+FaultInjector bit62_flips(FlipTarget target, int skip_first, int fires) {
+  FaultInjector inj(11);
+  FaultPlan p;
+  p.fire_every = 1;
+  p.skip_first = skip_first;
+  p.max_fires = fires;
+  inj.arm(FaultSite::kBitFlip, p);
+  inj.set_bit_flip({.bit = 62, .target = target});
+  return inj;
+}
+
+// The residual flip strikes the recomputed attempt too, so the recompute
+// rung cannot clear it and the ladder rolls back to the committed state.
+TEST(PtcSdc, FailedRecomputeRollsBackToCommittedState) {
+  auto inj = bit62_flips(FlipTarget::kResidual, 1, 2);
+  const auto res = run_wing_sdc(cfd::Model::kIncompressible, &inj,
+                                sdc_options(cfd::Model::kIncompressible));
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(actions_of(res),
+            (std::vector<RecoveryAction>{
+                RecoveryAction::kDetectSdc, RecoveryAction::kStepRejected,
+                RecoveryAction::kSdcRecompute, RecoveryAction::kDetectSdc,
+                RecoveryAction::kStepRejected, RecoveryAction::kSdcRollback}));
+}
+
+// BiCGStab under the SDC guards: a Krylov-vector flip trips the periodic
+// true-residual drift monitor, and the recompute rung clears it.
+TEST(PtcSdc, BicgstabDriftMonitorTriggersRecompute) {
+  auto inj = bit62_flips(FlipTarget::kKrylov, 1, 1);
+  auto o = sdc_options(cfd::Model::kIncompressible);
+  o.krylov = solver::PtcOptions::Krylov::kBicgstab;
+  const auto res = run_wing_sdc(cfd::Model::kIncompressible, &inj, o);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(actions_of(res),
+            (std::vector<RecoveryAction>{RecoveryAction::kDetectSdc,
+                                         RecoveryAction::kStepRejected,
+                                         RecoveryAction::kSdcRecompute}));
+  EXPECT_EQ(res.recovery_log.events()[0].detail,
+            "Krylov recurrence/true-residual drift");
+}
+
+// With the SDC guards off, a Krylov-vector flip reaches the Newton
+// correction as a non-finite value: the recovery ladder rejects the step
+// and backtracks the CFL instead of taking it.
+TEST(PtcSdc, NonFiniteNewtonCorrectionIsRejected) {
+  auto inj = bit62_flips(FlipTarget::kKrylov, 3, 1);
+  auto o = sdc_options(cfd::Model::kIncompressible);
+  o.sdc.enabled = false;
+  o.matrix_free = true;
+  const auto res = run_wing_sdc(cfd::Model::kIncompressible, &inj, o);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(actions_of(res),
+            (std::vector<RecoveryAction>{
+                RecoveryAction::kDetectDivergence, RecoveryAction::kStepRejected,
+                RecoveryAction::kCflBacktrack, RecoveryAction::kPrecRefresh}));
+  EXPECT_EQ(res.recovery_log.events()[0].detail,
+            "non-finite Newton correction");
+}
+
 // --- checkpoint integrity: exhaustive corruption sweep --------------------
 
 PtcCheckpoint small_checkpoint() {
