@@ -22,8 +22,8 @@
 //             best-committed state must hash bit-identically at every
 //             thread count.
 //
-// Writes BENCH_deadline.json (f3d-bench-v1 envelope; gated by
-// scripts/check_docs.py). Exit status enforces the same gates.
+// Writes BENCH_deadline.json (f3d-bench-v1 envelope); the gates set the
+// exit status and are written as series.gates.
 //
 // Usage: bench_deadline [-vertices 400] [-out BENCH_deadline.json]
 
@@ -233,9 +233,6 @@ int main(int argc, char** argv) {
     stall_detected = res.watchdog_fired &&
                      res.verdict == guard::SolveVerdict::kStagnated;
   }
-  std::printf("watchdog: %d clean runs, %d false positives; stall %s\n",
-              clean_runs, watchdog_false_positives,
-              stall_detected ? "detected" : "MISSED");
 
   // --- lane 3: cancellation latency at 1/2/4 threads -----------------------
   const std::vector<double> arm_fracs = {0.25, 0.5, 0.75};
@@ -290,21 +287,20 @@ int main(int argc, char** argv) {
                 "bound %lld units, worst %lld\n",
                 nt, row.samples, row.p99, bound, row.worst);
   }
-  std::printf("cancelled states bit-identical across thread counts: %s\n",
-              hashes_consistent ? "yes" : "NO");
 
   // --- gates ---------------------------------------------------------------
-  const bool ok_on_time = rate_ladder >= 0.95;
-  const bool ok_watchdog = watchdog_false_positives == 0 && stall_detected;
-  bool ok_latency = true;
-  for (const auto& row : latency) ok_latency &= row.p99 <= bound;
-  ok_latency &= hashes_consistent;
-  std::printf(
-      "\ngates: on-time(ladder) %.0f %% %s | watchdog fp %d + stall %s %s | "
-      "cancel p99 <= %lld and thread-invariant %s\n",
-      100.0 * rate_ladder, ok_on_time ? "(>= 95% - OK)" : "(FAIL)",
-      watchdog_false_positives, stall_detected ? "detected" : "missed",
-      ok_watchdog ? "(OK)" : "(FAIL)", bound, ok_latency ? "(OK)" : "(FAIL)");
+  benchutil::Gates gates;
+  gates.check("on_time_rate_ladder", rate_ladder, ">=", 0.95);
+  gates.check("on_time_rate_none", rate_none, "<", rate_ladder);
+  gates.check("watchdog_false_positives", watchdog_false_positives, "==", 0);
+  gates.check("stall_detected", stall_detected);
+  gates.check("clean_runs", clean_runs, ">=", 1);
+  for (const auto& row : latency)
+    gates.check("cancel_latency.p99_latency_units[threads=" +
+                    std::to_string(row.threads) + "]",
+                row.p99, "<=", bound);
+  gates.check("cancel_states_thread_invariant", hashes_consistent);
+  gates.print();
 
   // --- report --------------------------------------------------------------
   benchutil::Json sweep = benchutil::Json::array();
@@ -350,8 +346,7 @@ int main(int argc, char** argv) {
           .set("cancel_latency_bound_units", benchutil::Json(bound))
           .set("cancel_states_thread_invariant",
                benchutil::Json(hashes_consistent));
-  benchutil::write_json(out_path, series);
+  benchutil::write_json(out_path, series, gates);
   std::printf("wrote %s\n", out_path.c_str());
-
-  return ok_on_time && ok_watchdog && ok_latency ? 0 : 1;
+  return gates.exit_status();
 }

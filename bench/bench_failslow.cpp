@@ -20,10 +20,10 @@
 // the same alpha-beta step model that predicts healthy performance
 // predicts the straggler tax and what each mitigation rung buys back.
 //
-// Writes BENCH_failslow.json (f3d-bench-v1 envelope). Exit status
-// enforces: the full ladder recovers >= 50% of the efficiency lost to a
-// 4x persistent straggler, and the detector raises zero false positives
-// across every clean campaign (all policies x seeds).
+// Writes BENCH_failslow.json (f3d-bench-v1 envelope). Gates (exit status
+// and series.gates): the full ladder recovers >= 50% of the efficiency
+// lost to a 4x persistent straggler, and the detector raises zero false
+// positives across every clean campaign (all policies x seeds).
 //
 // Usage: bench_failslow [-procs 16] [-steps 400] [-seeds 3] [-vertices 3000]
 //                       [-out BENCH_failslow.json]
@@ -238,13 +238,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  const bool ok_recovered = gate_recovered >= 0.50;
-  const bool ok_fp = false_positives == 0;
-  std::printf(
-      "\nfull ladder vs 4x straggler: %.1f %% of lost efficiency recovered "
-      "%s\nclean campaigns: %d, detector false positives: %d %s\n",
-      100.0 * gate_recovered, ok_recovered ? "(>= 50% - OK)" : "(FAIL)",
-      clean_runs, false_positives, ok_fp ? "(zero - OK)" : "(FAIL)");
+  benchutil::Gates gates;
+  gates.check("ladder_recovered_4x_straggler", gate_recovered, ">=", 0.5);
+  gates.check("false_positives", false_positives, "==", 0);
+  gates.check("clean_runs", clean_runs, ">=", 1);
+  gates.print();
 
   benchutil::Json sweep = benchutil::Json::array();
   for (const auto& c : cells)
@@ -285,8 +283,7 @@ int main(int argc, char** argv) {
                benchutil::Json(static_cast<long long>(clean_runs)))
           .set("false_positives",
                benchutil::Json(static_cast<long long>(false_positives)));
-  benchutil::write_json(out_path, series);
+  benchutil::write_json(out_path, series, gates);
   std::printf("wrote %s\n", out_path.c_str());
-
-  return ok_recovered && ok_fp ? 0 : 1;
+  return gates.exit_status();
 }

@@ -6,7 +6,8 @@
 //
 //   clean         no injected faults, journal on. Gates the fleet's
 //                 serving overhead: wall time within 10% of the same
-//                 batch served with every robustness layer off.
+//                 batch served with every robustness layer off (median
+//                 of alternating bare/journaled pairs).
 //   storm-none    seeded fault storm (fragile knob sets, poison work
 //                 budgets, straggler delays), retry ladder DISABLED
 //                 (one strike). Fragile scenarios die alongside poison.
@@ -19,8 +20,8 @@
 // re-run (bit-identical per-scenario solution CRCs, identical
 // quarantine set).
 //
-// Writes BENCH_fleet.json (f3d-bench-v1 envelope; gated by
-// scripts/check_docs.py). Exit status enforces the same gates.
+// Writes BENCH_fleet.json (f3d-bench-v1 envelope); the gates set the exit
+// status and are written as series.gates.
 //
 // Usage: bench_fleet [-vertices 220] [-workers 4] [-out BENCH_fleet.json]
 
@@ -162,31 +163,30 @@ int main(int argc, char** argv) {
   // --- lane 0 (reference): every robustness layer off ----------------------
   // No journal, one strike, no admission: the cheapest possible serve of
   // the same batch, which the clean lane's overhead is measured against.
-  // Two reps each, best-of, to keep the gate off the noise floor.
-  double bare_wall = 1e99, clean_wall = 1e99;
+  // The clean lane reports its fastest serve.
   fleet::BatchResult clean_res;
-  for (int rep = 0; rep < 2; ++rep) {
-    auto o = base;
-    o.max_attempts = 1;
-    fleet::Service svc(o);
-    bare_wall = std::min(bare_wall, svc.serve(clean_spec).wall_s);
-  }
-  for (int rep = 0; rep < 2; ++rep) {
-    auto o = base;
-    o.journal_path = journal_path;
-    fleet::Service svc(o);
-    const auto res = svc.serve(clean_spec);
-    if (res.wall_s < clean_wall) {
-      clean_wall = res.wall_s;
-      clean_res = res;
-    }
-  }
-  const double overhead_frac = (clean_wall - bare_wall) / bare_wall;
-  Lane clean = summarize("clean", clean_res);
-  clean.wall_s = clean_wall;
-  std::printf("clean: %d/%d committed, %.3f s (bare %.3f s, overhead "
-              "%.1f %%)\n",
-              clean.completed, n, clean_wall, bare_wall,
+  clean_res.wall_s = 1e99;
+  const auto overhead = benchutil::paired_ratio(
+      [&] {
+        auto o = base;
+        o.max_attempts = 1;
+        fleet::Service svc(o);
+        return svc.serve(clean_spec).wall_s;
+      },
+      [&] {
+        auto o = base;
+        o.journal_path = journal_path;
+        fleet::Service svc(o);
+        auto res = svc.serve(clean_spec);
+        const double wall = res.wall_s;
+        if (wall < clean_res.wall_s) clean_res = std::move(res);
+        return wall;
+      });
+  const double overhead_frac = overhead.median - 1.0;
+  const Lane clean = summarize("clean", clean_res);
+  std::printf("clean: %d/%d committed, %.3f s; overhead over bare serving "
+              "(median of %zu alternating pairs) %.1f %%\n",
+              clean.completed, n, clean.wall_s, overhead.ratios.size(),
               100.0 * overhead_frac);
 
   // --- storm lanes ---------------------------------------------------------
@@ -209,15 +209,11 @@ int main(int argc, char** argv) {
   const Lane storm_ladder = summarize("storm-ladder", storm_ladder_res);
 
   int poison_quarantined = 0;
-  bool non_poison_all_committed = true;
   std::set<int> ladder_quarantine_set;
   for (const auto& sc : storm_ladder_res.scenarios) {
     if (sc.status == fleet::ScenarioStatus::kQuarantined) {
       ladder_quarantine_set.insert(sc.id);
       if (storm.poison.count(sc.id) != 0) ++poison_quarantined;
-    } else if (storm.poison.count(sc.id) == 0 &&
-               sc.status != fleet::ScenarioStatus::kCommitted) {
-      non_poison_all_committed = false;
     }
   }
   const double non_poison_completed_frac =
@@ -290,27 +286,25 @@ int main(int argc, char** argv) {
         qset.insert(sc.id);
     deterministic &= qset == ladder_quarantine_set;
   }
-  std::printf("deterministic re-run (solutions + quarantine set): %s\n",
-              deterministic ? "yes" : "NO");
 
   // --- gates ---------------------------------------------------------------
-  const bool ok_ladder = non_poison_all_committed &&
-                         storm_ladder.completed == n - poison;
-  const bool ok_poison = poison_quarantined == poison;
-  const bool ok_storm_delta = storm_none.completed < storm_ladder.completed;
-  const bool ok_exactly_once = lost == 0 && double_committed == 0;
-  const bool ok_overhead = overhead_frac <= 0.10;
-  std::printf(
-      "\ngates: non-poison %d/%d %s | poison quarantined %d/%d %s | "
-      "storm-none %d < storm-ladder %d %s | kill/restart lost %d dup %d %s "
-      "| overhead %.1f %% %s | deterministic %s\n",
-      storm_ladder.completed, n - poison, ok_ladder ? "(OK)" : "(FAIL)",
-      poison_quarantined, poison, ok_poison ? "(OK)" : "(FAIL)",
-      storm_none.completed, storm_ladder.completed,
-      ok_storm_delta ? "(OK)" : "(FAIL)", lost, double_committed,
-      ok_exactly_once ? "(OK)" : "(FAIL)", 100.0 * overhead_frac,
-      ok_overhead ? "(<= 10% - OK)" : "(FAIL)",
-      deterministic ? "(OK)" : "(FAIL)");
+  // Full ladder completion plus exact poison quarantine together mean
+  // every non-poison scenario committed.
+  benchutil::Gates gates;
+  gates.check("scenarios", n, ">=", 64);
+  gates.check("non_poison_completed_frac_ladder", non_poison_completed_frac,
+              "==", 1);
+  gates.check("poison_injected", poison, ">=", 1);
+  gates.check("poison_quarantined", poison_quarantined, "==", poison);
+  gates.check("fragile_injected", storm.fragile.size(), ">=", 1);
+  gates.check("lanes.storm-none.completed", storm_none.completed, "<",
+              storm_ladder.completed);
+  gates.check("kill_restart.killed_after", kill_after, ">=", 1);
+  gates.check("kill_restart.lost", lost, "==", 0);
+  gates.check("kill_restart.double_committed", double_committed, "==", 0);
+  gates.check("overhead_frac", overhead_frac, "<=", 0.10);
+  gates.check("deterministic_rerun", deterministic);
+  gates.print();
 
   // --- report --------------------------------------------------------------
   obs::Json lanes = obs::Json::array();
@@ -335,13 +329,14 @@ int main(int argc, char** argv) {
           .set("non_poison_completed_frac_ladder", non_poison_completed_frac)
           .set("kill_restart", std::move(kill))
           .set("overhead_frac", overhead_frac)
+          .set("overhead_pair_ratios", [&] {
+            obs::Json a = obs::Json::array();
+            for (double r : overhead.ratios) a.push(r);
+            return a;
+          }())
           .set("deterministic_rerun", deterministic);
-  benchutil::write_json(out_path, series);
+  benchutil::write_json(out_path, series, gates);
   std::remove(journal_path.c_str());
   std::printf("wrote %s\n", out_path.c_str());
-
-  return ok_ladder && ok_poison && ok_storm_delta && ok_exactly_once &&
-                 ok_overhead && deterministic
-             ? 0
-             : 1;
+  return gates.exit_status();
 }

@@ -19,9 +19,10 @@
 // rate on clean runs (must be exactly zero — the ABFT bound is derived,
 // not tuned), and the wall-clock overhead of running every guard.
 //
-// Writes BENCH_sdc.json (f3d-bench-v1 envelope). Exit status enforces:
-//   exponent-bit detection coverage >= 90%, zero false positives on clean
-//   runs, guard overhead <= 10%.
+// Writes BENCH_sdc.json (f3d-bench-v1 envelope). Gates (exit status and
+// series.gates): exponent-bit detection coverage >= 90%, zero false
+// positives on clean runs, guard overhead <= 10% (median of alternating
+// guards-off/guards-on pairs).
 //
 // Usage: bench_sdc [-seeds 3] [-steps 40] [-overhead-vertices 2000]
 //                  [-out BENCH_sdc.json]
@@ -245,28 +246,25 @@ int main(int argc, char** argv) {
   cfg_big.model = cfd::Model::kIncompressible;
   cfg_big.order = 1;
   auto timed_solve = [&](bool guards) {
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      cfd::EulerDiscretization disc(mesh_big, cfg_big);
-      cfd::EulerProblem prob(disc, -1.0);
-      auto x = prob.initial_state();
-      auto o = campaign_options();
-      o.max_steps = overhead_steps;
-      o.rtol = 1e-300;  // fixed work: run every step
-      o.sdc.enabled = guards;
-      Timer t;
-      auto res = solver::ptc_solve(prob, x, o);
-      best = std::min(best, t.seconds());
-      F3D_CHECK(res.steps == overhead_steps);
-    }
-    return best;
+    cfd::EulerDiscretization disc(mesh_big, cfg_big);
+    cfd::EulerProblem prob(disc, -1.0);
+    auto x = prob.initial_state();
+    auto o = campaign_options();
+    o.max_steps = overhead_steps;
+    o.rtol = 1e-300;  // fixed work: run every step
+    o.sdc.enabled = guards;
+    Timer t;
+    auto res = solver::ptc_solve(prob, x, o);
+    const double seconds = t.seconds();
+    F3D_CHECK(res.steps == overhead_steps);
+    return seconds;
   };
-  const double t_off = timed_solve(false);
-  const double t_on = timed_solve(true);
-  const double overhead_pct = 100.0 * (t_on / t_off - 1.0);
-  std::printf("guard overhead: %d vertices x %d steps, guards off %.3f s, "
-              "on %.3f s -> %+.2f %%\n",
-              mesh_big.num_vertices(), overhead_steps, t_off, t_on,
+  const auto overhead = benchutil::paired_ratio(
+      [&] { return timed_solve(false); }, [&] { return timed_solve(true); });
+  const double overhead_pct = 100.0 * (overhead.median - 1.0);
+  std::printf("guard overhead: %d vertices x %d steps, median of %zu "
+              "alternating off/on pairs -> %+.2f %%\n",
+              mesh_big.num_vertices(), overhead_steps, overhead.ratios.size(),
               overhead_pct);
 
   // --- verdicts + artifact ------------------------------------------------
@@ -276,14 +274,11 @@ int main(int argc, char** argv) {
   const double mlow_escape =
       mlow.injected > 0 ? static_cast<double>(mlow.escaped) / mlow.injected
                         : 0.0;
-  const bool ok_cov = expo_cov >= 0.90;
-  const bool ok_fp = false_positives == 0;
-  const bool ok_ovh = overhead_pct <= 10.0;
-  std::printf("\nexponent coverage %.1f %% %s | false positives %d %s | "
-              "overhead %.2f %% %s\n",
-              100.0 * expo_cov, ok_cov ? "(>= 90% - OK)" : "(FAIL)",
-              false_positives, ok_fp ? "(zero - OK)" : "(FAIL)", overhead_pct,
-              ok_ovh ? "(<= 10% - OK)" : "(FAIL)");
+  benchutil::Gates gates;
+  gates.check("exponent_detection_coverage", expo_cov, ">=", 0.90);
+  gates.check("false_positives", false_positives, "==", 0);
+  gates.check("guard_overhead_pct", overhead_pct, "<=", 10.0);
+  gates.print();
 
   benchutil::Json classes = benchutil::Json::array();
   for (const auto& b : buckets)
@@ -310,13 +305,17 @@ int main(int argc, char** argv) {
           .set("false_positives",
                benchutil::Json(static_cast<long long>(false_positives)))
           .set("guard_overhead_pct", benchutil::Json(overhead_pct))
+          .set("guard_overhead_pair_ratios", [&] {
+            auto a = benchutil::Json::array();
+            for (double r : overhead.ratios) a.push(r);
+            return a;
+          }())
           .set("overhead_vertices",
                benchutil::Json(static_cast<long long>(mesh_big.num_vertices())))
           .set("overhead_steps",
                benchutil::Json(static_cast<long long>(overhead_steps)))
           .set("seeds", benchutil::Json(static_cast<long long>(nseeds)));
-  benchutil::write_json(out_path, series);
+  benchutil::write_json(out_path, series, gates);
   std::printf("wrote %s\n", out_path.c_str());
-
-  return ok_cov && ok_fp && ok_ovh ? 0 : 1;
+  return gates.exit_status();
 }

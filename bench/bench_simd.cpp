@@ -15,8 +15,8 @@
 // and the Table 2 precision ratio (~2x on the bandwidth-bound linear
 // phase, <= 2x from the traffic model) bounds what float storage can buy.
 // On narrow-width or single-core hosts the measured SIMD gain can sit
-// well below the modeled headroom; the JSON records both so check_docs
-// can gate on "measured >= 1.3x OR honestly annotated".
+// well below the modeled headroom; the JSON records both, and the 1.3x
+// speedup gates are advisory: a miss is annotated, not failed.
 //
 // Usage: bench_simd [-vertices 16000] [-reps 5] [-solve-steps 8]
 //                   [-out BENCH_simd.json]
@@ -225,20 +225,20 @@ int main(int argc, char** argv) {
   std::printf(
       "\nmodeled: Table 1 layout ratio up to 5.7x, Table 2 precision ~2x "
       "(traffic-model bound here: %.2fx on the linear phase)\n"
-      "mixed solve residual drop %.3g vs scalar-double %.3g over %d steps "
-      "(%s)\n",
-      traffic_precision_bound, drop_mixed, drop_scalar, solve_steps,
-      mixed_converges ? "same-tolerance check passed"
-                      : "SAME-TOLERANCE CHECK FAILED");
+      "mixed solve residual drop %.3g vs scalar-double %.3g over %d "
+      "steps\n",
+      traffic_precision_bound, drop_mixed, drop_scalar, solve_steps);
 
-  const double gate = 1.3;
-  const bool meets_gate =
-      spmv.speedup_mixed() >= gate && flux.speedup_mixed() >= gate;
-  if (!meets_gate)
-    std::printf(
-        "note: simd-mixed below the %.1fx gate on this host; see "
-        "EXPERIMENTS.md for the modeled ratio discussion\n",
-        gate);
+  benchutil::Gates gates;
+  gates.check("mixed_solve.same_tolerance", mixed_converges);
+  const std::string miss_note =
+      "measured simd-mixed speedup below gate on this host; modeled "
+      "ratios recorded in `model` and discussed in EXPERIMENTS.md";
+  gates.advisory("kernels.flux_residual.speedup_simd_mixed",
+                 flux.speedup_mixed(), ">=", 1.3, miss_note);
+  gates.advisory("kernels.block_spmv.speedup_simd_mixed",
+                 spmv.speedup_mixed(), ">=", 1.3, miss_note);
+  gates.print();
 
   auto root = benchutil::Json::object();
   root.set("bench", "simd")
@@ -273,13 +273,7 @@ int main(int argc, char** argv) {
         .set("same_tolerance", mixed_converges);
     return o;
   }());
-  root.set("gate_speedup", gate).set("meets_gate", meets_gate);
-  if (!meets_gate)
-    root.set("gate_note",
-             "measured simd-mixed speedup below gate on this host; modeled "
-             "ratios recorded in `model` and discussed in EXPERIMENTS.md");
-  benchutil::write_json(out_path, root);
+  benchutil::write_json(out_path, root, gates);
   std::printf("wrote %s\n", out_path.c_str());
-
-  return mixed_converges ? 0 : 1;
+  return gates.exit_status();
 }

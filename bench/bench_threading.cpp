@@ -3,11 +3,11 @@
 // block SpMV (row-parallel), ILU(0) triangular solves (level-scheduled),
 // and the Krylov dot product (fixed-block tree reduction).
 //
-// Every kernel is bit-deterministic by construction — the sweep checks
-// that the outputs at 2..N threads are byte-identical to the 1-thread
-// run, and that the level-scheduled triangular solve is byte-identical
-// to the serial solve. Results (best-of-reps wall times, speedups,
-// determinism verdicts) go to BENCH_threading.json via
+// Every kernel is bit-deterministic by construction — the sweep gates
+// that the outputs at every thread count are byte-identical to the
+// 1-thread run, and that the level-scheduled triangular solve is
+// byte-identical to the serial solve. Results (best-of-reps wall times,
+// speedups, determinism gates) go to BENCH_threading.json via
 // benchutil::write_json.
 //
 // Usage: bench_threading [-vertices 16000] [-reps 5] [-max-threads 4]
@@ -175,21 +175,22 @@ int main(int argc, char** argv) {
 
   // --- report ---------------------------------------------------------
   Table t({"Kernel", "t(1)", "t(" + std::to_string(max_threads) + ")",
-           "speedup", "bit-identical"});
-  auto add = [&](const char* name, const std::vector<SweepPoint>& pts) {
-    const auto& last = pts.back();
-    bool all_bit = true;
-    for (const auto& p : pts) all_bit = all_bit && p.bit_identical;
+           "speedup"});
+  benchutil::Gates gates;
+  auto add = [&](const std::string& name, const std::vector<SweepPoint>& pts) {
     t.add_row({name, Table::num(pts.front().seconds * 1e3, 3) + "ms",
-               Table::num(last.seconds * 1e3, 3) + "ms",
-               Table::num(last.speedup, 2) + "x", all_bit ? "yes" : "NO"});
-    return all_bit;
+               Table::num(pts.back().seconds * 1e3, 3) + "ms",
+               Table::num(pts.back().speedup, 2) + "x"});
+    for (const auto& p : pts)
+      gates.check("kernels." + name + ".bit_identical[threads=" +
+                      std::to_string(p.threads) + "]",
+                  p.bit_identical);
   };
-  bool all_ok = true;
-  all_ok &= add("flux residual", flux);
-  all_ok &= add("block SpMV", spmv);
-  all_ok &= add("ILU(0) trisolve", tri);
-  all_ok &= add("dot", dot);
+  add("flux_residual", flux);
+  add("block_spmv", spmv);
+  add("ilu0_trisolve", tri);
+  add("dot", dot);
+  gates.check("trisolve_matches_serial", tri_matches_serial);
   t.print();
 
   const double combined1 = flux.front().seconds + spmv.front().seconds;
@@ -197,11 +198,9 @@ int main(int argc, char** argv) {
   const double combined_speedup = combinedN > 0 ? combined1 / combinedN : 1.0;
   std::printf(
       "\nflux+SpMV speedup at %d threads: %.2fx (host has %u hardware "
-      "thread%s)\ntrisolve level schedule %s the serial solve bytewise; "
-      "fwd/bwd levels: %d/%d over %d rows\n",
+      "thread%s)\ntrisolve fwd/bwd levels: %d/%d over %d rows\n",
       max_threads, combined_speedup, hw, hw == 1 ? "" : "s",
-      tri_matches_serial ? "matches" : "DOES NOT MATCH", fwd.num_levels(),
-      bwd.num_levels(), jac.nrows);
+      fwd.num_levels(), bwd.num_levels(), jac.nrows);
   if (hw < static_cast<unsigned>(max_threads))
     std::printf(
         "note: oversubscribed sweep (threads > cores); speedups above "
@@ -218,9 +217,7 @@ int main(int argc, char** argv) {
       .set("unknowns", n)
       .set("ilu_forward_levels", fwd.num_levels())
       .set("ilu_backward_levels", bwd.num_levels())
-      .set("flux_spmv_speedup_at_max_threads", combined_speedup)
-      .set("trisolve_matches_serial", tri_matches_serial)
-      .set("all_bit_identical", all_ok);
+      .set("flux_spmv_speedup_at_max_threads", combined_speedup);
   auto kernels = benchutil::Json::object();
   kernels.set("flux_residual", to_json(flux))
       .set("block_spmv", to_json(spmv))
@@ -241,8 +238,8 @@ int main(int argc, char** argv) {
               max_threads, flux_simd > 0 ? flux_scalar / flux_simd : 1.0,
               spmv_simd > 0 ? spmv_scalar / spmv_simd : 1.0,
               simd::isa_name());
-  benchutil::write_json(out_path, root);
+  gates.print();
+  benchutil::write_json(out_path, root, gates);
   std::printf("wrote %s\n", out_path.c_str());
-
-  return all_ok && tri_matches_serial ? 0 : 1;
+  return gates.exit_status();
 }

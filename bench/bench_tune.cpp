@@ -5,14 +5,14 @@
 // entry reproduces the tuned configuration bit-identically, then
 // re-measure default and tuned back-to-back.
 //
-// Gate (never-worse): the reported tuned time must not be slower than the
-// default beyond a small timing-noise margin. The guarantee is
+// Gate (never-worse): the reported speedup (default / tuned time) must
+// stay >= kNeverWorse, a timing-noise margin. The guarantee is
 // structural — the search falls back to the baseline configuration when
 // no proposal beats it — and the bench additionally enforces it on the
 // re-measured numbers: if back-to-back timing says the "tuned" config
-// regressed (noise), the cell falls back to the default config and says
-// so in gate_note. The JSON is honest either way: `improved == false`
-// cells carry an explanatory gate_note instead of a fabricated speedup.
+// regressed (noise), the cell falls back to the default config. The
+// advisory `improved` gate is honest either way: a cell that kept the
+// defaults carries an explanatory note instead of a fabricated speedup.
 //
 // Usage: bench_tune [-small 2500] [-medium 6000] [-width 8] [-rungs 2]
 //                   [-seed 1] [-db build/tune_db.json]
@@ -35,6 +35,10 @@ namespace {
 
 using namespace f3d;
 
+// Never-worse margin for timing noise, on speedup = default / tuned time:
+// below it the cell falls back to the defaults, and the gate demands it.
+constexpr double kNeverWorse = 0.98;
+
 struct Cell {
   std::string mesh_class;
   int vertices = 0;
@@ -45,7 +49,7 @@ struct Cell {
   int rejected = 0;
   bool improved = false;
   bool db_roundtrip_identical = false;
-  std::string gate_note;
+  std::string note;  ///< why the defaults were kept (improved == false)
   obs::Json tuned_config;
 };
 
@@ -119,22 +123,22 @@ Cell run_class(int vertices, const tune::SearchOptions& sopts,
   cell.improved = result.improved;
   cell.tuned_config = result.best_config;
 
-  // Never-worse enforcement on the measured numbers (2% noise margin):
-  // a regression means the search win did not survive re-measurement —
-  // fall back to the default config, honestly annotated.
-  if (cell.tuned_seconds > cell.default_seconds * 1.02) {
-    cell.gate_note = "tuned config regressed on re-measurement (" +
-                     std::to_string(cell.tuned_seconds) + "s vs " +
-                     std::to_string(cell.default_seconds) +
-                     "s); fell back to compiled defaults";
+  // Never-worse enforcement on the measured numbers: a regression past
+  // the noise margin means the search win did not survive re-measurement
+  // — fall back to the default config, honestly annotated.
+  if (cell.default_seconds < kNeverWorse * cell.tuned_seconds) {
+    cell.note = "tuned config regressed on re-measurement (" +
+                std::to_string(cell.tuned_seconds) + "s vs " +
+                std::to_string(cell.default_seconds) +
+                "s); fell back to compiled defaults";
     cell.tuned_seconds = cell.default_seconds;
     cell.tuned_config = default_config;
     cell.improved = false;
   } else if (!result.improved) {
-    cell.gate_note = result.note.empty()
-                         ? "search found no config beating the defaults; "
-                           "baseline returned"
-                         : result.note;
+    cell.note = result.note.empty()
+                    ? "search found no config beating the defaults; "
+                      "baseline returned"
+                    : result.note;
   }
   cell.speedup = cell.tuned_seconds > 0
                      ? cell.default_seconds / cell.tuned_seconds
@@ -157,7 +161,6 @@ obs::Json cell_json(const Cell& c) {
       .set("improved", c.improved)
       .set("db_roundtrip_identical", c.db_roundtrip_identical)
       .set("tuned_config", c.tuned_config);
-  if (!c.gate_note.empty()) j.set("gate_note", c.gate_note);
   return j;
 }
 
@@ -185,39 +188,24 @@ int main(int argc, char** argv) {
   cells.push_back(run_class(opts.get_int("small", 2500), sopts, db_path));
   cells.push_back(run_class(opts.get_int("medium", 6000), sopts, db_path));
 
-  bool never_worse = true;
-  bool any_fallback = false;
-  std::string gate_note;
-  for (const auto& c : cells) {
-    if (c.tuned_seconds > c.default_seconds * 1.02) never_worse = false;
-    if (!c.improved) any_fallback = true;
-    if (!c.gate_note.empty())
-      gate_note += (gate_note.empty() ? "" : "; ") + c.mesh_class + ": " +
-                   c.gate_note;
-  }
-  if (any_fallback && gate_note.empty())
-    gate_note = "at least one mesh class retained compiled defaults";
-
   obs::Json series = obs::Json::object();
   obs::Json arr = obs::Json::array();
-  for (const auto& c : cells) arr.push(cell_json(c));
+  benchutil::Gates gates;
+  for (const auto& c : cells) {
+    arr.push(cell_json(c));
+    const std::string cell = "mesh_classes." + c.mesh_class + ".";
+    gates.check(cell + "speedup", c.speedup, ">=", kNeverWorse);
+    gates.check(cell + "db_roundtrip_identical", c.db_roundtrip_identical);
+    gates.advisory(cell + "improved", c.improved, c.note);
+  }
   series.set("mesh_classes", std::move(arr))
-      .set("never_worse", never_worse)
       .set("db_schema", tune::kTuneDbSchema)
       .set("db_path", db_path)
       .set("search_strategy", tune::strategy_name(sopts.strategy))
       .set("search_seed", static_cast<long long>(sopts.seed));
-  if (!gate_note.empty()) series.set("gate_note", gate_note);
+  gates.print();
 
-  benchutil::write_json(out_path, series);
+  benchutil::write_json(out_path, series, gates);
   std::printf("\nwrote %s and %s\n", out_path.c_str(), db_path.c_str());
-
-  bool roundtrip_ok = true;
-  for (const auto& c : cells) roundtrip_ok &= c.db_roundtrip_identical;
-  if (!never_worse || !roundtrip_ok) {
-    std::printf("GATE FAILURE: never_worse=%d db_roundtrip=%d\n",
-                never_worse, roundtrip_ok);
-    return 1;
-  }
-  return 0;
+  return gates.exit_status();
 }

@@ -1,11 +1,13 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 #include "cfd/problem.hpp"
 #include "common/error.hpp"
 #include "common/simd.hpp"
+#include "common/table.hpp"
 #include "common/timer.hpp"
 #include "mesh/ordering.hpp"
 #include "obs/trace.hpp"
@@ -155,8 +157,8 @@ par::SurfaceLaw measure_surface_law(const mesh::UnstructuredMesh& mesh,
 
 namespace {
 
-// "results/BENCH_threading.json" -> "threading"; used for the envelope's
-// meta.experiment when the caller's payload is not already enveloped.
+// "results/BENCH_threading.json" -> "threading"; the envelope's
+// meta.experiment.
 std::string experiment_from_path(const std::string& path) {
   std::string name = path;
   const std::size_t slash = name.find_last_of("/\\");
@@ -167,27 +169,126 @@ std::string experiment_from_path(const std::string& path) {
   return name.empty() ? "unknown" : name;
 }
 
+bool compare(double value, const std::string& op, double threshold) {
+  if (op == ">=") return value >= threshold;
+  if (op == ">") return value > threshold;
+  if (op == "<=") return value <= threshold;
+  if (op == "<") return value < threshold;
+  F3D_CHECK_MSG(op == "==", "unknown gate op '" + op + "'");
+  return value == threshold;
+}
+
+std::string format_value(const Json& v) {
+  if (v.kind == Json::Kind::kBool) return v.b ? "true" : "false";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", v.number());
+  return buf;
+}
+
 }  // namespace
 
-void write_json(const std::string& path, const Json& v) {
-  Json out = obs::is_bench_report(v)
-                 ? v
-                 : obs::make_bench_report(experiment_from_path(path), v);
+void Gates::check(std::string name, double value, const std::string& op,
+                  double threshold) {
+  const bool pass = compare(value, op, threshold);
+  add({std::move(name), value, op, threshold, pass, false, {}});
+}
+
+void Gates::check(std::string name, bool value) {
+  add({std::move(name), value, "==", true, value, false, {}});
+}
+
+void Gates::advisory(std::string name, double value, const std::string& op,
+                     double threshold, std::string note) {
+  const bool pass = compare(value, op, threshold);
+  add({std::move(name), value, op, threshold, pass, true, std::move(note)});
+}
+
+void Gates::advisory(std::string name, bool value, std::string note) {
+  add({std::move(name), value, "==", true, value, true, std::move(note)});
+}
+
+void Gates::add(Gate g) {
+  F3D_CHECK_MSG(g.pass || !g.advisory || !g.note.empty(),
+                "failed advisory gate " + g.name + " needs a note");
+  for (const auto& other : gates_)
+    F3D_CHECK_MSG(other.name != g.name, "duplicate gate " + g.name);
+  gates_.push_back(std::move(g));
+}
+
+int Gates::exit_status() const {
+  for (const auto& g : gates_)
+    if (!g.pass && !g.advisory) return 1;
+  return 0;
+}
+
+void Gates::print() const {
+  Table t({"gate", "value", "op", "threshold", "verdict"});
+  for (const auto& g : gates_)
+    t.add_row({g.name, format_value(g.value), g.op, format_value(g.threshold),
+               g.pass ? "pass" : g.advisory ? "miss (advisory)" : "FAIL"});
+  std::printf("\ngates:\n");
+  t.print();
+  for (const auto& g : gates_)
+    if (!g.pass && g.advisory)
+      std::printf("note: %s: %s\n", g.name.c_str(), g.note.c_str());
+}
+
+Json Gates::to_json() const {
+  Json arr = Json::array();
+  for (const auto& g : gates_) {
+    Json o = Json::object();
+    o.set("name", g.name)
+        .set("value", g.value)
+        .set("op", g.op)
+        .set("threshold", g.threshold)
+        .set("pass", g.pass);
+    if (g.advisory) o.set("advisory", true);
+    if (g.advisory && !g.pass) o.set("note", g.note);
+    arr.push(std::move(o));
+  }
+  return arr;
+}
+
+void write_json(const std::string& path, Json series, const Gates& gates) {
+  F3D_CHECK_MSG(!gates.empty(), path + ": an artifact must carry its gates");
+  series.set("gates", gates.to_json());
+  Json report =
+      obs::make_bench_report(experiment_from_path(path), std::move(series));
   // Every artifact records the host ISA the numbers were produced on —
   // a SIMD A/B ratio is meaningless without the vector width behind it.
-  const Json* meta = out.find("meta");
-  if (meta != nullptr && meta->find("host_isa") == nullptr) {
-    Json isa = Json::object();
-    isa.set("isa", simd::isa_name())
-        .set("arch", simd::target_arch())
-        .set("double_lanes", simd::double_lanes())
-        .set("simd_compiled", simd::compiled())
-        .set("simd_enabled", simd::enabled());
-    Json meta2 = *meta;
-    meta2.set("host_isa", std::move(isa));
-    out.set("meta", std::move(meta2));
+  Json isa = Json::object();
+  isa.set("isa", simd::isa_name())
+      .set("arch", simd::target_arch())
+      .set("double_lanes", simd::double_lanes())
+      .set("simd_compiled", simd::compiled())
+      .set("simd_enabled", simd::enabled());
+  Json meta = *report.find("meta");
+  meta.set("host_isa", std::move(isa));
+  report.set("meta", std::move(meta));
+  F3D_CHECK_MSG(obs::write_json_file(path, report), "cannot write " + path);
+}
+
+PairedRatio paired_ratio(const std::function<double()>& off,
+                         const std::function<double()>& on) {
+  // Odd, for a true median. Single solve times on a shared host scatter
+  // by up to +-30%; the median of nine pairs ignores four disturbed ones.
+  constexpr int pairs = 9;
+  PairedRatio out;
+  for (int p = 0; p < pairs; ++p) {
+    double t_off = 0, t_on = 0;
+    if (p % 2 == 0) {
+      t_off = off();
+      t_on = on();
+    } else {
+      t_on = on();
+      t_off = off();
+    }
+    out.ratios.push_back(t_on / t_off);
   }
-  F3D_CHECK_MSG(obs::write_json_file(path, out), "cannot write " + path);
+  std::vector<double> sorted = out.ratios;
+  std::nth_element(sorted.begin(), sorted.begin() + pairs / 2, sorted.end());
+  out.median = sorted[static_cast<std::size_t>(pairs / 2)];
+  return out;
 }
 
 }  // namespace f3d::benchutil

@@ -1,10 +1,12 @@
 #pragma once
 // Shared infrastructure for the per-table/per-figure benchmark harnesses:
 // standard meshes, work-coefficient calibration from the real kernels,
-// real psi-NKS probes (measured iteration counts), and the iteration-growth
+// real psi-NKS probes (measured iteration counts), the iteration-growth
 // fit that extrapolates measured algorithmic behaviour to the paper's
-// 2.8M-vertex scale.
+// 2.8M-vertex scale, and the BENCH_*.json writer with the gates every
+// artifact carries.
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,11 +74,65 @@ par::SurfaceLaw measure_surface_law(const mesh::UnstructuredMesh& mesh,
 /// doubles print with %.17g so round-trips are exact).
 using Json = obs::Json;
 
-/// Serialize `v` to `path` (pretty-printed, trailing newline), wrapped in
-/// the unified f3d-bench-v1 envelope {"meta": {...}, "series": v} unless
-/// `v` already carries one. The experiment name is derived from the file
-/// name ("BENCH_threading.json" -> "threading"). Throws f3d::Error if the
-/// file cannot be written.
-void write_json(const std::string& path, const Json& v);
+/// The pass/fail criteria of one bench run, stated once. Each gate
+/// compares a measured value with a threshold through one of ">=", ">",
+/// "<=", "<", "=="; its name is the series field it checks
+/// ("false_positives", "kernels.block_spmv.speedup_simd_mixed").
+/// write_json stores the gates as series.gates, where
+/// scripts/check_docs.py recomputes every verdict, and exit_status() is
+/// the bench's exit status.
+class Gates {
+public:
+  /// Required gate: a failure makes exit_status() nonzero.
+  void check(std::string name, double value, const std::string& op,
+             double threshold);
+  /// Required boolean gate: `value == true`.
+  void check(std::string name, bool value);
+  /// Advisory gate: it may fail without failing the run, but then `note`
+  /// must say why (it is written only when the gate fails).
+  void advisory(std::string name, double value, const std::string& op,
+                double threshold, std::string note);
+  /// Advisory boolean gate: `value == true`.
+  void advisory(std::string name, bool value, std::string note);
+
+  [[nodiscard]] bool empty() const { return gates_.empty(); }
+  /// 0 when every required gate passes, 1 otherwise.
+  [[nodiscard]] int exit_status() const;
+  /// The gate table (name, value, op, threshold, verdict) plus the note
+  /// of every failed advisory gate, on stdout.
+  void print() const;
+  /// [{name, value, op, threshold, pass[, advisory, note]}]
+  [[nodiscard]] Json to_json() const;
+
+private:
+  struct Gate {
+    std::string name;
+    Json value;  ///< number, or bool for check(name, bool)
+    std::string op;
+    Json threshold;
+    bool pass = false;
+    bool advisory = false;
+    std::string note;  ///< advisory only: the reason a miss is acceptable
+  };
+  void add(Gate g);
+  std::vector<Gate> gates_;
+};
+
+/// Serialize `series` plus `gates` (as series.gates) to `path`
+/// (pretty-printed, trailing newline), wrapped in the f3d-bench-v1
+/// envelope {"meta": {...}, "series": ...}. The experiment name is derived
+/// from the file name ("BENCH_threading.json" -> "threading"). Throws
+/// f3d::Error if `gates` is empty or the file cannot be written.
+void write_json(const std::string& path, Json series, const Gates& gates);
+
+/// Relative cost of arm `on` over arm `off` on a host whose speed drifts:
+/// nine back-to-back pairs, alternating which arm runs first, estimated
+/// by the median per-pair ratio. Each arm returns the seconds it measured.
+struct PairedRatio {
+  std::vector<double> ratios;  ///< on/off seconds per pair, in run order
+  double median = 1.0;         ///< the estimate
+};
+PairedRatio paired_ratio(const std::function<double()>& off,
+                         const std::function<double()>& on);
 
 }  // namespace f3d::benchutil

@@ -3,37 +3,20 @@
 #   1. release build + complete test suite, then the same suite against
 #      the scalar SIMD fallback (F3D_SIMD=OFF). Every test carries a
 #      TIMEOUT property, so a wedged solve fails loudly here.
-#   2. thread-scaling bench of the exec-layer kernels (writes
-#      BENCH_threading.json; also re-verifies bit-identity across thread
-#      counts and exits nonzero on any mismatch), then the SIMD +
-#      mixed-precision three-way A/B (writes BENCH_simd.json; exits
-#      nonzero when the mixed solve misses the double solve's
-#      tolerance), then the SDC injection
-#      campaign (writes BENCH_sdc.json; exits nonzero when exponent-flip
-#      detection coverage drops below 90%, a clean run false-positives,
-#      or guard overhead exceeds 10%), then the fail-slow mitigation
-#      sweep (writes BENCH_failslow.json; exits nonzero when the ladder
-#      recovers < 50% of a 4x straggler's tax or the detector
-#      false-positives on a clean campaign), then the deadline oracle
-#      campaign (writes BENCH_deadline.json; exits nonzero when the
-#      degradation ladder's on-time rate drops below 95%, the stall
-#      watchdog false-positives on a clean scenario or misses the stall
-#      scenario, or p99 cancellation latency exceeds the documented
-#      work-unit bound at 1/2/4 threads), then the self-tuning A/B (writes
-#      BENCH_tune.json + build/tune_db.json; exits nonzero when the tuned
-#      config is worse than the compiled defaults or the DB round-trip is
-#      not bit-identical), then the scenario-fleet storm campaign (writes
-#      BENCH_fleet.json; exits nonzero when the retry ladder misses a
-#      non-poison scenario, poison escapes quarantine, kill-and-restart
-#      loses or double-commits a scenario, clean-lane overhead exceeds
-#      10%, or a re-run is not bit-identical)
+#   2. the gated benches, in order: thread scaling, SIMD + mixed-precision
+#      A/B, SDC injection campaign, fail-slow mitigation sweep, deadline
+#      oracle campaign, self-tuning A/B (also writes build/tune_db.json),
+#      scenario-fleet storm campaign. Each writes its BENCH_*.json with
+#      its gates in series.gates, prints its gate table, and exits
+#      nonzero when a required gate fails.
 #   3. docs gate: a traced quickstart run must produce a schema-valid
 #      Chrome trace whose phase spans cover >=90% of the solve, every
-#      committed BENCH_*.json must carry the f3d-bench-v1 envelope, the
-#      tuning DB must match f3d-tunedb-v1, every registered knob (dumped
-#      via tuned_solve -dump-knobs) must be documented in docs/TUNING.md
-#      (with a negative control proving the cross-check can fail), and
-#      the markdown must have no dead relative links
+#      committed BENCH_*.json must carry the f3d-bench-v1 envelope and
+#      pass its recomputed series.gates, the tuning DB must match
+#      f3d-tunedb-v1, every registered knob (dumped via tuned_solve
+#      -dump-knobs) must be documented in docs/TUNING.md, and the
+#      markdown must have no dead relative links; negative controls prove
+#      the knob cross-check and the gate checker can fail
 #   4. ASan+UBSan build + the resilience-, sdc-, failslow-, tune-, fleet-
 #      and simd-labelled tests (fault injection, recovery, checkpoints,
 #      journals and the SIMD pack loads: where memory bugs would hide
@@ -90,7 +73,7 @@ echo "=== self-tuning A/B (BENCH_tune.json + build/tune_db.json) ==="
 echo "=== scenario-fleet storm campaign (BENCH_fleet.json) ==="
 ./build/bench/bench_fleet -out BENCH_fleet.json
 
-echo "=== docs gate: trace schema + bench envelopes + markdown links ==="
+echo "=== docs gate: trace schema + bench gates + markdown links ==="
 F3D_TRACE=1 F3D_TRACE_OUT=build/ci_trace.json ./build/examples/quickstart
 ./build/examples/tuned_solve -dump-knobs > build/knobs.json
 python3 scripts/check_docs.py --trace build/ci_trace.json --min-coverage 0.9 \
@@ -107,21 +90,36 @@ if python3 scripts/check_docs.py --knobs build/knobs.json \
   exit 1
 fi
 
-# Negative control for the unknown-experiment registry: a schema-valid
-# BENCH artifact whose experiment has no registered validator must fail
-# the docs gate rather than slide through envelope-only.
-echo "=== docs gate negative control (unregistered BENCH experiment) ==="
-mkdir -p build/docs_negctl
-cat > build/docs_negctl/BENCH_mystery.json <<'EOF'
-{"meta": {"schema": "f3d-bench-v1", "experiment": "mystery",
+# Negative controls for the gate checker: synthetic artifacts that differ
+# from an accepted one only in their gates, one defect each.
+echo "=== docs gate negative controls (malformed series.gates) ==="
+negctl_artifact() {  # <name> <series JSON>: one artifact in its own repo dir
+  mkdir -p "build/docs_negctl/$1"
+  cat > "build/docs_negctl/$1/BENCH_negctl.json" <<EOF
+{"meta": {"schema": "f3d-bench-v1", "experiment": "negctl",
           "host_isa": {"isa": "none", "arch": "x86_64",
                        "double_lanes": 1, "simd_compiled": false}},
- "series": {}}
+ "series": $2}
 EOF
-if python3 scripts/check_docs.py --repo build/docs_negctl >/dev/null 2>&1; then
-  echo "ERROR: check_docs.py accepted an unregistered BENCH experiment" >&2
-  exit 1
-fi
+}
+negctl_artifact accepted '{"gates": [{"name": "fp", "value": 0, "op": "==",
+  "threshold": 0, "pass": true}]}'
+python3 scripts/check_docs.py --repo build/docs_negctl/accepted >/dev/null
+negctl_artifact no-gates '{"fp": 0}'
+negctl_artifact failed-required-gate '{"gates": [{"name": "fp", "value": 1,
+  "op": "==", "threshold": 0, "pass": false}]}'
+negctl_artifact contradicted-pass '{"gates": [{"name": "fp", "value": 1,
+  "op": "==", "threshold": 0, "pass": true}]}'
+negctl_artifact advisory-miss-without-note '{"gates": [{"name": "fp",
+  "value": 1, "op": "==", "threshold": 0, "pass": false, "advisory": true}]}'
+for defect in no-gates failed-required-gate contradicted-pass \
+              advisory-miss-without-note; do
+  if python3 scripts/check_docs.py --repo "build/docs_negctl/$defect" \
+       >/dev/null 2>&1; then
+    echo "ERROR: check_docs.py accepted an artifact with $defect" >&2
+    exit 1
+  fi
+done
 
 echo "=== asan build + resilience/sdc/failslow/tune/fleet/simd-labelled tests ==="
 cmake --preset asan

@@ -176,16 +176,10 @@ void EulerDiscretization::gradients_t(const FlowField& q,
   }
 }
 
-void EulerDiscretization::limiters(const FlowField& q,
-                                   const std::vector<double>& grad,
-                                   std::vector<double>& phi) const {
-  limiters_t<double>(q, grad, phi);
-}
-
 template <class GS>
-void EulerDiscretization::limiters_t(const FlowField& q,
-                                     const std::vector<GS>& grad,
-                                     std::vector<GS>& phi) const {
+void EulerDiscretization::limiters(const FlowField& q,
+                                   const std::vector<GS>& grad,
+                                   std::vector<GS>& phi) const {
   F3D_OBS_SPAN("limiter");
   const int nv = num_vertices();
   const int ncomp = nb();
@@ -289,6 +283,11 @@ void EulerDiscretization::limiters_t(const FlowField& q,
   }
 }
 
+template void EulerDiscretization::limiters<double>(
+    const FlowField&, const std::vector<double>&, std::vector<double>&) const;
+template void EulerDiscretization::limiters<float>(
+    const FlowField&, const std::vector<float>&, std::vector<float>&) const;
+
 template <class GS>
 void EulerDiscretization::interface_states_t(const FlowField& q,
                                              const std::vector<GS>& grad,
@@ -357,7 +356,7 @@ void EulerDiscretization::residual_impl_t(const FlowField& q,
   std::vector<GS> grad, phi;
   if (second_order) {
     gradients_t(q, grad);
-    limiters_t(q, grad, phi);
+    limiters(q, grad, phi);
   }
 
   const auto& edges = mesh_.edges();

@@ -105,9 +105,12 @@ public:
   void gradients(const FlowField& q, std::vector<double>& grad) const;
 
   /// Venkatakrishnan limiter values per (vertex, component) given the
-  /// gradients. 1 = unlimited. Exposed for tests.
-  void limiters(const FlowField& q, const std::vector<double>& grad,
-                std::vector<double>& phi) const;
+  /// gradients, stored as GS (double, or float for the
+  /// reco_single_precision path). 1 = unlimited. Instantiated for double
+  /// and float in euler.cpp.
+  template <class GS>
+  void limiters(const FlowField& q, const std::vector<GS>& grad,
+                std::vector<GS>& phi) const;
 
   /// Approximate floating-point work of one residual() call (for Gflop/s
   /// reporting in the parallel experiments).
@@ -139,9 +142,6 @@ private:
   void residual_impl_t(const FlowField& q, std::vector<double>& r) const;
   template <class GS>
   void gradients_t(const FlowField& q, std::vector<GS>& grad) const;
-  template <class GS>
-  void limiters_t(const FlowField& q, const std::vector<GS>& grad,
-                  std::vector<GS>& phi) const;
   template <class GS>
   void interface_states_t(const FlowField& q, const std::vector<GS>& grad,
                           const std::vector<GS>& phi, int i, int j,

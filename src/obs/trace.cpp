@@ -12,16 +12,6 @@ Json make_bench_report(const std::string& experiment, Json series) {
   return root;
 }
 
-bool is_bench_report(const Json& v) {
-  const Json* meta = v.find("meta");
-  if (meta == nullptr || !meta->is_object()) return false;
-  const Json* schema = meta->find("schema");
-  const Json* experiment = meta->find("experiment");
-  return schema != nullptr && schema->is_string() && schema->s == kBenchSchema &&
-         experiment != nullptr && experiment->is_string() &&
-         v.find("series") != nullptr;
-}
-
 namespace {
 
 // Flattened into the meta object as counters/times/gauges members.

@@ -24,9 +24,6 @@ inline constexpr const char* kTraceSchema = "f3d-trace-v1";
 ///     "series": <series> }
 Json make_bench_report(const std::string& experiment, Json series);
 
-/// True when `v` already carries a valid f3d-bench-v1 envelope.
-bool is_bench_report(const Json& v);
-
 // --- Chrome trace_event sink ----------------------------------------------
 
 /// Object-format Chrome trace: {"traceEvents": [...], "displayTimeUnit":

@@ -397,6 +397,46 @@ TEST(FleetService, KillAndRestartReplaysExactlyThePendingSet) {
   EXPECT_THROW((void)second.serve(other), Error);
 }
 
+// Exactly-once covers the non-committed terminals too: a resumed service
+// replays journaled quarantine and shed decisions with their details and
+// solves nothing.
+TEST(FleetService, ResumeReplaysQuarantinedAndShedTerminals) {
+  const std::string journal = temp_path("fleet_terminals.fjl");
+  auto spec = small_batch();
+  for (auto& sc : spec.scenarios) sc.work_units = 1000;
+  spec.scenarios[2].work_units = 5;  // poison: no configuration converges
+  auto opts = quick_opts();
+  opts.journal_path = journal;
+  opts.max_attempts = 3;
+  opts.admission_capacity_units = 2500;  // 0, 1 and 2 fit; 3 is shed
+  fleet::Service first(opts);
+  const auto before = first.serve(spec);
+  ASSERT_EQ(before.scenarios[2].status, fleet::ScenarioStatus::kQuarantined);
+  ASSERT_EQ(before.scenarios[3].status, fleet::ScenarioStatus::kShed);
+  ASSERT_EQ(before.committed, 2);
+
+  auto resume_opts = opts;
+  resume_opts.resume = true;
+  fleet::Service second(resume_opts);
+  const auto after = second.serve(spec);
+  EXPECT_EQ(after.committed, before.committed);
+  EXPECT_EQ(after.quarantined, before.quarantined);
+  EXPECT_EQ(after.shed, before.shed);
+  EXPECT_EQ(after.cancelled, before.cancelled);
+  EXPECT_EQ(after.pending, 0);
+  EXPECT_EQ(after.retries, 0);
+  ASSERT_EQ(after.scenarios.size(), before.scenarios.size());
+  for (std::size_t i = 0; i < after.scenarios.size(); ++i) {
+    const auto& sc = after.scenarios[i];
+    EXPECT_TRUE(sc.replayed) << "scenario " << i;
+    EXPECT_EQ(sc.status, before.scenarios[i].status) << "scenario " << i;
+    EXPECT_EQ(sc.attempts, 0) << "scenario " << i;  // nothing re-solved
+  }
+  EXPECT_EQ(after.scenarios[2].detail, before.scenarios[2].detail);
+  EXPECT_EQ(after.scenarios[3].detail, before.scenarios[3].detail);
+  EXPECT_NE(after.scenarios[3].detail.find("admission"), std::string::npos);
+}
+
 // ----------------------------------------------------------- tune DB save
 
 // Satellite contract: Db::save publishes atomically (temp file + rename),

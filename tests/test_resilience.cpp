@@ -485,6 +485,95 @@ TEST(PtcRecovery, GmresPoisonStallsWithoutRecovery) {
   EXPECT_TRUE(stagnation_recorded);
 }
 
+// Inflates r(x) 1e8x at every evaluation away from the entry state of
+// pseudo-timestep `at_step`'s first attempt: the line search runs out of
+// halvings, and the step residual then reads as a ~1e8x growth. The retry
+// re-evaluates at the entry state, which ends the episode.
+class DivergingProblem : public NonlinearProblem {
+public:
+  DivergingProblem(NonlinearProblem& inner, int at_step)
+      : inner_(inner), at_step_(at_step) {}
+
+  [[nodiscard]] int num_vertices() const override {
+    return inner_.num_vertices();
+  }
+  [[nodiscard]] int nb() const override { return inner_.nb(); }
+  void residual(const std::vector<double>& x,
+                std::vector<double>& r) override {
+    inner_.residual(x, r);
+    if (phase_ == Phase::kArmed) {
+      entry_ = x;
+      phase_ = Phase::kInflating;
+    } else if (phase_ == Phase::kInflating) {
+      if (x == entry_) {
+        phase_ = Phase::kDone;
+      } else {
+        for (double& v : r) v *= 1e8;
+      }
+    }
+  }
+  [[nodiscard]] sparse::Bcsr<double> allocate_jacobian() const override {
+    return inner_.allocate_jacobian();
+  }
+  void jacobian(const std::vector<double>& x,
+                sparse::Bcsr<double>& jac) override {
+    inner_.jacobian(x, jac);
+  }
+  void timestep_scale(const std::vector<double>& x,
+                      std::vector<double>& vol_over_sr) override {
+    inner_.timestep_scale(x, vol_over_sr);
+  }
+  void cell_volumes(std::vector<double>& vol) const override {
+    inner_.cell_volumes(vol);
+  }
+  void on_step(int step, double residual_ratio) override {
+    if (step == at_step_ && phase_ == Phase::kIdle) phase_ = Phase::kArmed;
+    inner_.on_step(step, residual_ratio);
+  }
+  [[nodiscard]] bool admissible(const std::vector<double>& x) const override {
+    return inner_.admissible(x);
+  }
+
+private:
+  enum class Phase { kIdle, kArmed, kInflating, kDone };
+  NonlinearProblem& inner_;
+  int at_step_;
+  Phase phase_ = Phase::kIdle;
+  std::vector<double> entry_;
+};
+
+TEST(PtcRecovery, DivergentStepIsRejectedAndRecovered) {
+  auto m = mesh::generate_wing_mesh(
+      mesh::WingMeshConfig{.nx = 6, .ny = 3, .nz = 3});
+  cfd::FlowConfig cfg;
+  cfg.model = cfd::Model::kIncompressible;
+  cfg.order = 1;
+  cfd::EulerDiscretization disc(m, cfg);
+  cfd::EulerProblem inner(disc, -1.0);
+  DivergingProblem prob(inner, 2);
+  auto x = inner.initial_state();
+  PtcOptions o = campaign_options();
+  o.recovery.enabled = true;
+  o.matrix_free = false;  // keep Krylov products off the inflated residual
+  const auto res = ptc_solve(prob, x, o);
+
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.steps_rejected, 1);
+  std::vector<RecoveryAction> actions;
+  for (const auto& e : res.recovery_log.events()) {
+    EXPECT_EQ(e.step, 2);
+    actions.push_back(e.action);
+  }
+  EXPECT_EQ(actions, (std::vector<RecoveryAction>{
+                         RecoveryAction::kDetectDivergence,
+                         RecoveryAction::kStepRejected,
+                         RecoveryAction::kCflBacktrack,
+                         RecoveryAction::kPrecRefresh}));
+  ASSERT_FALSE(res.recovery_log.empty());
+  EXPECT_NE(res.recovery_log.events()[0].detail.find("grew"),
+            std::string::npos);
+}
+
 // The headline campaign: 4 fault classes x 5 seeds. With recovery enabled
 // >= 95% of runs must converge to rtol and none may abort; with recovery
 // disabled every run must fail (abort or miss rtol).
