@@ -20,7 +20,7 @@
 #include "common/table.hpp"
 #include "mesh/graph.hpp"
 #include "solver/coarse.hpp"
-#include "solver/gmres.hpp"
+#include "solver/krylov.hpp"
 #include "sparse/assembly.hpp"
 
 namespace {

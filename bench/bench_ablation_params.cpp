@@ -113,12 +113,12 @@ int main(int argc, char** argv) {
     std::printf("\nKrylov method (GMRES(20) vs BiCGSTAB):\n");
     Table t({"method", "steps", "linear its", "residual evals", "time",
              "converged"});
-    for (auto kv : {solver::PtcOptions::Krylov::kGmres,
-                    solver::PtcOptions::Krylov::kBicgstab}) {
+    for (auto kv : {solver::KrylovMethod::kGmres,
+                    solver::KrylovMethod::kBicgstab}) {
       auto o = base;
       o.krylov = kv;
       t.add_row(row_of(
-          kv == solver::PtcOptions::Krylov::kGmres ? "GMRES(20)" : "BiCGSTAB",
+          kv == solver::KrylovMethod::kGmres ? "GMRES(20)" : "BiCGSTAB",
           run(mesh, o)));
     }
     t.print();

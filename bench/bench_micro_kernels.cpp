@@ -13,7 +13,7 @@
 #include "mesh/ordering.hpp"
 #include "perf/stream.hpp"
 #include "simcache/traced_kernels.hpp"
-#include "solver/gmres.hpp"
+#include "solver/krylov.hpp"
 #include "sparse/assembly.hpp"
 #include "sparse/ilu.hpp"
 

@@ -78,7 +78,7 @@ Cell run_class(int vertices, const tune::SearchOptions& sopts,
 
   std::printf("\n-- %s (%d vertices): %s search, width %d, %d rungs\n",
               cell.mesh_class.c_str(), cell.vertices,
-              tune::strategy_name(sopts.strategy), sopts.halving_width,
+              tune::kSearchStrategy, sopts.halving_width,
               sopts.halving_rungs);
 
   auto result = tune::search(reg, tune::SolveLab::default_search_space(),
@@ -98,7 +98,7 @@ Cell run_class(int vertices, const tune::SearchOptions& sopts,
   entry.config = result.best_config;
   entry.score = result.best_score;
   entry.baseline_score = result.baseline_score;
-  entry.strategy = tune::strategy_name(sopts.strategy);
+  entry.strategy = tune::kSearchStrategy;
   entry.evaluations = result.evaluations;
   db.put(entry);
   F3D_CHECK_MSG(db.save(db_path), "cannot write tuning DB " + db_path);
@@ -179,7 +179,6 @@ int main(int argc, char** argv) {
       "gates");
 
   tune::SearchOptions sopts;
-  sopts.strategy = tune::Strategy::kHalving;
   sopts.seed = opts.get_uint64("seed", 1);
   sopts.halving_width = opts.get_int("width", 8);
   sopts.halving_rungs = opts.get_int("rungs", 2);
@@ -201,7 +200,7 @@ int main(int argc, char** argv) {
   series.set("mesh_classes", std::move(arr))
       .set("db_schema", tune::kTuneDbSchema)
       .set("db_path", db_path)
-      .set("search_strategy", tune::strategy_name(sopts.strategy))
+      .set("search_strategy", tune::kSearchStrategy)
       .set("search_seed", static_cast<long long>(sopts.seed));
   gates.print();
 

@@ -7,17 +7,19 @@
 // cycles are than cold ones — plus a lift-vs-alpha polar at the end.
 //
 //   $ design_cycle [-vertices 6000] [-cycles 5] [-dalpha 0.75]
+//                  [-checkpoint cycle.f3dckpt]
 
 #include <cmath>
 #include <cstdio>
 
 #include "cfd/problem.hpp"
+#include "common/error.hpp"
 #include "common/options.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
-#include "io/csv.hpp"
 #include "mesh/generator.hpp"
 #include "mesh/ordering.hpp"
+#include "resilience/checkpoint.hpp"
 #include "solver/newton.hpp"
 
 int main(int argc, char** argv) {
@@ -88,11 +90,18 @@ int main(int argc, char** argv) {
                Table::num(res.total_linear_iterations),
                Table::num(secs, 2) + "s", Table::num(fz, 4)});
 
-    // Checkpoint the converged state (also demonstrates the state I/O).
+    // Checkpoint the converged state in the driver's CRC-framed checkpoint
+    // format and warm-start the next cycle from the file.
     state = x;
     if (opts.has("checkpoint")) {
-      io::write_state(opts.get_string("checkpoint", "cycle.state"), state);
-      state = io::read_state(opts.get_string("checkpoint", "cycle.state"));
+      const std::string path = opts.get_string("checkpoint", "cycle.f3dckpt");
+      resilience::PtcCheckpoint ck;
+      ck.x = state;
+      F3D_CHECK_MSG(resilience::save_checkpoint(path, ck),
+                    "cannot write " + path);
+      const auto loaded = resilience::load_checkpoint(path);
+      F3D_CHECK_MSG(loaded.has_value(), "cannot read " + path);
+      state = loaded->x;
     }
   }
   t.print();

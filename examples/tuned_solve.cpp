@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
 
   if (opts.has("search")) {
     tune::SearchOptions sopts;
-    sopts.strategy = tune::Strategy::kHalving;
     sopts.seed = opts.get_uint64("seed", 1);
     sopts.halving_width = opts.get_int("trials", 8);
     auto ev = lab.evaluator();
@@ -58,7 +57,7 @@ int main(int argc, char** argv) {
     entry.config = result.best_config;
     entry.score = result.best_score;
     entry.baseline_score = result.baseline_score;
-    entry.strategy = tune::strategy_name(sopts.strategy);
+    entry.strategy = tune::kSearchStrategy;
     entry.evaluations = result.evaluations;
     db.put(entry);
     if (db.save(db_path))

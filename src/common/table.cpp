@@ -52,48 +52,4 @@ std::string Table::to_string() const {
 
 void Table::print() const { std::fputs(to_string().c_str(), stdout); }
 
-Table registry_table(const obs::Snapshot& snapshot) {
-  Table t({"kind", "name", "value"});
-  for (const auto& [k, v] : snapshot.counters)
-    t.add_row({"counter", k, Table::num(v)});
-  for (const auto& [k, v] : snapshot.times)
-    t.add_row({"time", k, Table::num(v, 6) + "s"});
-  for (const auto& [k, v] : snapshot.gauges)
-    t.add_row({"gauge", k, Table::num(v, 3)});
-  return t;
-}
-
-Table spans_table(const std::vector<obs::SpanEvent>& events) {
-  // Aggregate by name, preserving first-appearance order.
-  std::vector<std::string> order;
-  struct Agg {
-    long long count = 0;
-    double total_us = 0;
-  };
-  std::vector<Agg> aggs;
-  for (const auto& e : events) {
-    std::size_t k = 0;
-    for (; k < order.size(); ++k)
-      if (order[k] == e.name) break;
-    if (k == order.size()) {
-      order.emplace_back(e.name);
-      aggs.emplace_back();
-    }
-    ++aggs[k].count;
-    aggs[k].total_us += e.duration_us();
-  }
-  Table t({"span", "count", "total", "mean"});
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    t.add_row({order[k], Table::num(aggs[k].count),
-               Table::num(aggs[k].total_us * 1e-3, 3) + "ms",
-               Table::num(aggs[k].count > 0
-                              ? aggs[k].total_us / static_cast<double>(
-                                                       aggs[k].count)
-                              : 0.0,
-                          1) +
-                   "us"});
-  }
-  return t;
-}
-
 }  // namespace f3d

@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/obs.hpp"
-
 namespace f3d {
 
 class Table {
@@ -32,13 +30,5 @@ private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Human-readable table sink for the observability layer: one row per
-/// registry entry (kind, name, value), sorted by name within kind.
-[[nodiscard]] Table registry_table(const obs::Snapshot& snapshot);
-
-/// Spans aggregated by name: count, total ms, mean us. `events` is a
-/// Tracer::drain() result.
-[[nodiscard]] Table spans_table(const std::vector<obs::SpanEvent>& events);
 
 }  // namespace f3d

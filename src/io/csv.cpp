@@ -1,6 +1,5 @@
 #include "io/csv.hpp"
 
-#include <cstdint>
 #include <cstdio>
 #include <sstream>
 
@@ -41,36 +40,6 @@ void CsvWriter::write(const std::string& path) const {
   const std::size_t written = std::fwrite(s.data(), 1, s.size(), f);
   const int rc = std::fclose(f);
   F3D_CHECK_MSG(written == s.size() && rc == 0, "write failure on " + path);
-}
-
-namespace {
-constexpr std::uint64_t kStateMagic = 0xf3d57a7eULL;
-}  // namespace
-
-void write_state(const std::string& path, const std::vector<double>& x) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  F3D_CHECK_MSG(f != nullptr, "cannot open " + path);
-  const std::uint64_t magic = kStateMagic;
-  const std::uint64_t count = x.size();
-  bool ok = std::fwrite(&magic, sizeof magic, 1, f) == 1 &&
-            std::fwrite(&count, sizeof count, 1, f) == 1 &&
-            std::fwrite(x.data(), sizeof(double), x.size(), f) == x.size();
-  ok = (std::fclose(f) == 0) && ok;
-  F3D_CHECK_MSG(ok, "write failure on " + path);
-}
-
-std::vector<double> read_state(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  F3D_CHECK_MSG(f != nullptr, "cannot open " + path);
-  std::uint64_t magic = 0, count = 0;
-  bool ok = std::fread(&magic, sizeof magic, 1, f) == 1 &&
-            std::fread(&count, sizeof count, 1, f) == 1;
-  F3D_CHECK_MSG(ok && magic == kStateMagic, "not an f3d state file: " + path);
-  std::vector<double> x(count);
-  ok = std::fread(x.data(), sizeof(double), count, f) == count;
-  std::fclose(f);
-  F3D_CHECK_MSG(ok, "truncated state file: " + path);
-  return x;
 }
 
 }  // namespace f3d::io

@@ -23,14 +23,4 @@ private:
   std::vector<std::vector<double>> rows_;
 };
 
-/// Binary checkpoint of a solution vector (magic + count + raw doubles).
-/// Used for warm-starting analysis cycles (the paper's design-optimization
-/// loop motivation: "time to reach the steady-state solution in each
-/// analysis cycle is crucial").
-void write_state(const std::string& path, const std::vector<double>& x);
-
-/// Read a checkpoint written by write_state. Throws f3d::Error on a
-/// missing/corrupt file.
-std::vector<double> read_state(const std::string& path);
-
 }  // namespace f3d::io

@@ -6,8 +6,8 @@
 // this layer. See docs/OBSERVABILITY.md.
 //
 // Design constraints, in order:
-//  * Dependency-free. obs sits BELOW f3d_common (the table sinks in
-//    common/table.hpp print obs snapshots), so it may not include any
+//  * Dependency-free. obs sits BELOW f3d_common (which links it, so every
+//    library above reaches obs through it), so it may not include any
 //    other f3d header.
 //  * Near-zero cost when disabled: a Span construction is one relaxed
 //    atomic load and nothing else — no clock read, no allocation. The
@@ -165,31 +165,27 @@ class Span {
 /// Merged view of a Registry at one instant.
 struct Snapshot {
   std::map<std::string, long long> counters;
-  std::map<std::string, double> times;  ///< accumulated seconds
   std::map<std::string, double> gauges;
   [[nodiscard]] bool empty() const {
-    return counters.empty() && times.empty() && gauges.empty();
+    return counters.empty() && gauges.empty();
   }
 };
 
-/// Thread-safe named counters (exact integers), time accumulators
-/// (seconds), and gauges (last-write-wins). Counters and times
-/// accumulate into per-thread-striped shards so concurrent increments
-/// from pool workers never contend on one lock; reads merge the shards.
-/// Counter totals are exact for any thread count (integer addition
-/// commutes); time totals are summed in shard order, which is
-/// deterministic for a fixed assignment of adds to threads.
+/// Thread-safe named counters (exact integers) and gauges
+/// (last-write-wins). Counters accumulate into per-thread-striped shards
+/// so concurrent increments from pool workers never contend on one lock;
+/// reads merge the shards. Counter totals are exact for any thread count
+/// (integer addition commutes). Time is not a registry quantity: spans
+/// are the only clock.
 class Registry {
  public:
   /// The process-wide registry the instrumented layers tally into.
   static Registry& global();
 
   void count(const std::string& name, long long delta = 1);
-  void add_time(const std::string& name, double seconds);
   void set_gauge(const std::string& name, double value);
 
   [[nodiscard]] long long counter(const std::string& name) const;
-  [[nodiscard]] double seconds(const std::string& name) const;
   [[nodiscard]] double gauge(const std::string& name) const;
 
   [[nodiscard]] Snapshot snapshot() const;
@@ -200,7 +196,6 @@ class Registry {
   struct Shard {
     mutable std::mutex mu;
     std::map<std::string, long long> counters;
-    std::map<std::string, double> times;
   };
   static int thread_slot();
   Shard& my_shard() { return shards_[thread_slot() & (kShards - 1)]; }

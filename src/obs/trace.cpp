@@ -14,17 +14,13 @@ Json make_bench_report(const std::string& experiment, Json series) {
 
 namespace {
 
-// Flattened into the meta object as counters/times/gauges members.
+// Flattened into the meta object as counters/gauges members.
 void embed_snapshot(Json& meta, const Snapshot& s) {
   Json counters = Json::object();
   for (const auto& [k, v] : s.counters) counters.set(k, v);
-  Json times = Json::object();
-  for (const auto& [k, v] : s.times) times.set(k, v);
   Json gauges = Json::object();
   for (const auto& [k, v] : s.gauges) gauges.set(k, v);
-  meta.set("counters", std::move(counters))
-      .set("times", std::move(times))
-      .set("gauges", std::move(gauges));
+  meta.set("counters", std::move(counters)).set("gauges", std::move(gauges));
 }
 
 }  // namespace
@@ -61,36 +57,6 @@ bool write_chrome_trace(const std::string& path,
                         const std::vector<SpanEvent>& events,
                         const Snapshot* registry) {
   return write_json_file(path, chrome_trace_json(events, registry));
-}
-
-std::string spans_csv(const std::vector<SpanEvent>& events) {
-  std::string out = "name,tid,depth,t0_us,dur_us\n";
-  char buf[160];
-  for (const SpanEvent& e : events) {
-    std::snprintf(buf, sizeof buf, "%s,%d,%d,%.3f,%.3f\n", e.name, e.tid,
-                  e.depth, static_cast<double>(e.t0_ns) * 1e-3,
-                  e.duration_us());
-    out += buf;
-  }
-  return out;
-}
-
-std::string snapshot_csv(const Snapshot& s) {
-  std::string out = "kind,name,value\n";
-  char buf[256];
-  for (const auto& [k, v] : s.counters) {
-    std::snprintf(buf, sizeof buf, "counter,%s,%lld\n", k.c_str(), v);
-    out += buf;
-  }
-  for (const auto& [k, v] : s.times) {
-    std::snprintf(buf, sizeof buf, "time,%s,%.9f\n", k.c_str(), v);
-    out += buf;
-  }
-  for (const auto& [k, v] : s.gauges) {
-    std::snprintf(buf, sizeof buf, "gauge,%s,%.17g\n", k.c_str(), v);
-    out += buf;
-  }
-  return out;
 }
 
 void flush_env_trace() {

@@ -1,10 +1,8 @@
 #pragma once
 // Sinks for the observability layer: Chrome trace_event JSON (loadable in
-// chrome://tracing and https://ui.perfetto.dev), CSV, and the unified
-// BENCH_*.json report schema every benchmark artifact uses. The
-// human-readable table sink lives in common/table.hpp (f3d::Table sits
-// above obs in the layering); see registry_table()/spans_table() there.
-// Schemas are documented in docs/OBSERVABILITY.md.
+// chrome://tracing and https://ui.perfetto.dev) and the unified
+// BENCH_*.json report schema every benchmark artifact uses. Schemas are
+// documented in docs/OBSERVABILITY.md.
 
 #include <string>
 #include <vector>
@@ -30,7 +28,7 @@ Json make_bench_report(const std::string& experiment, Json series);
 /// "ms", "meta": {"schema": "f3d-trace-v1", ...}}. Every span becomes one
 /// complete ("ph":"X") event with microsecond ts/dur; per-tracer thread
 /// ids map to trace tids. A non-null registry snapshot is embedded under
-/// meta.counters/meta.times/meta.gauges.
+/// meta.counters/meta.gauges.
 Json chrome_trace_json(const std::vector<SpanEvent>& events,
                        const Snapshot* registry = nullptr);
 
@@ -38,14 +36,6 @@ Json chrome_trace_json(const std::vector<SpanEvent>& events,
 bool write_chrome_trace(const std::string& path,
                         const std::vector<SpanEvent>& events,
                         const Snapshot* registry = nullptr);
-
-// --- CSV sinks ------------------------------------------------------------
-
-/// "name,tid,depth,t0_us,dur_us" rows, header included.
-std::string spans_csv(const std::vector<SpanEvent>& events);
-
-/// "kind,name,value" rows (kind = counter|time|gauge), header included.
-std::string snapshot_csv(const Snapshot& s);
 
 // --- env-driven flush ------------------------------------------------------
 

@@ -296,9 +296,6 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
       const double x =
           busy_h * f * (1.0 + eps) + 0.3 * busy_h * (link_stretch - 1.0);
       telemetry[static_cast<std::size_t>(rank)] = x;
-      if (nranks <= 64)
-        obs::Registry::global().add_time(
-            "par.rank_busy_s." + std::to_string(rank), x);
     }
     const std::vector<int> confirmed_now =
         detector.observe(s, telemetry, &r.rank_alive);
@@ -521,7 +518,6 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
       const int bit = opts.injector->bit_flip().bit;
       if (opts.sdc_guards && bit >= opts.sdc_caught_min_bit) {
         ++r.sdc_caught;
-        obs::Registry::global().count("resilience.sdc_detected");
         r.log.add(s, resilience::RecoveryAction::kDetectSdc,
                   "halo payload bit " + std::to_string(bit) + " flipped into rank " +
                       std::to_string(rank) + ", caught downstream");

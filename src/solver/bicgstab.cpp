@@ -1,4 +1,4 @@
-#include "solver/bicgstab.hpp"
+#include "solver/krylov.hpp"
 
 #include <cmath>
 
@@ -11,25 +11,27 @@
 
 namespace f3d::solver {
 
-BicgstabResult bicgstab(const LinearOperator& a, const Preconditioner& m,
-                        const std::vector<double>& b, std::vector<double>& x,
-                        const BicgstabOptions& opts) {
+namespace {
+// Cadence of the invariant monitor's true-residual check (one extra
+// matvec each) when GmresOptions::sdc_drift_tol is set.
+constexpr int kTrueResidualEvery = 10;
+}  // namespace
+
+KrylovResult bicgstab(const LinearOperator& a, const Preconditioner& m,
+                      const std::vector<double>& b, std::vector<double>& x,
+                      const GmresOptions& opts) {
   using sparse::Vec;
   const int n = a.n;
   F3D_CHECK(static_cast<int>(b.size()) == n &&
             static_cast<int>(x.size()) == n && m.n() == n);
 
-  BicgstabResult res;
+  KrylovResult res;
   Vec r(n), r0(n), p(n, 0.0), v(n, 0.0), s(n), t(n), phat(n), shat(n);
 
-  a.apply(x.data(), r.data());
-  ++res.counters.matvecs;
-  for (int i = 0; i < n; ++i) r[i] = b[i] - r[i];
+  double rnorm = detail::true_residual(a, b, x, r, res.counters);
   r0 = r;
-  double rnorm = sparse::norm2(r);
-  ++res.counters.dots;
   res.initial_residual = rnorm;
-  const double target = std::max(opts.atol, opts.rtol * rnorm);
+  const double target = std::max(detail::kAtol, opts.rtol * rnorm);
 
   double rho_prev = 1, alpha = 1, omega = 1;
   while (res.iterations < opts.max_iters && rnorm > target) {
@@ -115,43 +117,19 @@ BicgstabResult bicgstab(const LinearOperator& a, const Preconditioner& m,
 
     // Krylov invariant monitor: the short recurrence's r and the true
     // residual b - Ax agree to rounding unless something was silently
-    // corrupted. Costs a matvec, so only every true_residual_every iters.
-    if (opts.true_residual_every > 0 && opts.sdc_drift_tol > 0 &&
-        res.iterations % opts.true_residual_every == 0) {
-      a.apply(x.data(), t.data());
-      ++res.counters.matvecs;
-      for (int i = 0; i < n; ++i) t[i] = b[i] - t[i];
-      const double true_norm = sparse::norm2(t);
-      ++res.counters.dots;
-      const double scale = std::max(rnorm, true_norm);
-      const double drift =
-          scale > 0 ? std::abs(true_norm - rnorm) / scale : 0.0;
-      res.sdc_drift = std::max(res.sdc_drift, drift);
-      if (drift > opts.sdc_drift_tol || !std::isfinite(true_norm))
-        res.sdc_suspected = true;
-    }
+    // corrupted. Costs a matvec, so only every kTrueResidualEvery iters.
+    if (opts.sdc_drift_tol > 0 && res.iterations % kTrueResidualEvery == 0)
+      detail::check_drift(rnorm,
+                          detail::true_residual(a, b, x, t, res.counters),
+                          opts.sdc_drift_tol, res);
   }
 
-  // Exit drift check: a solve shorter than true_residual_every iterations
+  // Exit drift check: a solve shorter than kTrueResidualEvery iterations
   // never meets the periodic monitor above, and even a long one can be
   // corrupted after its last check. One extra matvec closes both windows.
-  // Rounding-level residuals are skipped — estimate and truth legitimately
-  // part ways there.
   if (opts.sdc_drift_tol > 0 && res.iterations > 0 && !res.breakdown &&
-      !res.guard_tripped) {
-    a.apply(x.data(), t.data());
-    ++res.counters.matvecs;
-    for (int i = 0; i < n; ++i) t[i] = b[i] - t[i];
-    const double true_norm = sparse::norm2(t);
-    ++res.counters.dots;
-    const double scale = std::max(rnorm, true_norm);
-    if (scale > 1e-14 * res.initial_residual) {
-      const double drift = scale > 0 ? std::abs(true_norm - rnorm) / scale : 0;
-      res.sdc_drift = std::max(res.sdc_drift, drift);
-      if (drift > opts.sdc_drift_tol || !std::isfinite(true_norm))
-        res.sdc_suspected = true;
-    }
-  }
+      !res.guard_tripped)
+    detail::check_drift_at_exit(a, b, x, t, rnorm, opts.sdc_drift_tol, res);
   res.final_residual = rnorm;
   res.converged = rnorm <= target;
   auto& reg = obs::Registry::global();

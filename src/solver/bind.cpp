@@ -5,7 +5,7 @@
 // enough to cover the paper's reported sweeps, narrow enough that every
 // in-range value yields a well-posed solve.
 
-#include "solver/gmres.hpp"
+#include "solver/krylov.hpp"
 #include "solver/newton.hpp"
 #include "solver/precond.hpp"
 #include "tune/registry.hpp"

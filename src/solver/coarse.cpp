@@ -35,25 +35,17 @@ bool TwoLevelSchwarzPreconditioner::build_coarse(const sparse::Bcsr<double>& a) 
   return coarse_lu_.factor(nc, a0.data());
 }
 
-void TwoLevelSchwarzPreconditioner::refactor(const sparse::Bcsr<double>& a) {
-  fine_.refactor(a);
-  F3D_NUMERIC_CHECK_MSG(build_coarse(a),
-                        "singular coarse operator (check pseudo-time shift)");
-  coarse_ok_ = true;
-}
-
-bool TwoLevelSchwarzPreconditioner::refactor_checked(
-    const sparse::Bcsr<double>& a, double shift0, int max_attempts,
-    resilience::FactorReport* report) {
-  const bool fine_ok = fine_.refactor_checked(a, shift0, max_attempts, report);
+resilience::FactorReport TwoLevelSchwarzPreconditioner::refactor(
+    const sparse::Bcsr<double>& a, int shift_attempts) {
+  resilience::FactorReport report = fine_.refactor(a, shift_attempts);
   coarse_ok_ = build_coarse(a);
-  if (!coarse_ok_ && report != nullptr) {
-    report->coarse_disabled = true;
-    if (!report->detail.empty()) report->detail += "; ";
-    report->detail += "singular coarse operator: correction disabled";
+  if (!coarse_ok_) {
+    report.coarse_disabled = true;
+    if (!report.detail.empty()) report.detail += "; ";
+    report.detail += "singular coarse operator: correction disabled";
   }
   // A dead coarse space degrades convergence but not correctness.
-  return fine_ok;
+  return report;
 }
 
 void TwoLevelSchwarzPreconditioner::apply(const double* r, double* z) const {

@@ -22,23 +22,22 @@ namespace f3d::solver {
 
 class TwoLevelSchwarzPreconditioner final : public RefactorablePreconditioner {
 public:
+  /// Builds and factors both levels; throws f3d::NumericalError if either
+  /// is singular.
   TwoLevelSchwarzPreconditioner(const sparse::Bcsr<double>& a,
                                 const part::Partition& partition,
                                 const SchwarzOptions& opts);
 
-  /// Rebuild both levels from new values on the same sparsity.
-  void refactor(const sparse::Bcsr<double>& a) override;
-
-  /// Resilient refresh: the fine level climbs the Schwarz shift ladder; a
-  /// singular coarse operator disables the coarse correction for this
-  /// refresh (one-level Schwarz is still a valid preconditioner) instead
-  /// of aborting.
-  bool refactor_checked(const sparse::Bcsr<double>& a, double shift0,
-                        int max_attempts,
-                        resilience::FactorReport* report) override;
+  /// Rebuild both levels from new values on the same sparsity. The fine
+  /// level climbs the Schwarz shift ladder; a singular coarse operator
+  /// disables the coarse correction until the next refresh (one-level
+  /// Schwarz is still a valid preconditioner) and is reported as
+  /// coarse_disabled, not as a failure.
+  resilience::FactorReport refactor(const sparse::Bcsr<double>& a,
+                                    int shift_attempts) override;
 
   /// False while the coarse correction is disabled after a singular
-  /// coarse operator was seen on the resilient path.
+  /// coarse operator.
   [[nodiscard]] bool coarse_active() const { return coarse_ok_; }
 
   void apply(const double* r, double* z) const override;

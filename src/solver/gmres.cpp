@@ -1,4 +1,4 @@
-#include "solver/gmres.hpp"
+#include "solver/krylov.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -16,6 +16,14 @@ namespace f3d::solver {
 namespace {
 using sparse::Vec;
 
+// Stagnation watchdog: a restart cycle that fails to reduce the residual
+// below kStagnationFactor x (previous cycle's residual) counts as
+// stagnant; after kMaxStagnantRestarts consecutive stagnant cycles the
+// solve stops with converged=false and a reason string instead of
+// silently burning the rest of max_iters.
+constexpr double kStagnationFactor = 0.9999;
+constexpr int kMaxStagnantRestarts = 2;
+
 // One GMRES cycle of up to `m` iterations. Returns iterations done and
 // updates x; sets `resid` to the estimated true residual norm.
 // `entry_beta` (optional) receives the TRUE residual ||b - Ax|| computed
@@ -29,12 +37,7 @@ int gmres_cycle(const LinearOperator& a, const Preconditioner& prec,
   const int n = a.n;
   Vec r(n), w(n), z(n);
 
-  // r = b - A x.
-  a.apply(x.data(), r.data());
-  ++ctr.matvecs;
-  for (int i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  double beta = sparse::norm2(r);
-  ++ctr.dots;
+  const double beta = detail::true_residual(a, b, x, r, ctr);
   if (entry_beta != nullptr) *entry_beta = beta;
   *resid = beta;
   if (beta <= target || beta == 0) return 0;
@@ -162,29 +165,22 @@ int gmres_cycle(const LinearOperator& a, const Preconditioner& prec,
 
 }  // namespace
 
-GmresResult gmres(const LinearOperator& a, const Preconditioner& m,
-                  const std::vector<double>& b, std::vector<double>& x,
-                  const GmresOptions& opts) {
+KrylovResult gmres(const LinearOperator& a, const Preconditioner& m,
+                   const std::vector<double>& b, std::vector<double>& x,
+                   const GmresOptions& opts) {
   F3D_CHECK(a.n == static_cast<int>(b.size()));
   F3D_CHECK(a.n == m.n());
   F3D_CHECK(a.n == static_cast<int>(x.size()));
   F3D_CHECK(opts.restart >= 1);
 
-  GmresResult res;
-  double resid = 0;
-
-  // Initial residual norm for the relative tolerance.
+  KrylovResult res;
   {
     Vec r(a.n);
-    a.apply(x.data(), r.data());
-    ++res.counters.matvecs;
-    for (int i = 0; i < a.n; ++i) r[i] = b[i] - r[i];
-    res.initial_residual = sparse::norm2(r);
-    ++res.counters.dots;
+    res.initial_residual = detail::true_residual(a, b, x, r, res.counters);
   }
   const double target =
-      std::max(opts.atol, opts.rtol * res.initial_residual);
-  resid = res.initial_residual;
+      std::max(detail::kAtol, opts.rtol * res.initial_residual);
+  double resid = res.initial_residual;
 
   int stagnant_cycles = 0;
   int restart_cycles = 0;
@@ -200,14 +196,8 @@ GmresResult gmres(const LinearOperator& a, const Preconditioner& m,
     // cycle ended with (resid_before) and the true residual this cycle
     // just computed (entry_beta) agree to rounding unless something was
     // silently corrupted in between.
-    if (opts.sdc_drift_tol > 0 && restart_cycles > 0) {
-      const double scale = std::max(resid_before, entry_beta);
-      const double drift =
-          scale > 0 ? std::abs(entry_beta - resid_before) / scale : 0.0;
-      res.sdc_drift = std::max(res.sdc_drift, drift);
-      if (drift > opts.sdc_drift_tol || !std::isfinite(entry_beta))
-        res.sdc_suspected = true;
-    }
+    if (opts.sdc_drift_tol > 0 && restart_cycles > 0)
+      detail::check_drift(resid_before, entry_beta, opts.sdc_drift_tol, res);
     res.iterations += done;
     ++restart_cycles;
     if (guard_tripped) {
@@ -217,8 +207,8 @@ GmresResult gmres(const LinearOperator& a, const Preconditioner& m,
     }
     if (done == 0) break;  // stagnation or immediate convergence
     // Stagnation watchdog: stop burning restarts that make no progress.
-    if (resid > target && resid >= opts.stagnation_factor * resid_before) {
-      if (++stagnant_cycles >= opts.max_stagnant_restarts) {
+    if (resid > target && resid >= kStagnationFactor * resid_before) {
+      if (++stagnant_cycles >= kMaxStagnantRestarts) {
         res.stagnated = true;
         res.reason = "stagnation: " + std::to_string(stagnant_cycles) +
                      " restart cycle(s) of m=" + std::to_string(opts.restart) +
@@ -233,24 +223,12 @@ GmresResult gmres(const LinearOperator& a, const Preconditioner& m,
   // cycle (and short solves converge in a single cycle, so it never runs
   // at all). One extra matvec recomputes the true residual at the final
   // iterate; corruption of the Arnoldi recurrence shows up as a gap
-  // between it and the recurrence estimate. Residuals at rounding level
-  // are skipped — estimate and truth legitimately part ways there.
-  // (Skipped after a guard trip: the extra matvec would re-enter the
-  // tripped operator and the attempt is being discarded anyway.)
+  // between it and the recurrence estimate. (Skipped after a guard trip:
+  // the extra matvec would re-enter the tripped operator and the attempt
+  // is being discarded anyway.)
   if (opts.sdc_drift_tol > 0 && res.iterations > 0 && !res.guard_tripped) {
     Vec r(a.n);
-    a.apply(x.data(), r.data());
-    ++res.counters.matvecs;
-    for (int i = 0; i < a.n; ++i) r[i] = b[i] - r[i];
-    const double true_resid = sparse::norm2(r);
-    ++res.counters.dots;
-    const double scale = std::max(resid, true_resid);
-    if (scale > 1e-14 * res.initial_residual) {
-      const double drift = scale > 0 ? std::abs(true_resid - resid) / scale : 0;
-      res.sdc_drift = std::max(res.sdc_drift, drift);
-      if (drift > opts.sdc_drift_tol || !std::isfinite(true_resid))
-        res.sdc_suspected = true;
-    }
+    detail::check_drift_at_exit(a, b, x, r, resid, opts.sdc_drift_tol, res);
   }
   res.final_residual = resid;
   res.converged = resid <= target;

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "resilience/recovery.hpp"
 #include "sparse/csr.hpp"
 
@@ -32,32 +31,15 @@ public:
 /// with unchanged sparsity (Jacobian refresh between Newton steps).
 class RefactorablePreconditioner : public Preconditioner {
 public:
-  virtual void refactor(const sparse::Bcsr<double>& a) = 0;
-
-  /// Non-throwing refresh for the resilient solver path: a singular
-  /// factorization is answered with an escalating Manteuffel-style
-  /// diagonal shift (up to `max_attempts` rungs of x10 from `shift0`,
-  /// relative to the diagonal scale) instead of an abort. Returns false
-  /// only if even the ladder failed; `report` (optional) records what was
-  /// needed. The base implementation has no ladder — it simply downgrades
-  /// a NumericalError from refactor() to a status.
-  virtual bool refactor_checked(const sparse::Bcsr<double>& a, double shift0,
-                                int max_attempts,
-                                resilience::FactorReport* report) {
-    (void)shift0;
-    (void)max_attempts;
-    try {
-      refactor(a);
-    } catch (const NumericalError& e) {
-      if (report != nullptr) {
-        report->ok = false;
-        report->detail = e.what();
-      }
-      return false;
-    }
-    if (report != nullptr) *report = {};
-    return true;
-  }
+  /// Refactor from `a`; never throws on a numerical failure. A singular
+  /// factorization climbs up to `shift_attempts` rungs of an escalating
+  /// Manteuffel-style diagonal shift (x10 per rung, relative to the
+  /// diagonal scale) before it is reported as failed. With
+  /// `shift_attempts == 0` the refresh stops at the first failure. The
+  /// report says what was needed; it is not ok when a factorization
+  /// failed.
+  virtual resilience::FactorReport refactor(const sparse::Bcsr<double>& a,
+                                            int shift_attempts) = 0;
 };
 
 /// Identity (no preconditioning).

@@ -1,6 +1,5 @@
 #include "solver/newton.hpp"
 
-#include "solver/bicgstab.hpp"
 #include "solver/coarse.hpp"
 
 #include <algorithm>
@@ -36,20 +35,12 @@ constexpr int kMaxStepRetries = 6;         ///< attempts per pseudo-timestep
 constexpr double kCflBacktrack = 0.25;     ///< CFL multiplier on a rejected step
 constexpr double kCflRegrow = 2.0;         ///< relaxation recovery per accepted step
 constexpr double kDivergenceFactor = 1e3;  ///< reject if ||r|| grows past this factor
-// Zero-pivot shift ladder (Manteuffel-style, relative to diag scale).
-constexpr double kPivotShift0 = 1e-8;
-constexpr int kPivotShiftAttempts = 8;  ///< x10 escalation per rung
-// Krylov escalation. A breakdown swaps BiCGStab -> GMRES; stagnation first
-// escalates the GMRES restart length, then (once per solve) swaps GMRES ->
-// BiCGStab. The swapped-to method stays active for the rest of the run.
-constexpr int kGmresRestartMax = 120;  ///< cap for restart-length escalation
-constexpr int kMaxLinearRetries = 2;   ///< escalating re-solves of one system
+/// Rungs of the preconditioner's zero-pivot shift ladder (x10 each).
+constexpr int kPivotShiftAttempts = 8;
 
 // SDC guards: PtcSdcOptions::enabled turns all of them on (the ABFT
 // rounding-bound slack is sparse::AbftGuard's own default).
-constexpr double kGmresDriftTol = 1e-2;         ///< GmresOptions::sdc_drift_tol
-constexpr double kBicgstabDriftTol = 1e-2;      ///< BicgstabOptions::sdc_drift_tol
-constexpr int kBicgstabTrueResidualEvery = 10;  ///< extra matvec cadence
+constexpr double kKrylovDriftTol = 1e-2;  ///< GmresOptions::sdc_drift_tol
 /// Recompute-and-verify attempts per step before rolling back to the last
 /// verified state.
 constexpr int kMaxRecompute = 1;
@@ -59,15 +50,6 @@ constexpr double kDegradeRtolFactor = 10.0;  ///< linear-rtol multiplier for the
 constexpr double kDegradeRtolMax = 0.3;      ///< cap on the loosened linear rtol
 constexpr int kDegradeRestartMin = 8;        ///< floor for the shrunk GMRES restart
 constexpr int kDegradeKrylovItersMin = 10;   ///< floor for the shrunk per-solve iterations
-
-// Block-sparsity adjacency graph for the default partitioner.
-mesh::Graph graph_from_jacobian(const sparse::Bcsr<double>& a) {
-  std::vector<std::array<int, 2>> edges;
-  for (int i = 0; i < a.nrows; ++i)
-    for (int p = a.ptr[i]; p < a.ptr[i + 1]; ++p)
-      if (a.col[p] > i) edges.push_back({i, a.col[p]});
-  return mesh::build_graph(a.nrows, edges);
-}
 
 bool all_finite(const std::vector<double>& v) {
   for (double x : v)
@@ -84,12 +66,12 @@ enum class StepOutcome {
 };
 
 /// What the recovery, SDC and degradation ladders carry across attempts
-/// and steps. A checkpoint saves cfl_relax, gmres.restart and krylov.
+/// and steps. A checkpoint saves cfl_relax, linear.gmres.restart and
+/// linear.method.
 struct Ladder {
   double cfl_relax = 1.0;      ///< CFL backtrack multiplier (1 = no backtrack)
   bool force_refresh = false;  ///< rebuild the preconditioner next attempt
-  GmresOptions gmres;          ///< linear settings after escalation/degradation
-  PtcOptions::Krylov krylov = PtcOptions::Krylov::kGmres;  ///< after swaps
+  KrylovLadder linear;         ///< Krylov settings after escalation/degradation
   int jacobian_refresh = 1;    ///< refresh cadence (the freeze rung stops it)
   int sdc_recomputes = 0;      ///< recompute rungs taken at the current step
   bool loosened = false, frozen = false, shrunk = false;  ///< degrade rungs fired
@@ -114,7 +96,6 @@ struct Solve {
   bool refresh_preconditioner(int step, const std::vector<double>& diag);
   LinearOperator jacobian_operator(const std::vector<double>& diag,
                                    double xnorm, bool& abft_failed);
-  bool krylov_solve(int step, const LinearOperator& op, PtcStepRecord& rec);
   void line_search(const std::vector<double>& diag, PtcStepRecord& rec);
   bool eval_residual(const std::vector<double>& xx, std::vector<double>& rr,
                      const char* what);
@@ -216,10 +197,10 @@ Solve::Solve(NonlinearProblem& p, std::vector<double>& x0, const PtcOptions& o)
       x_commit(x0) {
   F3D_CHECK(static_cast<int>(x.size()) == n);
   F3D_CHECK(opts.num_subdomains >= 1);
-  lad.gmres = opts.gmres;
-  lad.gmres.guard = &sguard;  // charge/trip at iteration boundaries
-  if (sdc_on) lad.gmres.sdc_drift_tol = kGmresDriftTol;
-  lad.krylov = opts.krylov;
+  lad.linear.gmres = opts.gmres;
+  lad.linear.gmres.guard = &sguard;  // charge/trip at iteration boundaries
+  if (sdc_on) lad.linear.gmres.sdc_drift_tol = kKrylovDriftTol;
+  lad.linear.method = opts.krylov;
   lad.jacobian_refresh = opts.jacobian_refresh;
 }
 
@@ -304,7 +285,7 @@ void Solve::start() {
   partition = opts.partition;
   if (partition.nparts == 0) {
     F3D_OBS_SPAN("partition");
-    partition = part::kway_grow(graph_from_jacobian(jac), opts.num_subdomains);
+    partition = part::kway_grow(graph_from_bcsr(jac), opts.num_subdomains);
   }
   F3D_CHECK(partition.nparts == opts.num_subdomains);
 }
@@ -327,14 +308,15 @@ bool Solve::restore() {
   result.steps = static_cast<int>(ck->steps_done);
   result.function_evaluations = ck->function_evaluations;
   result.total_linear_iterations = ck->total_linear_iterations;
+  GmresOptions& go = lad.linear.gmres;
   if (ck->gmres_restart > 0) {
-    lad.gmres.restart = ck->gmres_restart;
+    go.restart = ck->gmres_restart;
     // The checkpoint stores the restart length alone. The escalation rung,
     // the only one that grows it, also keeps max_iters >= restart.
-    if (lad.gmres.restart > opts.gmres.restart)
-      lad.gmres.max_iters = std::max(lad.gmres.max_iters, lad.gmres.restart);
+    if (go.restart > opts.gmres.restart)
+      go.max_iters = std::max(go.max_iters, go.restart);
   }
-  lad.krylov = static_cast<PtcOptions::Krylov>(ck->krylov);
+  lad.linear.method = static_cast<KrylovMethod>(ck->krylov);
   result.recovery_log = ck->log;
   if (ck->has_injector && opts.fault_injector != nullptr)
     opts.fault_injector->restore(ck->injector);
@@ -411,8 +393,8 @@ void Solve::checkpoint(int step) {
   ck.cfl_relax = lad.cfl_relax;
   ck.function_evaluations = result.function_evaluations;
   ck.total_linear_iterations = result.total_linear_iterations;
-  ck.gmres_restart = lad.gmres.restart;
-  ck.krylov = static_cast<std::int32_t>(lad.krylov);
+  ck.gmres_restart = lad.linear.gmres.restart;
+  ck.krylov = static_cast<std::int32_t>(lad.linear.method);
   if (opts.fault_injector != nullptr) {
     ck.has_injector = true;
     ck.injector = opts.fault_injector->state();
@@ -495,11 +477,25 @@ StepOutcome Solve::attempt_step(int step, double cfl, PtcStepRecord& rec) {
   const double xnorm = sparse::norm2(x);
   bool abft_failed = false;
   const LinearOperator op = jacobian_operator(diag, xnorm, abft_failed);
-  const bool krylov_sdc = krylov_solve(step, op, rec);
+  // J dx = -g through the Krylov escalation ladder, whose rungs only the
+  // resilient path climbs.
+  for (int i = 0; i < n; ++i) rhs[i] = -g0[i];
+  const KrylovResult lin =
+      krylov_solve(op, *prec, rhs, dx, lad.linear,
+                   resilient ? &result.recovery_log : nullptr, step);
+  rec.linear_iterations += lin.iterations;
+  rec.linear_converged = lin.converged;
+  rec.linear_breakdown = rec.linear_breakdown || lin.breakdown;
+  rec.linear_stagnated = rec.linear_stagnated || lin.stagnated;
+  result.total_linear_iterations += lin.iterations;
+  result.counters += lin.counters;
+  // One ladder call breaks down at most once: its method swap is the
+  // only way past a breakdown, and it swaps at most once.
+  if (lin.breakdown) ++result.krylov_breakdowns;
   // A trip inside the Krylov solve abandons the attempt before the line
   // search touches x.
   if (tripped() || nan_seen) return failed();
-  if (sdc_on && (abft_failed || krylov_sdc)) {
+  if (sdc_on && (abft_failed || lin.sdc_suspected)) {
     detect_sdc(abft_failed ? "ABFT checksum violation in assembled SpMV"
                            : "Krylov recurrence/true-residual drift");
     return failed();
@@ -547,8 +543,10 @@ StepOutcome Solve::attempt_step(int step, double cfl, PtcStepRecord& rec) {
 }
 
 // Assembles the analytic first-order Jacobian plus the pseudo-time
-// diagonal and builds or refactors the preconditioner from it. Returns
-// false on a singular factorization the resilient path could not absorb.
+// diagonal and builds or refactors the preconditioner from it. The plain
+// path aborts on a singular factorization and on a disabled coarse level;
+// the resilient path climbs the shift ladder, logs its rungs, and returns
+// false on a singular factorization the ladder could not absorb.
 bool Solve::refresh_preconditioner(int step, const std::vector<double>& diag) {
   charge(guard::kUnitsJacobian);
   {
@@ -585,7 +583,12 @@ bool Solve::refresh_preconditioner(int step, const std::vector<double>& diag) {
 
   charge(guard::kUnitsFactor);
   F3D_OBS_SPAN("factor");
-  if (!prec) {
+  resilience::FactorReport report;
+  if (prec) {
+    report = prec->refactor(jac, resilient ? kPivotShiftAttempts : 0);
+  } else {
+    // The first build factors in the constructor, which throws on a
+    // singular factorization.
     try {
       if (opts.use_coarse_space)
         prec = std::make_unique<TwoLevelSchwarzPreconditioner>(jac, partition,
@@ -598,28 +601,24 @@ bool Solve::refresh_preconditioner(int step, const std::vector<double>& diag) {
       record(step, RecoveryAction::kDetectSingularFactor, e.what());
       return false;
     }
-  } else if (resilient) {
-    resilience::FactorReport report;
-    const bool ok = prec->refactor_checked(jac, kPivotShift0,
-                                           kPivotShiftAttempts, &report);
-    if (report.shift_attempts > 0) {
-      record(step, RecoveryAction::kDetectSingularFactor,
-             "zero pivot in preconditioner refresh");
-      char shift_buf[32];
-      std::snprintf(shift_buf, sizeof shift_buf, "%.3g", report.shift_used);
-      record(step, RecoveryAction::kPivotShift,
-             "shift=" + std::string(shift_buf) + " after " +
-                 std::to_string(report.shift_attempts) + " rung(s)");
-    }
-    if (report.coarse_disabled)
-      record(step, RecoveryAction::kCoarseDisabled, report.detail);
-    if (!ok) {
-      record(step, RecoveryAction::kDetectSingularFactor,
-             "shift ladder exhausted: " + report.detail);
-      return false;
-    }
-  } else {
-    prec->refactor(jac);
+  }
+  F3D_NUMERIC_CHECK_MSG(resilient || (report.ok && !report.coarse_disabled),
+                        report.detail);
+  if (report.shift_attempts > 0) {
+    record(step, RecoveryAction::kDetectSingularFactor,
+           "zero pivot in preconditioner refresh");
+    char shift_buf[32];
+    std::snprintf(shift_buf, sizeof shift_buf, "%.3g", report.shift_used);
+    record(step, RecoveryAction::kPivotShift,
+           "shift=" + std::string(shift_buf) + " after " +
+               std::to_string(report.shift_attempts) + " rung(s)");
+  }
+  if (report.coarse_disabled)
+    record(step, RecoveryAction::kCoarseDisabled, report.detail);
+  if (!report.ok) {
+    record(step, RecoveryAction::kDetectSingularFactor,
+           "shift ladder exhausted: " + report.detail);
+    return false;
   }
   lad.force_refresh = false;
   return true;
@@ -670,90 +669,6 @@ LinearOperator Solve::jacobian_operator(const std::vector<double>& diag,
             diag[vtx] * v[static_cast<std::size_t>(vtx) * nb + c];
   };
   return op;
-}
-
-// Solves J dx = -g through the Krylov escalation ladder (see the
-// constants above). Returns whether an invariant monitor suspected silent
-// corruption.
-bool Solve::krylov_solve(int step, const LinearOperator& op,
-                         PtcStepRecord& rec) {
-  for (int i = 0; i < n; ++i) rhs[i] = -g0[i];
-  std::fill(dx.begin(), dx.end(), 0.0);
-  int lin_retries = 0;
-  bool swapped = false;
-  bool sdc_suspected = false;
-  F3D_OBS_SPAN("krylov");
-  for (;;) {
-    if (lad.krylov == PtcOptions::Krylov::kBicgstab) {
-      BicgstabOptions bo;
-      bo.rtol = lad.gmres.rtol;
-      bo.max_iters = lad.gmres.max_iters;
-      bo.guard = &sguard;
-      if (sdc_on) {
-        bo.true_residual_every = kBicgstabTrueResidualEvery;
-        bo.sdc_drift_tol = kBicgstabDriftTol;
-      }
-      const auto res = bicgstab(op, *prec, rhs, dx, bo);
-      rec.linear_iterations += res.iterations;
-      rec.linear_converged = res.converged;
-      result.total_linear_iterations += res.iterations;
-      result.counters += res.counters;
-      sdc_suspected = sdc_suspected || res.sdc_suspected;
-      if (res.breakdown) {
-        rec.linear_breakdown = true;
-        ++result.krylov_breakdowns;
-        if (resilient) {
-          record(step, RecoveryAction::kDetectBreakdown,
-                 "BiCGStab rho/omega collapse");
-          if (!swapped) {
-            swapped = true;
-            lad.krylov = PtcOptions::Krylov::kGmres;
-            record(step, RecoveryAction::kKrylovSwap,
-                   "BiCGStab -> GMRES(m=" +
-                       std::to_string(lad.gmres.restart) + ")");
-            std::fill(dx.begin(), dx.end(), 0.0);
-            continue;
-          }
-        }
-      }
-    } else {
-      const auto res = gmres(op, *prec, rhs, dx, lad.gmres);
-      rec.linear_iterations += res.iterations;
-      rec.linear_converged = res.converged;
-      result.total_linear_iterations += res.iterations;
-      result.counters += res.counters;
-      sdc_suspected = sdc_suspected || res.sdc_suspected;
-      if (res.stagnated) {
-        rec.linear_stagnated = true;
-        if (resilient) {
-          record(step, RecoveryAction::kDetectStagnation, res.reason);
-          if (lad.gmres.restart < kGmresRestartMax &&
-              lin_retries < kMaxLinearRetries) {
-            lad.gmres.restart =
-                std::min(kGmresRestartMax, lad.gmres.restart * 2);
-            lad.gmres.max_iters =
-                std::max(lad.gmres.max_iters, lad.gmres.restart);
-            record(step, RecoveryAction::kRestartEscalation,
-                   "restart -> " + std::to_string(lad.gmres.restart));
-            std::fill(dx.begin(), dx.end(), 0.0);
-            ++lin_retries;
-            continue;
-          }
-          // Escalation exhausted: the last rung is a method swap — a
-          // persistently poisoned GMRES (e.g. an injected fault in the
-          // Arnoldi process) is unrecoverable from inside GMRES.
-          if (!swapped) {
-            swapped = true;
-            lad.krylov = PtcOptions::Krylov::kBicgstab;
-            record(step, RecoveryAction::kKrylovSwap, "GMRES -> BiCGStab");
-            std::fill(dx.begin(), dx.end(), 0.0);
-            continue;
-          }
-        }
-      }
-    }
-    return sdc_suspected;
-  }
 }
 
 // Backtracking line search on ||g||; g at a trial x' keeps the same
@@ -849,10 +764,10 @@ void Solve::degrade(int step) {
   if (!lad.loosened && pr >= dg.loosen_at) {
     lad.loosened = true;
     ++result.degrade_rungs;
-    lad.gmres.rtol =
-        std::min(kDegradeRtolMax, lad.gmres.rtol * kDegradeRtolFactor);
+    GmresOptions& go = lad.linear.gmres;
+    go.rtol = std::min(kDegradeRtolMax, go.rtol * kDegradeRtolFactor);
     record(step, RecoveryAction::kDegradeRung,
-           "loosen linear rtol -> " + std::to_string(lad.gmres.rtol));
+           "loosen linear rtol -> " + std::to_string(go.rtol));
   }
   if (!lad.frozen && pr >= dg.freeze_at) {
     lad.frozen = true;
@@ -864,13 +779,12 @@ void Solve::degrade(int step) {
   if (!lad.shrunk && pr >= dg.shrink_at) {
     lad.shrunk = true;
     ++result.degrade_rungs;
-    lad.gmres.restart = std::max(kDegradeRestartMin, lad.gmres.restart / 2);
-    lad.gmres.max_iters =
-        std::max(kDegradeKrylovItersMin, lad.gmres.max_iters / 2);
+    GmresOptions& go = lad.linear.gmres;
+    go.restart = std::max(kDegradeRestartMin, go.restart / 2);
+    go.max_iters = std::max(kDegradeKrylovItersMin, go.max_iters / 2);
     record(step, RecoveryAction::kDegradeRung,
-           "shrink krylov effort: restart -> " +
-               std::to_string(lad.gmres.restart) + ", max_iters -> " +
-               std::to_string(lad.gmres.max_iters));
+           "shrink krylov effort: restart -> " + std::to_string(go.restart) +
+               ", max_iters -> " + std::to_string(go.max_iters));
   }
 }
 
@@ -949,7 +863,6 @@ void Solve::rollback(int step) {
 // hands the attempt to the ladder (resilient mode) or aborts.
 void Solve::detect_sdc(const std::string& what) {
   ++result.sdc_detections;
-  obs::Registry::global().count("resilience.sdc_detected");
   F3D_NUMERIC_CHECK_MSG(resilient, "silent data corruption detected: " + what);
   record(cur_step, RecoveryAction::kDetectSdc, what);
   sdc_flagged = true;

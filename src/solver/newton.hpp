@@ -22,7 +22,7 @@
 #include "partition/partition.hpp"
 #include "resilience/faults.hpp"
 #include "resilience/recovery.hpp"
-#include "solver/gmres.hpp"
+#include "solver/krylov.hpp"
 #include "solver/precond.hpp"
 #include "sparse/csr.hpp"
 
@@ -84,11 +84,14 @@ public:
 /// an exception exactly as the plain driver always did; with it on, the
 /// driver detects, recovers, logs, and keeps going:
 ///   NaN/diverged residual  -> reject the step, backtrack CFL, refresh prec
+///                             (step rungs, newton.cpp)
 ///   Krylov breakdown       -> swap BiCGStab -> GMRES
 ///   GMRES stagnation       -> escalate the restart length; if escalation
 ///                             is exhausted, swap GMRES -> BiCGStab
+///                             (krylov_solve, krylov.cpp)
 ///   zero pivot             -> escalating diagonal shift in the refactor
-/// The ladder's retry limits and factors are constants in newton.cpp.
+///                             (RefactorablePreconditioner, precond.cpp)
+/// Each ladder's retry limits and factors are constants in its module.
 struct PtcRecoveryOptions {
   bool enabled = false;
 
@@ -108,7 +111,7 @@ struct PtcRecoveryOptions {
 ///  * ABFT checksum on every assembled-Jacobian SpMV (matrix_free=false
 ///    path only; see sparse/abft.hpp),
 ///  * Krylov invariant monitors (GMRES restart drift / BiCGStab periodic
-///    true residual; see the solvers' sdc_drift_tol options),
+///    true residual; see GmresOptions::sdc_drift_tol),
 ///  * NonlinearProblem::admissible() on each accepted step's state.
 ///
 /// Recovery rungs, in escalation order:
@@ -160,8 +163,7 @@ struct PtcOptions {
   double rtol = 1e-8;      ///< steady residual reduction target
 
   // Krylov (§2.4.2).
-  enum class Krylov { kGmres, kBicgstab };
-  Krylov krylov = Krylov::kGmres;
+  KrylovMethod krylov = KrylovMethod::kGmres;
   GmresOptions gmres{.rtol = 5e-3, .max_iters = 60, .restart = 20};
 
   // Schwarz (§2.4.3).

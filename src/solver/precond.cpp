@@ -14,7 +14,12 @@ namespace f3d::solver {
 
 namespace {
 
-// Block-sparsity adjacency (excluding self) for overlap expansion.
+// First rung of the zero-pivot shift ladder, relative to the diagonal
+// scale of the failing subdomain.
+constexpr double kPivotShift0 = 1e-8;
+
+}  // namespace
+
 mesh::Graph graph_from_bcsr(const sparse::Bcsr<double>& a) {
   std::vector<std::array<int, 2>> edges;
   for (int i = 0; i < a.nrows; ++i)
@@ -22,8 +27,6 @@ mesh::Graph graph_from_bcsr(const sparse::Bcsr<double>& a) {
       if (a.col[p] > i) edges.push_back({i, a.col[p]});
   return mesh::build_graph(a.nrows, edges);
 }
-
-}  // namespace
 
 SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
                                              const part::Partition& partition,
@@ -85,7 +88,8 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
     for (int k = 0; k < nl; ++k) global_to_local[sd.vertices[k]] = -1;
   }
 
-  refactor(a);
+  const resilience::FactorReport report = refactor(a, 0);
+  F3D_NUMERIC_CHECK_MSG(report.ok, report.detail);
 }
 
 void SchwarzPreconditioner::extract_local_values(const sparse::Bcsr<double>& a,
@@ -107,7 +111,7 @@ void SchwarzPreconditioner::extract_local_values(const sparse::Bcsr<double>& a,
   }
   // Fault-injection site: a corrupted Jacobian block arriving at the
   // factorization (forced zero pivot). One opportunity per subdomain
-  // extraction, shared by the plain and resilient refresh paths.
+  // extraction.
   if (resilience::fault_fires(resilience::FaultSite::kFactorPivot)) {
     double* blk = sd.local.find_block(0, 0);
     if (blk != nullptr)
@@ -152,12 +156,6 @@ bool SchwarzPreconditioner::factor_checked(Subdomain& sd, std::string* err) {
   return status.ok;
 }
 
-void SchwarzPreconditioner::factor(Subdomain& sd) {
-  std::string err;
-  const bool ok = factor_checked(sd, &err);
-  F3D_NUMERIC_CHECK_MSG(ok, err);
-}
-
 void SchwarzPreconditioner::shift_local_diagonal(Subdomain& sd, int nb,
                                                  double delta) {
   const int nl = static_cast<int>(sd.vertices.size());
@@ -199,21 +197,10 @@ void SchwarzPreconditioner::ssor_solve(const Subdomain& sd, const double* b,
   }
 }
 
-void SchwarzPreconditioner::refactor(const sparse::Bcsr<double>& a) {
+resilience::FactorReport SchwarzPreconditioner::refactor(
+    const sparse::Bcsr<double>& a, int shift_attempts) {
   F3D_CHECK(a.scalar_n() == n_ && a.nb == nb_);
-  for (auto& sd : subs_) {
-    extract_local_values(a, sd);
-    factor(sd);
-  }
-}
-
-bool SchwarzPreconditioner::refactor_checked(const sparse::Bcsr<double>& a,
-                                             double shift0, int max_attempts,
-                                             resilience::FactorReport* report) {
-  F3D_CHECK(a.scalar_n() == n_ && a.nb == nb_);
-  if (shift0 <= 0) shift0 = 1e-8;
-  if (max_attempts < 1) max_attempts = 1;
-  bool all_ok = true;
+  resilience::FactorReport report;
   for (auto& sd : subs_) {
     extract_local_values(a, sd);
     std::string err;
@@ -233,27 +220,26 @@ bool SchwarzPreconditioner::refactor_checked(const sparse::Bcsr<double>& a,
 
     bool ok = false;
     double applied = 0;
-    double shift = shift0;
-    for (int attempt = 0; attempt < max_attempts; ++attempt, shift *= 10) {
+    double shift = kPivotShift0;
+    for (int attempt = 0; attempt < shift_attempts; ++attempt, shift *= 10) {
       const double target = shift * scale;
       shift_local_diagonal(sd, nb_, target - applied);
       applied = target;
-      if (report != nullptr) {
-        ++report->shift_attempts;
-        report->shift_used = std::max(report->shift_used, target);
-      }
+      ++report.shift_attempts;
+      report.shift_used = std::max(report.shift_used, target);
       if (factor_checked(sd, &err)) {
         ok = true;
         break;
       }
     }
-    if (!ok) {
-      all_ok = false;
-      if (report != nullptr) report->detail = err;
-    }
+    if (ok) continue;
+    report.ok = false;
+    report.detail = err;
+    // Without a ladder the refresh stops at the first failure, leaving the
+    // remaining subdomains (and their fault-injection draws) untouched.
+    if (shift_attempts == 0) return report;
   }
-  if (report != nullptr) report->ok = all_ok;
-  return all_ok;
+  return report;
 }
 
 void SchwarzPreconditioner::apply(const double* r, double* z) const {

@@ -59,24 +59,18 @@ public:
   /// assigns each block row (mesh vertex) to a subdomain. The adjacency
   /// graph used for overlap expansion is derived from `a`'s block
   /// sparsity. Performs symbolic setup and the first numeric
-  /// factorization.
+  /// factorization; throws f3d::NumericalError if it is singular.
   SchwarzPreconditioner(const sparse::Bcsr<double>& a,
                         const part::Partition& partition,
                         const SchwarzOptions& opts);
 
   /// Re-extract subdomain values from a new `a` with the same sparsity and
-  /// refactor (Jacobian refresh between Newton steps). Throws
-  /// f3d::NumericalError on a singular subdomain factorization.
-  void refactor(const sparse::Bcsr<double>& a) override;
-
-  /// Resilient refresh: a zero pivot / singular block is retried with an
-  /// escalating diagonal shift delta*I (delta = shift0 * diag scale, x10
-  /// per rung, `max_attempts` rungs) on the failing subdomain's local
-  /// matrix — the factorization then succeeds on a slightly perturbed
-  /// operator, degrading preconditioner quality instead of aborting.
-  bool refactor_checked(const sparse::Bcsr<double>& a, double shift0,
-                        int max_attempts,
-                        resilience::FactorReport* report) override;
+  /// refactor. A zero pivot / singular block is retried with an escalating
+  /// diagonal shift delta*I on the failing subdomain's local matrix — the
+  /// factorization then succeeds on a slightly perturbed operator,
+  /// degrading preconditioner quality instead of aborting.
+  resilience::FactorReport refactor(const sparse::Bcsr<double>& a,
+                                    int shift_attempts) override;
 
   void apply(const double* r, double* z) const override;
   [[nodiscard]] int n() const override { return n_; }
@@ -106,7 +100,6 @@ private:
   };
 
   void extract_local_values(const sparse::Bcsr<double>& a, Subdomain& sd) const;
-  void factor(Subdomain& sd);
   /// Non-throwing numeric factorization; `err` gets the failure reason.
   bool factor_checked(Subdomain& sd, std::string* err);
   /// Add `delta` to every scalar diagonal entry of sd.local's diagonal
@@ -119,6 +112,9 @@ private:
   SchwarzOptions opts_;
   std::vector<Subdomain> subs_;
 };
+
+/// Block-sparsity adjacency graph of `a` (self-loops excluded).
+mesh::Graph graph_from_bcsr(const sparse::Bcsr<double>& a);
 
 /// Convenience: single-domain global block-ILU(k) preconditioner.
 std::unique_ptr<SchwarzPreconditioner> make_global_ilu(

@@ -51,7 +51,7 @@ struct DbEntry {
   obs::Json config;           ///< flat { knob: value } map
   double score = 0;           ///< tuned final-fidelity score (lower better)
   double baseline_score = 0;  ///< compiled defaults at the same fidelity
-  std::string strategy;       ///< strategy_name() that produced it
+  std::string strategy;       ///< search strategy that produced it
   int evaluations = 0;
 };
 

@@ -7,15 +7,6 @@
 
 namespace f3d::tune {
 
-const char* strategy_name(Strategy s) {
-  switch (s) {
-    case Strategy::kRandom: return "random";
-    case Strategy::kHillClimb: return "hill-climb";
-    case Strategy::kHalving: return "successive-halving";
-  }
-  return "?";
-}
-
 namespace {
 
 // A candidate is the numeric vector over the searched knobs; the full
@@ -51,42 +42,6 @@ double sample_knob(const Knob& k, Rng& rng) {
       return rng.uniform(k.min, k.max);
   }
   return k.min;
-}
-
-// Hill-climb move: perturb one coordinate to a nearby admissible value.
-double neighbor_knob(const Knob& k, double v, Rng& rng) {
-  switch (k.kind) {
-    case KnobKind::kBool:
-      return v != 0 ? 0.0 : 1.0;
-    case KnobKind::kEnum:
-    case KnobKind::kInt: {
-      const long long lo = std::llround(k.min), hi = std::llround(k.max);
-      if (hi == lo) return v;
-      if (k.kind == KnobKind::kEnum) {  // any *other* choice
-        long long c = lo + static_cast<long long>(
-                               rng.below(static_cast<std::uint64_t>(hi - lo)));
-        if (c >= std::llround(v)) ++c;
-        return static_cast<double>(c);
-      }
-      const long long span = hi - lo;
-      const long long step = std::max<long long>(
-          1, static_cast<long long>(std::llround(span * 0.15)));
-      const long long delta =
-          (rng.below(2) ? 1 : -1) *
-          (1 + static_cast<long long>(rng.below(
-                   static_cast<std::uint64_t>(step))));
-      return std::clamp(std::llround(v) + delta, lo, hi) * 1.0;
-    }
-    case KnobKind::kDouble: {
-      if (k.log_scale) {
-        const double f = std::exp(rng.uniform(-std::log(4.0), std::log(4.0)));
-        return std::clamp(v * f, k.min, k.max);
-      }
-      const double delta = rng.uniform(-0.25, 0.25) * (k.max - k.min);
-      return std::clamp(v + delta, k.min, k.max);
-    }
-  }
-  return v;
 }
 
 Values sample_config(const std::vector<const Knob*>& knobs, Rng& rng) {
@@ -131,8 +86,7 @@ SearchResult search(Registry& reg, const std::vector<std::string>& knob_names,
   // zero-width bracket must not divide by zero / loop forever below.
   const int rungs = std::max(1, opts.halving_rungs);
   const double eta = opts.halving_eta > 1.0 ? opts.halving_eta : 2.0;
-  const int final_fidelity =
-      opts.strategy == Strategy::kHalving ? rungs - 1 : opts.fidelity;
+  const int final_fidelity = rungs - 1;
 
   // Baseline: the configuration the registry holds on entry (for a
   // freshly bound registry, the compiled defaults).
@@ -161,75 +115,35 @@ SearchResult search(Registry& reg, const std::vector<std::string>& knob_names,
     // Empty knob space: nothing to search; the baseline is the answer.
     result.note = "empty knob space: baseline returned untouched";
   } else {
-    switch (opts.strategy) {
-      case Strategy::kRandom: {
-        for (int t = 0; t < opts.trials; ++t) {
-          const Values v = sample_config(knobs, rng);
-          offer(v, drv.run(v, final_fidelity));
-        }
-        break;
-      }
-      case Strategy::kHillClimb: {
-        // Walk from the baseline (or from the first admissible sample if
-        // the baseline itself fails the gates).
-        Values cur = base;
-        double cur_score = base_out.score;
-        bool cur_ok = base_out.ok;
-        for (int t = 0; t < opts.trials; ++t) {
-          Values v = cur;
-          if (cur_ok) {
-            const std::size_t i = static_cast<std::size_t>(
-                rng.below(static_cast<std::uint64_t>(knobs.size())));
-            v[i] = neighbor_knob(*knobs[i], v[i], rng);
-          } else {
-            v = sample_config(knobs, rng);
-          }
-          const TrialOutcome out = drv.run(v, final_fidelity);
-          offer(v, out);
-          if (out.ok && (!cur_ok || out.score < cur_score)) {
-            cur = v;
-            cur_score = out.score;
-            cur_ok = true;
-          }
-        }
-        break;
-      }
-      case Strategy::kHalving: {
-        // Bracket: slot 0 = baseline, the rest seeded samples. A width
-        // of 1 (single-candidate bracket) degenerates to re-scoring the
-        // baseline and is handled by the same loop.
-        const int width = std::max(1, opts.halving_width);
-        std::vector<Values> alive;
-        alive.push_back(base);
-        for (int c = 1; c < width; ++c)
-          alive.push_back(sample_config(knobs, rng));
+    // Bracket: slot 0 = baseline, the rest seeded samples. A width of 1
+    // (single-candidate bracket) degenerates to re-scoring the baseline
+    // and is handled by the same loop.
+    const int width = std::max(1, opts.halving_width);
+    std::vector<Values> alive;
+    alive.push_back(base);
+    for (int c = 1; c < width; ++c) alive.push_back(sample_config(knobs, rng));
 
-        for (int r = 0; r < rungs && !alive.empty(); ++r) {
-          std::vector<std::pair<double, Values>> scored;
-          for (const auto& v : alive) {
-            const TrialOutcome out = drv.run(v, r);
-            if (out.ok) scored.emplace_back(out.score, v);
-            if (r == rungs - 1 && out.ok) offer(v, out);
-          }
-          if (scored.empty()) {
-            result.note = "all rung-" + std::to_string(r) +
-                          " candidates failed the gates";
-            alive.clear();
-            break;
-          }
-          std::stable_sort(scored.begin(), scored.end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first < b.first;
-                           });
-          const int keep = std::max(
-              1, static_cast<int>(std::ceil(scored.size() / eta)));
-          alive.clear();
-          for (int i = 0; i < keep && i < static_cast<int>(scored.size());
-               ++i)
-            alive.push_back(scored[i].second);
-        }
+    for (int r = 0; r < rungs && !alive.empty(); ++r) {
+      std::vector<std::pair<double, Values>> scored;
+      for (const auto& v : alive) {
+        const TrialOutcome out = drv.run(v, r);
+        if (out.ok) scored.emplace_back(out.score, v);
+        if (r == rungs - 1 && out.ok) offer(v, out);
+      }
+      if (scored.empty()) {
+        result.note =
+            "all rung-" + std::to_string(r) + " candidates failed the gates";
+        alive.clear();
         break;
       }
+      std::stable_sort(
+          scored.begin(), scored.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      const int keep =
+          std::max(1, static_cast<int>(std::ceil(scored.size() / eta)));
+      alive.clear();
+      for (int i = 0; i < keep && i < static_cast<int>(scored.size()); ++i)
+        alive.push_back(scored[i].second);
     }
   }
 

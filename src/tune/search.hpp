@@ -1,7 +1,6 @@
 #pragma once
-// tune::search — the search driver over a Registry's knob space. Three
-// strategies (random, hill-climb, successive halving) propose
-// configurations, an Evaluator runs them (for the solver: a short real
+// tune::search — the search driver over a Registry's knob space.
+// Successive halving proposes configurations, an Evaluator runs them (for the solver: a short real
 // ψNKS solve under a guard::SolveBudget — see tune/lab.hpp) and reports
 // a score plus a pass/fail on the correctness gates; the driver never
 // lets a gate-failing configuration win. The result always carries a
@@ -45,18 +44,11 @@ struct TrialOutcome {
 /// fidelity level.
 using Evaluator = std::function<TrialOutcome(Registry&, int fidelity)>;
 
-enum class Strategy { kRandom, kHillClimb, kHalving };
-[[nodiscard]] const char* strategy_name(Strategy s);
+/// The search strategy's name, as recorded in tuning-DB entries.
+inline constexpr const char* kSearchStrategy = "successive-halving";
 
 struct SearchOptions {
-  Strategy strategy = Strategy::kHalving;
   std::uint64_t seed = 1;
-
-  /// Evaluation budget for kRandom / kHillClimb (baseline not included).
-  int trials = 16;
-  /// Fidelity used for every kRandom / kHillClimb evaluation (and the
-  /// baseline under those strategies).
-  int fidelity = 1;
 
   // Successive halving: `halving_width` seeded candidates (slot 0 is the
   // baseline configuration) race through `halving_rungs` rungs; rung r

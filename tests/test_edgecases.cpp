@@ -11,7 +11,7 @@
 #include "mesh/generator.hpp"
 #include "mesh/ordering.hpp"
 #include "partition/multilevel.hpp"
-#include "solver/gmres.hpp"
+#include "solver/krylov.hpp"
 #include "solver/newton.hpp"
 #include "solver/precond.hpp"
 #include "sparse/assembly.hpp"

@@ -103,31 +103,6 @@ TEST(Csv, RoundTripsThroughFile) {
   EXPECT_EQ(slurp(tf.path()), csv.to_string());
 }
 
-TEST(State, RoundTripsBinary) {
-  std::vector<double> x = {1.5, -2.25, 3.14159, 0.0, 1e-300};
-  TempFile tf("state.bin");
-  io::write_state(tf.path(), x);
-  auto y = io::read_state(tf.path());
-  ASSERT_EQ(x.size(), y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(x[i], y[i]);
-}
-
-TEST(State, RejectsCorruptFile) {
-  TempFile tf("garbage.bin");
-  {
-    std::ofstream out(tf.path());
-    out << "not a state file";
-  }
-  EXPECT_THROW(io::read_state(tf.path()), Error);
-  EXPECT_THROW(io::read_state("/nonexistent/state.bin"), Error);
-}
-
-TEST(State, EmptyVectorOk) {
-  TempFile tf("empty.bin");
-  io::write_state(tf.path(), {});
-  EXPECT_TRUE(io::read_state(tf.path()).empty());
-}
-
 TEST(Csv, RejectsArityMismatch) {
   io::CsvWriter csv({"a", "b"});
   EXPECT_THROW(csv.add_row({1.0}), Error);

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/table.hpp"
 #include "exec/pool.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -135,31 +134,20 @@ TEST(ObsRegistry, CounterIdentityAcrossThreadCounts) {
     exec::pool().parallel_for(
         0, n,
         [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            reg.count("hits");
-            reg.add_time("phase", 0.5);
-          }
+          for (std::int64_t k = lo; k < hi; ++k) reg.count("hits");
         },
         /*grain=*/1);
     EXPECT_EQ(reg.counter("hits"), n) << threads << " threads";
     auto snap = reg.snapshot();
     EXPECT_EQ(snap.counters.at("hits"), n);
-    // Concurrent time adds from pool workers all land (halves sum exactly
-    // in any order).
-    EXPECT_EQ(reg.seconds("phase"), 0.5 * static_cast<double>(n))
-        << threads << " threads";
   }
 }
 
 TEST(ObsRegistry, TimesGaugesAndClear) {
   obs::Registry reg;
-  reg.add_time("phase", 0.25);
-  reg.add_time("phase", 0.25);
-  reg.add_time("other", 1.0);
+  reg.count("hits", 2);
   reg.set_gauge("rate", 0.125);
   reg.set_gauge("rate", 0.5);  // last write wins
-  EXPECT_DOUBLE_EQ(reg.seconds("phase"), 0.5);
-  EXPECT_DOUBLE_EQ(reg.seconds("other"), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("rate"), 0.5);
   EXPECT_EQ(reg.counter("absent"), 0);
   reg.clear();
@@ -209,7 +197,6 @@ TEST(ObsTrace, ChromeTraceRoundTrip) {
 
   obs::Registry reg;
   reg.count("k.iterations", 11);
-  reg.add_time("k.time", 0.25);
   const auto snap = reg.snapshot();
 
   auto trace = obs::chrome_trace_json(ev, &snap);
@@ -234,6 +221,7 @@ TEST(ObsTrace, ChromeTraceRoundTrip) {
   EXPECT_EQ(meta->find("schema")->s, obs::kTraceSchema);
   ASSERT_NE(meta->find("counters"), nullptr);
   EXPECT_DOUBLE_EQ(meta->find("counters")->find("k.iterations")->number(), 11);
+  EXPECT_EQ(meta->find("times"), nullptr);  // spans are the only clock
 }
 
 TEST(ObsTrace, BenchReportEnvelope) {
@@ -243,45 +231,6 @@ TEST(ObsTrace, BenchReportEnvelope) {
   EXPECT_EQ(report.find("meta")->find("schema")->s, obs::kBenchSchema);
   EXPECT_EQ(report.find("meta")->find("experiment")->s, "demo");
   EXPECT_DOUBLE_EQ(report.find("series")->find("value")->number(), 3.5);
-}
-
-TEST(ObsTrace, CsvSinks) {
-  obs::Tracer tracer;
-  obs::set_tracing(true);
-  {
-    obs::Span a(tracer, "work");
-  }
-  obs::set_tracing(false);
-  const auto csv = obs::spans_csv(tracer.drain());
-  EXPECT_NE(csv.find("name,tid,depth,t0_us,dur_us"), std::string::npos);
-  EXPECT_NE(csv.find("work"), std::string::npos);
-
-  obs::Registry reg;
-  reg.count("c", 2);
-  reg.set_gauge("g", 1.5);
-  const auto snap_csv = obs::snapshot_csv(reg.snapshot());
-  EXPECT_NE(snap_csv.find("kind,name,value"), std::string::npos);
-  EXPECT_NE(snap_csv.find("counter,c,2"), std::string::npos);
-  EXPECT_NE(snap_csv.find("gauge,g"), std::string::npos);
-}
-
-TEST(ObsTable, RegistryAndSpanTables) {
-  obs::Registry reg;
-  reg.count("widgets", 5);
-  reg.add_time("phase", 0.5);
-  const auto rt = registry_table(reg.snapshot()).to_string();
-  EXPECT_NE(rt.find("widgets"), std::string::npos);
-  EXPECT_NE(rt.find("phase"), std::string::npos);
-
-  obs::Tracer tracer;
-  obs::set_tracing(true);
-  for (int i = 0; i < 3; ++i) {
-    obs::Span s(tracer, "rep");
-  }
-  obs::set_tracing(false);
-  const auto st = spans_table(tracer.drain()).to_string();
-  EXPECT_NE(st.find("rep"), std::string::npos);
-  EXPECT_NE(st.find("| 3"), std::string::npos);  // count column
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include "mesh/generator.hpp"
 #include "mesh/ordering.hpp"
 #include "partition/partition.hpp"
-#include "solver/gmres.hpp"
+#include "solver/krylov.hpp"
 #include "solver/precond.hpp"
 #include "sparse/assembly.hpp"
 #include "sparse/ilu.hpp"

@@ -1,11 +1,13 @@
 // Resilience subsystem tests: the deterministic fault injector, the
 // status-returning factorization paths, the Schwarz shift ladder, the
-// GMRES stagnation watchdog, BiCGStab breakdown propagation, the psi-NKS
+// two-level coarse-disable rung, the GMRES stagnation watchdog, BiCGStab
+// breakdown propagation, the Krylov escalation ladder, the psi-NKS
 // recovery ladder (a seeded 4-class fault campaign on a small wing mesh),
 // and the checkpoint/kill/resume round trip.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -18,13 +20,14 @@
 #include "common/rng.hpp"
 #include "mesh/generator.hpp"
 #include "par/loadmodel.hpp"
+#include "partition/partition.hpp"
 #include "par/stepmodel.hpp"
 #include "perf/machine.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/faults.hpp"
 #include "resilience/recovery.hpp"
-#include "solver/bicgstab.hpp"
-#include "solver/gmres.hpp"
+#include "solver/coarse.hpp"
+#include "solver/krylov.hpp"
 #include "solver/newton.hpp"
 #include "solver/precond.hpp"
 #include "sparse/assembly.hpp"
@@ -237,10 +240,13 @@ TEST(SchwarzLadder, ShiftAbsorbsSingularDiagonalBlock) {
   ASSERT_NE(blk, nullptr);
   for (int k = 0; k < 4; ++k) blk[k] = 0.0;
 
-  EXPECT_THROW(prec->refactor(bad), f3d::NumericalError);
+  const FactorReport plain = prec->refactor(bad, 0);
+  EXPECT_FALSE(plain.ok);
+  EXPECT_EQ(plain.shift_attempts, 0);
+  EXPECT_FALSE(plain.detail.empty());
 
-  FactorReport report;
-  EXPECT_TRUE(prec->refactor_checked(bad, 1e-8, 12, &report));
+  const FactorReport report = prec->refactor(bad, 12);
+  EXPECT_TRUE(report.ok);
   EXPECT_GT(report.shift_attempts, 0);
   EXPECT_GT(report.shift_used, 0.0);
 
@@ -248,6 +254,61 @@ TEST(SchwarzLadder, ShiftAbsorbsSingularDiagonalBlock) {
   Vec r(a.scalar_n(), 1.0), z(a.scalar_n(), 0.0);
   prec->apply(r.data(), z.data());
   for (double v : z) EXPECT_TRUE(std::isfinite(v));
+}
+
+// --- two-level coarse-disable rung ---------------------------------------
+
+// Block-diagonal operator with diagonal blocks alternating +I / -I along
+// the vertex order, split into two subdomains of consecutive halves: every
+// fine pivot is +-1, but each subdomain's blocks cancel, so the aggregated
+// coarse operator is exactly zero.
+struct CoarseCase {
+  sparse::Bcsr<double> good, cancelling;
+  part::Partition partition;
+};
+
+CoarseCase make_coarse_case() {
+  auto m = mesh::generate_box_mesh(4, 4, 4);
+  auto s = sparse::stencil_from_mesh(m);
+  CoarseCase c;
+  c.good = sparse::build_bcsr(s, 2, sparse::synthetic_values(s));
+  c.cancelling = c.good;
+  std::fill(c.cancelling.val.begin(), c.cancelling.val.end(), 0.0);
+  const int nv = c.good.nrows;
+  for (int v = 0; v < nv; ++v) {
+    double* blk = c.cancelling.find_block(v, v);
+    blk[0] = blk[3] = v % 2 == 0 ? 1.0 : -1.0;
+  }
+  c.partition.nparts = 2;
+  for (int v = 0; v < nv; ++v) c.partition.part.push_back(v < nv / 2 ? 0 : 1);
+  return c;
+}
+
+TEST(CoarseLadder, SingularCoarseOperatorDisablesTheCorrection) {
+  const auto c = make_coarse_case();
+  const SchwarzOptions so;
+  EXPECT_THROW(
+      { TwoLevelSchwarzPreconditioner p(c.cancelling, c.partition, so); },
+      f3d::NumericalError);
+
+  TwoLevelSchwarzPreconditioner prec(c.good, c.partition, so);
+  ASSERT_TRUE(prec.coarse_active());
+  for (int shift_attempts : {0, 8}) {
+    const FactorReport report = prec.refactor(c.cancelling, shift_attempts);
+    EXPECT_TRUE(report.ok);  // no fine pivot failed
+    EXPECT_EQ(report.shift_attempts, 0);
+    EXPECT_TRUE(report.coarse_disabled);
+    EXPECT_FALSE(prec.coarse_active());
+    Vec r(c.good.scalar_n(), 1.0), z(c.good.scalar_n(), 0.0);
+    prec.apply(r.data(), z.data());
+    for (double v : z) EXPECT_TRUE(std::isfinite(v));
+
+    // A refresh on a nonsingular operator turns the correction back on.
+    const FactorReport back = prec.refactor(c.good, shift_attempts);
+    EXPECT_TRUE(back.ok);
+    EXPECT_FALSE(back.coarse_disabled);
+    EXPECT_TRUE(prec.coarse_active());
+  }
 }
 
 // --- Krylov solvers under injected faults --------------------------------
@@ -310,6 +371,120 @@ TEST(BicgstabBreakdown, InjectedCollapseSetsFlag) {
   EXPECT_TRUE(res.breakdown);
   EXPECT_FALSE(res.converged);
   EXPECT_EQ(res.iterations, 0);
+}
+
+// --- Krylov escalation ladder --------------------------------------------
+
+LinearOperator operator_of(const sparse::Bcsr<double>& a) {
+  LinearOperator op;
+  op.n = a.scalar_n();
+  op.apply = [&a](const double* x, double* y) { a.spmv(x, y); };
+  return op;
+}
+
+FaultInjector always_firing(FaultSite site) {
+  FaultInjector inj(5);
+  FaultPlan always;
+  always.fire_every = 1;
+  inj.arm(site, always);
+  return inj;
+}
+
+TEST(KrylovLadder, StagnationEscalatesRestartThenSwapsToBicgstab) {
+  auto sys = make_system();
+  const LinearOperator op = operator_of(sys.a);
+  IdentityPreconditioner m(op.n);
+  auto inj = always_firing(FaultSite::kGmres);
+  InjectorScope scope(&inj);
+
+  KrylovLadder ladder;  // GMRES(20), 200 iterations
+  RecoveryLog log;
+  Vec x(op.n, 1.0);  // overwritten: every rung starts from zero
+  const KrylovResult res = krylov_solve(op, m, sys.b, x, ladder, &log, 4);
+
+  const std::vector<RecoveryAction> expect = {
+      RecoveryAction::kDetectStagnation, RecoveryAction::kRestartEscalation,
+      RecoveryAction::kDetectStagnation, RecoveryAction::kRestartEscalation,
+      RecoveryAction::kDetectStagnation, RecoveryAction::kKrylovSwap};
+  ASSERT_EQ(log.size(), expect.size());
+  const std::vector<std::string> detail = {
+      "stagnation: 2 restart cycle(s) of m=20 ", "restart -> 40",
+      "stagnation: 2 restart cycle(s) of m=40 ", "restart -> 80",
+      "stagnation: 2 restart cycle(s) of m=80 ", "GMRES -> BiCGStab"};
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    const RecoveryEvent& e = log.events()[i];
+    EXPECT_EQ(e.action, expect[i]) << i;
+    EXPECT_EQ(e.step, 4) << i;
+    if (e.action == RecoveryAction::kDetectStagnation)
+      EXPECT_EQ(e.detail.rfind(detail[i], 0), 0u) << e.detail;
+    else
+      EXPECT_EQ(e.detail, detail[i]);
+  }
+  EXPECT_TRUE(res.stagnated);
+  EXPECT_FALSE(res.breakdown);
+  EXPECT_TRUE(res.converged);  // BiCGStab never draws the GMRES fault
+  EXPECT_EQ(ladder.method, KrylovMethod::kBicgstab);
+  EXPECT_EQ(ladder.gmres.restart, 80);
+  EXPECT_EQ(ladder.gmres.max_iters, 200);
+
+  // The swap sticks: a second call solves with BiCGStab straight away and
+  // climbs no rung.
+  const KrylovResult again = krylov_solve(op, m, sys.b, x, ladder, &log, 5);
+  EXPECT_TRUE(again.converged);
+  EXPECT_FALSE(again.stagnated);
+  EXPECT_EQ(log.size(), expect.size());
+  EXPECT_EQ(ladder.method, KrylovMethod::kBicgstab);
+}
+
+TEST(KrylovLadder, BicgstabBreakdownSwapsToGmres) {
+  auto sys = make_system();
+  const LinearOperator op = operator_of(sys.a);
+  IdentityPreconditioner m(op.n);
+  auto inj = always_firing(FaultSite::kBicgstab);
+  InjectorScope scope(&inj);
+
+  KrylovLadder ladder;
+  ladder.method = KrylovMethod::kBicgstab;
+  RecoveryLog log;
+  Vec x(op.n, 0.0);
+  const KrylovResult res = krylov_solve(op, m, sys.b, x, ladder, &log, 2);
+
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log.events()[0].action, RecoveryAction::kDetectBreakdown);
+  EXPECT_EQ(log.events()[0].detail, "BiCGStab rho/omega collapse");
+  EXPECT_EQ(log.events()[1].action, RecoveryAction::kKrylovSwap);
+  EXPECT_EQ(log.events()[1].detail, "BiCGStab -> GMRES(m=20)");
+  EXPECT_TRUE(res.breakdown);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(ladder.method, KrylovMethod::kGmres);
+}
+
+TEST(KrylovLadder, WithoutLogRunsTheSingleSolve) {
+  auto sys = make_system();
+  const LinearOperator op = operator_of(sys.a);
+  IdentityPreconditioner m(op.n);
+
+  auto direct_inj = always_firing(FaultSite::kGmres);
+  KrylovResult direct;
+  {
+    InjectorScope scope(&direct_inj);
+    Vec x(op.n, 0.0);
+    direct = gmres(op, m, sys.b, x, {});
+  }
+  auto inj = always_firing(FaultSite::kGmres);
+  InjectorScope scope(&inj);
+  KrylovLadder ladder;
+  Vec x(op.n, 0.0);
+  const KrylovResult res = krylov_solve(op, m, sys.b, x, ladder);
+
+  EXPECT_TRUE(res.stagnated);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.iterations, direct.iterations);
+  EXPECT_EQ(res.counters.matvecs, direct.counters.matvecs);
+  EXPECT_EQ(inj.draws(FaultSite::kGmres), direct_inj.draws(FaultSite::kGmres));
+  EXPECT_EQ(ladder.method, KrylovMethod::kGmres);
+  EXPECT_EQ(ladder.gmres.restart, 20);
+  EXPECT_EQ(ladder.gmres.max_iters, 200);
 }
 
 // --- psi-NKS recovery ladder ---------------------------------------------
@@ -385,7 +560,7 @@ FaultInjector make_campaign_injector(FaultClass cls, std::uint64_t seed) {
 PtcOptions class_options(FaultClass cls, bool recovery) {
   PtcOptions opts = campaign_options();
   if (cls == FaultClass::kBicgstabPoison)
-    opts.krylov = PtcOptions::Krylov::kBicgstab;
+    opts.krylov = KrylovMethod::kBicgstab;
   opts.recovery.enabled = recovery;
   return opts;
 }

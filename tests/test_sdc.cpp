@@ -21,11 +21,12 @@
 #include "exec/pool.hpp"
 #include "mesh/generator.hpp"
 #include "obs/json.hpp"
+#include "obs/obs.hpp"
 #include "resilience/bitflip.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/faults.hpp"
 #include "resilience/recovery.hpp"
-#include "solver/gmres.hpp"
+#include "solver/krylov.hpp"
 #include "solver/newton.hpp"
 #include "sparse/abft.hpp"
 #include "sparse/csr.hpp"
@@ -576,7 +577,10 @@ FaultInjector bit62_flips(FlipTarget target, int skip_first, int fires) {
 
 // The residual flip strikes the recomputed attempt too, so the recompute
 // rung cannot clear it and the ladder rolls back to the committed state.
+// Each detection is counted once, as its recovery action.
 TEST(PtcSdc, FailedRecomputeRollsBackToCommittedState) {
+  auto& reg = obs::Registry::global();
+  const long long detected_before = reg.counter("resilience.sdc-detected");
   auto inj = bit62_flips(FlipTarget::kResidual, 1, 2);
   const auto res = run_wing_sdc(cfd::Model::kIncompressible, &inj,
                                 sdc_options(cfd::Model::kIncompressible));
@@ -586,6 +590,9 @@ TEST(PtcSdc, FailedRecomputeRollsBackToCommittedState) {
                 RecoveryAction::kDetectSdc, RecoveryAction::kStepRejected,
                 RecoveryAction::kSdcRecompute, RecoveryAction::kDetectSdc,
                 RecoveryAction::kStepRejected, RecoveryAction::kSdcRollback}));
+  EXPECT_EQ(reg.counter("resilience.sdc-detected") - detected_before,
+            res.recovery_log.count(RecoveryAction::kDetectSdc));
+  EXPECT_EQ(reg.counter("resilience.sdc_detected"), 0);
 }
 
 // BiCGStab under the SDC guards: a Krylov-vector flip trips the periodic
@@ -593,7 +600,7 @@ TEST(PtcSdc, FailedRecomputeRollsBackToCommittedState) {
 TEST(PtcSdc, BicgstabDriftMonitorTriggersRecompute) {
   auto inj = bit62_flips(FlipTarget::kKrylov, 1, 1);
   auto o = sdc_options(cfd::Model::kIncompressible);
-  o.krylov = solver::PtcOptions::Krylov::kBicgstab;
+  o.krylov = solver::KrylovMethod::kBicgstab;
   const auto res = run_wing_sdc(cfd::Model::kIncompressible, &inj, o);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(actions_of(res),

@@ -12,8 +12,7 @@
 #include "mesh/generator.hpp"
 #include "mesh/ordering.hpp"
 #include "simcache/cache.hpp"
-#include "solver/bicgstab.hpp"
-#include "solver/gmres.hpp"
+#include "solver/krylov.hpp"
 #include "solver/precond.hpp"
 #include "sparse/assembly.hpp"
 #include "sparse/vec.hpp"
@@ -59,7 +58,7 @@ TEST(Bicgstab, SolvesBlockSystem) {
   auto op = op_of(sys.a);
   IdentityPreconditioner m(op.n);
   Vec x(op.n, 0.0);
-  BicgstabOptions o;
+  GmresOptions o;
   o.rtol = 1e-10;
   o.max_iters = 400;
   auto r = bicgstab(op, m, sys.b, x, o);
@@ -76,7 +75,7 @@ TEST(Bicgstab, PreconditioningHelps) {
   auto op = op_of(sys.a);
   IdentityPreconditioner ident(op.n);
   auto ilu = make_global_ilu(sys.a, 0);
-  BicgstabOptions o;
+  GmresOptions o;
   o.rtol = 1e-8;
   Vec x1(op.n, 0.0), x2(op.n, 0.0);
   auto r1 = bicgstab(op, ident, sys.b, x1, o);
@@ -93,7 +92,7 @@ TEST(Bicgstab, AgreesWithGmres) {
   GmresOptions og;
   og.rtol = 1e-10;
   og.max_iters = 300;
-  BicgstabOptions ob;
+  GmresOptions ob;
   ob.rtol = 1e-10;
   ob.max_iters = 300;
   EXPECT_TRUE(gmres(op, *ilu, sys.b, xg, og).converged);
@@ -116,7 +115,7 @@ TEST(Bicgstab, CountsWork) {
   auto op = op_of(sys.a);
   IdentityPreconditioner m(op.n);
   Vec x(op.n, 0.0);
-  BicgstabOptions o;
+  GmresOptions o;
   o.rtol = 1e-8;
   auto r = bicgstab(op, m, sys.b, x, o);
   // Two matvecs per full iteration (plus the initial residual).

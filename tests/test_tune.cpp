@@ -1,5 +1,5 @@
 // f3d::tune — registry bind/round-trip and strict-load semantics, the
-// three search strategies (seeded reproducibility, gate enforcement,
+// successive-halving search (seeded reproducibility, gate enforcement,
 // degenerate spaces), the tuning DB's safe-fallback contract, and one
 // real-solve SolveLab pass (bit-identity gate + broken-config rejection).
 
@@ -203,52 +203,19 @@ struct BowlLab {
   }
 };
 
-TEST(TuneSearch, RandomSearchImprovesOnBowl) {
-  BowlLab lab;
-  tune::SearchOptions opts;
-  opts.strategy = tune::Strategy::kRandom;
-  opts.trials = 32;
-  opts.seed = 7;
-  auto res = tune::search(lab.reg, {"bowl.x", "bowl.y"}, lab.evaluator(), opts);
-  EXPECT_TRUE(res.baseline_ok);
-  EXPECT_TRUE(res.improved);
-  EXPECT_LT(res.best_score, res.baseline_score);
-  // Registry holds the winner on return.
-  EXPECT_NEAR(lab.reg.get_number("bowl.x"),
-              res.best_config.find("bowl.x")->d, 0);
-}
-
-TEST(TuneSearch, HillClimbDescendsTheBowl) {
-  BowlLab lab;
-  tune::SearchOptions opts;
-  opts.strategy = tune::Strategy::kHillClimb;
-  opts.trials = 40;
-  opts.seed = 3;
-  auto res = tune::search(lab.reg, {"bowl.x", "bowl.y"}, lab.evaluator(), opts);
-  EXPECT_TRUE(res.improved);
-  // Hill climb should get closer to (3, -1) than the (0, 0) start.
-  EXPECT_LT(res.best_score, 10.0 * 0.5);
-}
-
 TEST(TuneSearch, SeededSearchIsReproducible) {
-  for (auto strategy : {tune::Strategy::kRandom, tune::Strategy::kHillClimb,
-                        tune::Strategy::kHalving}) {
-    tune::SearchOptions opts;
-    opts.strategy = strategy;
-    opts.trials = 12;
-    opts.halving_width = 6;
-    opts.seed = 42;
-    BowlLab a, b;
-    auto ra = tune::search(a.reg, {"bowl.x", "bowl.y"}, a.evaluator(), opts);
-    auto rb = tune::search(b.reg, {"bowl.x", "bowl.y"}, b.evaluator(), opts);
-    EXPECT_EQ(ra.best_config.dump(), rb.best_config.dump())
-        << tune::strategy_name(strategy);
-    EXPECT_EQ(ra.best_score, rb.best_score);
-    EXPECT_EQ(ra.evaluations, rb.evaluations);
-    ASSERT_EQ(ra.history.size(), rb.history.size());
-    for (std::size_t i = 0; i < ra.history.size(); ++i)
-      EXPECT_EQ(ra.history[i].config.dump(), rb.history[i].config.dump());
-  }
+  tune::SearchOptions opts;
+  opts.halving_width = 6;
+  opts.seed = 42;
+  BowlLab a, b;
+  auto ra = tune::search(a.reg, {"bowl.x", "bowl.y"}, a.evaluator(), opts);
+  auto rb = tune::search(b.reg, {"bowl.x", "bowl.y"}, b.evaluator(), opts);
+  EXPECT_EQ(ra.best_config.dump(), rb.best_config.dump());
+  EXPECT_EQ(ra.best_score, rb.best_score);
+  EXPECT_EQ(ra.evaluations, rb.evaluations);
+  ASSERT_EQ(ra.history.size(), rb.history.size());
+  for (std::size_t i = 0; i < ra.history.size(); ++i)
+    EXPECT_EQ(ra.history[i].config.dump(), rb.history[i].config.dump());
 }
 
 TEST(TuneSearch, GateFailingConfigsNeverWin) {
@@ -266,26 +233,18 @@ TEST(TuneSearch, GateFailingConfigsNeverWin) {
     t.note = t.ok ? "" : "gate: synthetic failure";
     return t;
   };
-  for (auto strategy : {tune::Strategy::kRandom, tune::Strategy::kHillClimb,
-                        tune::Strategy::kHalving}) {
-    x = 0.0;
-    calls = 0;
-    tune::SearchOptions opts;
-    opts.strategy = strategy;
-    opts.trials = 8;
-    opts.halving_width = 4;
-    auto res = tune::search(reg, {"k.x"}, evaluate, opts);
-    EXPECT_FALSE(res.improved) << tune::strategy_name(strategy);
-    EXPECT_GT(res.rejected, 0) << tune::strategy_name(strategy);
-    // Baseline restored: the rejected high-x proposals must not stick.
-    EXPECT_EQ(x, 0.0) << tune::strategy_name(strategy);
-  }
+  tune::SearchOptions opts;
+  opts.halving_width = 4;
+  auto res = tune::search(reg, {"k.x"}, evaluate, opts);
+  EXPECT_FALSE(res.improved);
+  EXPECT_GT(res.rejected, 0);
+  // Baseline restored: the rejected high-x proposals must not stick.
+  EXPECT_EQ(x, 0.0);
 }
 
 TEST(TuneSearch, EmptyKnobSpaceIsDegenerateBaselineOnly) {
   BowlLab lab;
   tune::SearchOptions opts;
-  opts.strategy = tune::Strategy::kHalving;
   auto res = tune::search(lab.reg, {}, lab.evaluator(), opts);
   EXPECT_FALSE(res.improved);
   EXPECT_EQ(res.evaluations, 1);  // just the baseline
@@ -297,7 +256,6 @@ TEST(TuneSearch, EmptyKnobSpaceIsDegenerateBaselineOnly) {
 TEST(TuneSearch, SingleCandidateHalvingBracketTerminates) {
   BowlLab lab;
   tune::SearchOptions opts;
-  opts.strategy = tune::Strategy::kHalving;
   opts.halving_width = 1;  // bracket is just the baseline slot
   opts.halving_rungs = 1;
   auto res = tune::search(lab.reg, {"bowl.x"}, lab.evaluator(), opts);
@@ -308,7 +266,6 @@ TEST(TuneSearch, SingleCandidateHalvingBracketTerminates) {
 TEST(TuneSearch, DegenerateHalvingParametersAreGuarded) {
   BowlLab lab;
   tune::SearchOptions opts;
-  opts.strategy = tune::Strategy::kHalving;
   opts.halving_width = 0;   // clamped to 1
   opts.halving_rungs = 0;   // clamped to 1
   opts.halving_eta = 0.0;   // clamped to 2.0
@@ -326,13 +283,14 @@ TEST(TuneSearch, UnknownKnobNameThrows) {
 TEST(TuneSearch, HalvingBeatsBaselineOnBowl) {
   BowlLab lab;
   tune::SearchOptions opts;
-  opts.strategy = tune::Strategy::kHalving;
   opts.halving_width = 16;
   opts.halving_rungs = 3;
   opts.seed = 11;
   auto res = tune::search(lab.reg, {"bowl.x", "bowl.y"}, lab.evaluator(), opts);
   EXPECT_TRUE(res.improved);
   EXPECT_LT(res.best_score, res.baseline_score);
+  // Registry holds the winner on return.
+  EXPECT_EQ(lab.reg.get_number("bowl.x"), res.best_config.find("bowl.x")->d);
 }
 
 // -------------------------------------------------------------------- db
