@@ -18,7 +18,7 @@
 //   cancel    cooperative cancellation armed mid-solve at deterministic
 //             work units, swept over 1/2/4 pool threads. Measured p99
 //             latency (work units charged after the trip) must stay
-//             under guard::cancel_latency_bound_units, and the returned
+//             under guard::kCancelLatencyBoundUnits, and the returned
 //             best-committed state must hash bit-identically at every
 //             thread count.
 //
@@ -63,17 +63,6 @@ const std::vector<Scenario> kScenarios = {
     {"medium", 2.5, 1e-8, 150},
     {"hard", 1.0, 1e-9, 250},
 };
-
-// Aggressive degradation policy: rungs fire early enough to leave the
-// cheapened tail room to converge before the budget trips.
-solver::PtcDegradeOptions bench_ladder() {
-  solver::PtcDegradeOptions d;
-  d.enabled = true;
-  d.loosen_at = 0.35;
-  d.freeze_at = 0.55;
-  d.shrink_at = 0.75;
-  return d;
-}
 
 struct Rig {
   mesh::UnstructuredMesh mesh;
@@ -176,7 +165,7 @@ int main(int argc, char** argv) {
             static_cast<long long>(frac * static_cast<double>(cal[s].units));
         solver::PtcGuardOptions g;
         g.budget.max_work_units = cell.budget_units;
-        if (ladder) g.degrade = bench_ladder();
+        g.degrade = ladder;
         const auto res = rig.run(kScenarios[s], g);
         cell.verdict = res.verdict;
         cell.on_time = res.verdict == guard::SolveVerdict::kConverged;
@@ -215,9 +204,7 @@ int main(int argc, char** argv) {
   int clean_runs = 0, watchdog_false_positives = 0;
   for (const auto& sc : kScenarios) {
     solver::PtcGuardOptions g;
-    g.watchdog.enabled = true;
-    g.watchdog.window = 10;
-    g.watchdog.stall_ratio = 0.9;
+    g.watchdog = true;
     const auto res = rig.run(sc, g);
     ++clean_runs;
     if (res.watchdog_fired) ++watchdog_false_positives;
@@ -226,9 +213,7 @@ int main(int argc, char** argv) {
   bool stall_detected;
   {
     solver::PtcGuardOptions g;
-    g.watchdog.enabled = true;
-    g.watchdog.window = 10;
-    g.watchdog.stall_ratio = 0.9;
+    g.watchdog = true;
     const auto res = rig.run(stall, g);
     stall_detected = res.watchdog_fired &&
                      res.verdict == guard::SolveVerdict::kStagnated;
@@ -244,7 +229,7 @@ int main(int argc, char** argv) {
   };
   std::vector<LatencyRow> latency;
   bool hashes_consistent = true;
-  long long bound = 0;
+  const long long bound = guard::kCancelLatencyBoundUnits;
   std::vector<std::uint64_t> ref_hashes;  // per (scenario, arm), at 1 thread
   for (int nt : {1, 2, 4}) {
     exec::ThreadScope threads(nt);
@@ -259,7 +244,6 @@ int main(int argc, char** argv) {
             frac * static_cast<double>(cal[s].units)));
         solver::PtcGuardOptions g;
         g.budget.cancel = &tok;
-        bound = guard::cancel_latency_bound_units(g.budget);
         std::vector<double> x;
         const auto res = rig.run(kScenarios[s], g, &x);
         if (res.verdict != guard::SolveVerdict::kCancelled) {

@@ -46,11 +46,11 @@ TripReason SolveGuard::charge(long long units) {
     trip(TripReason::kWorkExhausted);
     return TripReason::kWorkExhausted;
   }
-  // Wall clock: checked every check_every units, bounding both the clock
+  // Wall clock: checked every kCheckEvery units, bounding both the clock
   // read rate and the deadline-observation latency.
   if (budget_.wall_deadline_s > 0) {
     since_clock_check_ += units;
-    if (since_clock_check_ >= budget_.check_every) {
+    if (since_clock_check_ >= kCheckEvery) {
       since_clock_check_ = 0;
       if (elapsed_s() >= budget_.wall_deadline_s) {
         trip(TripReason::kDeadline);

@@ -17,9 +17,9 @@
 //    dependent; it is still *observed* only at charge points, so the
 //    returned state is always a consistently committed iterate.
 //  * Bounded cancellation latency. charge() re-reads the cancel flag on
-//    every call and the deadline clock every `check_every` units, so a
-//    trip is honored within `cancel_latency_bound_units()` work units —
-//    the documented bound bench_deadline measures p99 against.
+//    every call and the deadline clock every kCheckEvery units, so a
+//    trip is honored within kCancelLatencyBoundUnits work units — the
+//    documented bound bench_deadline measures p99 against.
 //  * Near-zero cost when idle. With no guard registered, the poll at an
 //    exec chunk boundary is one relaxed atomic load; a charge against an
 //    unbounded budget is integer arithmetic plus one relaxed load.
@@ -53,7 +53,10 @@ enum class SolveVerdict : int {
   kStagnated,            ///< progress watchdog detected a livelock-style stall
   kDeadline,             ///< budget (wall clock or work units) exhausted
   kCancelled,            ///< cooperative cancel honored
-  kFaultUnrecoverable,   ///< recovery ladder exhausted; best state returned
+  /// Unrecoverable fault: a campaign lost its state, or a fleet attempt
+  /// threw. ptc_solve never returns it: an exhausted recovery ladder
+  /// throws NumericalError.
+  kFaultUnrecoverable,
 };
 [[nodiscard]] const char* verdict_name(SolveVerdict verdict);
 
@@ -107,22 +110,20 @@ struct SolveBudget {
   double wall_deadline_s = 0;    ///< 0 = no wall-clock deadline
   long long max_work_units = 0;  ///< 0 = no work budget
   CancelToken* cancel = nullptr; ///< optional cooperative cancel handle
-  /// Deadline-clock check cadence in work units: the cancellation-latency
-  /// bound. Smaller = tighter latency, more clock reads.
-  int check_every = 8;
 
   [[nodiscard]] bool bounded() const {
     return wall_deadline_s > 0 || max_work_units > 0 || cancel != nullptr;
   }
 };
 
+/// Deadline-clock check cadence in work units. Smaller = tighter
+/// cancellation latency, more clock reads.
+inline constexpr long long kCheckEvery = 8;
+
 /// Documented bound on how many work units may elapse between a trip
 /// (cancel request, armed unit reached, deadline passed) and the solve
 /// honoring it. bench_deadline gates measured p99 latency against this.
-[[nodiscard]] inline long long cancel_latency_bound_units(
-    const SolveBudget& budget) {
-  return budget.check_every;
-}
+inline constexpr long long kCancelLatencyBoundUnits = kCheckEvery;
 
 /// Live budget enforcement for one solve. charge() is driver-thread-only
 /// (work units are deterministic, so no atomics on the counter); the trip
@@ -131,9 +132,7 @@ struct SolveBudget {
 class SolveGuard {
  public:
   explicit SolveGuard(const SolveBudget& budget)
-      : budget_(budget), t0_(std::chrono::steady_clock::now()) {
-    F3D_CHECK_MSG(budget.check_every >= 1, "guard check_every must be >= 1");
-  }
+      : budget_(budget), t0_(std::chrono::steady_clock::now()) {}
   SolveGuard(const SolveGuard&) = delete;
   SolveGuard& operator=(const SolveGuard&) = delete;
 

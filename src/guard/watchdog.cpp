@@ -1,25 +1,21 @@
 #include "guard/watchdog.hpp"
 
-#include "common/error.hpp"
 #include "obs/obs.hpp"
 
 namespace f3d::guard {
 
-ProgressWatchdog::ProgressWatchdog(const WatchdogOptions& opts) : opts_(opts) {
-  F3D_CHECK_MSG(opts.window >= 2, "watchdog window must be >= 2");
-  F3D_CHECK_MSG(opts.stall_ratio > 0 && opts.stall_ratio <= 1.0,
-                "watchdog stall_ratio must be in (0, 1]");
-  if (opts_.enabled) ring_.assign(static_cast<size_t>(opts_.window), 0.0);
+ProgressWatchdog::ProgressWatchdog(bool enabled) : enabled_(enabled) {
+  if (enabled_) ring_.assign(static_cast<size_t>(kWatchdogWindow), 0.0);
 }
 
 bool ProgressWatchdog::observe(double rnorm) {
-  if (!opts_.enabled || fired_) return false;
-  const size_t slot = static_cast<size_t>(observed_ % opts_.window);
-  if (observed_ >= opts_.window) {
-    // ring_[slot] currently holds the residual from exactly `window`
-    // accepted steps ago.
+  if (!enabled_ || fired_) return false;
+  const size_t slot = static_cast<size_t>(observed_ % kWatchdogWindow);
+  if (observed_ >= kWatchdogWindow) {
+    // ring_[slot] currently holds the residual from exactly
+    // kWatchdogWindow accepted steps ago.
     const double old = ring_[slot];
-    if (old > 0 && rnorm >= opts_.stall_ratio * old) {
+    if (old > 0 && rnorm >= kWatchdogStallRatio * old) {
       fired_ = true;
       obs::Registry::global().count("guard.watchdog.fired");
       ring_[slot] = rnorm;

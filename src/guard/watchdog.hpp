@@ -13,25 +13,19 @@
 
 namespace f3d::guard {
 
-struct WatchdogOptions {
-  bool enabled = false;
-  /// Number of accepted steps in the comparison window. The watchdog can
-  /// only fire after this many accepted steps have been observed.
-  int window = 30;
-  /// Fire when rnorm_now >= stall_ratio * rnorm_window_ago, i.e. the
-  /// residual improved by less than a factor 1/stall_ratio across the
-  /// whole window. Near-1 values tolerate long plateaus that eventually
-  /// break; psi-NKS transonic continuation routinely idles for a few
-  /// steps, so the window must be generous.
-  double stall_ratio = 0.995;
-};
+/// Accepted steps in the comparison window. The watchdog can only fire
+/// after this many accepted steps have been observed.
+inline constexpr int kWatchdogWindow = 10;
+/// Fire when rnorm_now >= kWatchdogStallRatio * rnorm_window_ago, i.e. the
+/// residual improved by less than 10% across the whole window.
+inline constexpr double kWatchdogStallRatio = 0.9;
 
 /// Ring buffer over accepted-step residual norms. observe() returns true
 /// the first time a stall is detected; callers map that to
 /// SolveVerdict::kStagnated.
 class ProgressWatchdog {
  public:
-  explicit ProgressWatchdog(const WatchdogOptions& opts);
+  explicit ProgressWatchdog(bool enabled);
 
   /// Record one accepted step's residual norm; returns true when the
   /// stall condition fires (at most once per watchdog instance).
@@ -41,7 +35,7 @@ class ProgressWatchdog {
   [[nodiscard]] long long steps_observed() const { return observed_; }
 
  private:
-  WatchdogOptions opts_;
+  bool enabled_;
   std::vector<double> ring_;
   long long observed_ = 0;
   bool fired_ = false;

@@ -58,13 +58,18 @@ PartitionLoad shrink_load(const PartitionLoad& in) {
 
 namespace {
 
+/// Modeled compute cost of a shrink or weighted repartition, per vertex.
+constexpr double kRepartitionFlopsPerVertex = 200;
+/// Lowest halo-payload bit whose flip a downstream guard catches (see
+/// CampaignOptions::sdc_guards).
+constexpr int kSdcCaughtMinBit = 48;
+
 // Modeled cost (seconds) of moving one rank's checkpoint payload to or
 // from its buddy: wire transfer plus a memory copy on each side plus a
 // CRC pass on each side. All ranks mirror concurrently, so one transfer
 // is the campaign-level cost of a buddy checkpoint.
-double transfer_cost(const perf::MachineModel& machine, double bytes,
-                     double checksum_bw_fraction) {
-  const double crc_bw = checksum_bw_fraction * machine.mem_bw_mbs * 1e6;
+double transfer_cost(const perf::MachineModel& machine, double bytes) {
+  const double crc_bw = kChecksumBwFraction * machine.mem_bw_mbs * 1e6;
   return machine.net_latency_us * 1e-6 + bytes / (machine.net_bw_mbs * 1e6) +
          2.0 * bytes / (machine.mem_bw_mbs * 1e6) + 2.0 * bytes / crc_bw;
 }
@@ -113,8 +118,6 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
     }
     comm = &comm_local;
   }
-  const double checksum_frac = comm != nullptr ? comm->checksum_bw_fraction
-                                               : 0.5;
 
   // Per-rank checkpoint payload: the subdomain's restart image.
   const double doubles_per_vertex = opts.checkpoint_doubles_per_vertex > 0
@@ -122,7 +125,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
                                         : work.nb;
   const double ckpt_bytes = load.max_owned * doubles_per_vertex *
                             sizeof(double);
-  const double ckpt_cost = transfer_cost(machine, ckpt_bytes, checksum_frac);
+  const double ckpt_cost = transfer_cost(machine, ckpt_bytes);
   r.checkpoint_cost_s = ckpt_cost;
 
   resilience::BuddyStore buddy(nranks);
@@ -166,9 +169,8 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
   // benign noise bounded by +/-machine.jitter then maps to clean
   // z-scores of at most 2/1.4826 ~= 1.35, whatever the machine — the
   // zero-false-positive guarantee (see failslow.hpp).
-  DetectorOptions dopts = opts.detector;
-  dopts.mad_floor_frac = std::max(dopts.mad_floor_frac, machine.jitter);
-  SlowRankDetector detector(nranks, dopts);
+  SlowRankDetector detector(nranks,
+                            std::max(kDetectorMadFloorFrac, machine.jitter));
 
   auto do_checkpoint = [&](int step) {
     resilience::PtcCheckpoint ck;
@@ -266,8 +268,8 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
     }
 
     StepBreakdown b = model_step(machine, load, work,
-                                 steps[static_cast<std::size_t>(s)], opts.mode,
-                                 comm, &perturb);
+                                 steps[static_cast<std::size_t>(s)],
+                                 NodeMode::kMpi1, comm, &perturb);
 
     // --- fail-slow detection: share-normalized per-rank telemetry ------
     // Modeled seconds per unit of work for each rank: the healthy mean
@@ -314,7 +316,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
         // subdomain state moves over the wire once; the sick node
         // retires, so its condition resets.
         slow_restore +=
-            transfer_cost(machine, ckpt_bytes, checksum_frac) +
+            transfer_cost(machine, ckpt_bytes) +
             opts.spare_boot_s;
         rank_slow[static_cast<std::size_t>(cr)] = 1.0;
         rank_link[static_cast<std::size_t>(cr)] = 1.0;
@@ -354,7 +356,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
           load.procs = alive;
           update_share();
         }
-        slow_restore += opts.repartition_flops_per_vertex *
+        slow_restore += kRepartitionFlopsPerVertex *
                         (load.total_vertices / std::max(alive, 1)) /
                         (machine.flux_mflops() * 1e6);
         ++r.weighted_repartitions;
@@ -444,7 +446,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
                         ": state lost (rank and buddy died before re-mirror)");
           break;
         }
-        restore += transfer_cost(machine, ckpt_bytes, checksum_frac);
+        restore += transfer_cost(machine, ckpt_bytes);
         r.log.add(s, resilience::RecoveryAction::kBuddyRestore,
                   "rank " + std::to_string(f) + " from checkpoint at step " +
                       std::to_string(ck->last_buddy_checkpoint_step));
@@ -483,7 +485,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
                       "analytic shrink to " + std::to_string(load.procs) +
                           " ranks");
           }
-          restore += opts.repartition_flops_per_vertex *
+          restore += kRepartitionFlopsPerVertex *
                      (load.total_vertices / alive) /
                      (machine.flux_mflops() * 1e6);
         }
@@ -516,7 +518,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
       ++r.sdc_injected;
       obs::Registry::global().count("par.halo_bitflips");
       const int bit = opts.injector->bit_flip().bit;
-      if (opts.sdc_guards && bit >= opts.sdc_caught_min_bit) {
+      if (opts.sdc_guards && bit >= kSdcCaughtMinBit) {
         ++r.sdc_caught;
         r.log.add(s, resilience::RecoveryAction::kDetectSdc,
                   "halo payload bit " + std::to_string(bit) + " flipped into rank " +
@@ -528,7 +530,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
       }
     }
     if (sdc_rollback) {
-      const double restore = transfer_cost(machine, ckpt_bytes, checksum_frac);
+      const double restore = transfer_cost(machine, ckpt_bytes);
       b.t_recovery += since_ckpt + restore;
       r.t_rework += since_ckpt;
       r.t_restore += restore;

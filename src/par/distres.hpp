@@ -65,12 +65,12 @@ struct CampaignOptions {
                                ///< shrink when exhausted)
   int checkpoint_interval = 10;  ///< steps between buddy checkpoints
                                  ///< (0 = only the initial one)
-  NodeMode mode = NodeMode::kMpi1;
   std::optional<CommReliability> comm;  ///< lossy-interconnect model
 
-  // Recovery cost knobs (modeled seconds / rates).
+  // Recovery cost knobs (modeled seconds). Campaigns model one MPI rank
+  // per node (NodeMode::kMpi1); the shrink repartition's compute cost is
+  // a constant in distres.cpp.
   double spare_boot_s = 2.0;  ///< spare wake + join barrier
-  double repartition_flops_per_vertex = 200;  ///< shrink compute cost
   /// Checkpoint payload size per owned vertex, in doubles. 0 = just the
   /// state vector (work.nb). A full warm-restart image also carries the
   /// residual, the Jacobian and ILU blocks (~2*nb^2) and the Krylov
@@ -83,13 +83,12 @@ struct CampaignOptions {
   // models LINK corruption — a payload flipped in memory before packing
   // (or after unpacking) checksums as valid on the wire and sails through
   // retransmission. It can only be caught downstream, by the receiving
-  // rank's ABFT / admissibility guards, which is what these knobs model:
-  // with sdc_guards on, a flip in bit >= sdc_caught_min_bit perturbs the
-  // solve enough for a guard to fire (roll back to the last buddy
-  // checkpoint and re-execute); lower bits — and every flip with guards
-  // off — escape silently into the campaign's answer.
+  // rank's ABFT / admissibility guards, which is what this knob models:
+  // with sdc_guards on, a flip in a high bit (kSdcCaughtMinBit in
+  // distres.cpp) perturbs the solve enough for a guard to fire (roll back
+  // to the last buddy checkpoint and re-execute); lower bits — and every
+  // flip with guards off — escape silently into the campaign's answer.
   bool sdc_guards = true;
-  int sdc_caught_min_bit = 48;
 
   // Fail-slow tolerance (FaultSite::kSlowRank / kJitter / kDegradedLink,
   // one opportunity each per alive rank per step — drawn on every step
@@ -105,8 +104,9 @@ struct CampaignOptions {
   //   kQuarantine  — migrate the slow rank to a spare (sharing the
   //                  fail-stop spare pool) and retune the checkpoint
   //                  interval for the observed fault escalation
+  // The detector's thresholds are the kDetector* constants; its MAD
+  // floor is at least the machine's jitter amplitude.
   SlowMitigation slow_mitigation = SlowMitigation::kNone;
-  DetectorOptions detector;  ///< outlier-detector tuning
 
   /// Drives kRankFail (fail-stop), kMessage (lossy interconnect) and
   /// kBitFlip/kHalo (silent halo corruption). Required; the campaign

@@ -15,6 +15,12 @@ namespace {
 // normal distribution.
 constexpr double kMadToSigma = 1.4826;
 
+static_assert(kDetectorWindow >= 1 && kDetectorWindow < 64,
+              "the suspicion history is a 64-bit mask");
+static_assert(kDetectorConfirm >= 1 && kDetectorConfirm <= kDetectorWindow,
+              "a rank must be confirmable within the window");
+constexpr std::uint64_t kWindowMask = (1ULL << kDetectorWindow) - 1;
+
 }  // namespace
 
 const char* slow_mitigation_name(SlowMitigation m) {
@@ -70,17 +76,11 @@ double hash01(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {
   return static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 
-SlowRankDetector::SlowRankDetector(int nranks, DetectorOptions opts)
-    : opts_(opts) {
+SlowRankDetector::SlowRankDetector(int nranks, double mad_floor_frac)
+    : mad_floor_frac_(mad_floor_frac) {
   F3D_CHECK_MSG(nranks >= 1, "SlowRankDetector needs at least one rank");
-  F3D_CHECK_MSG(opts_.window >= 1 && opts_.window <= 64,
-                "DetectorOptions.window must be in [1, 64]");
-  F3D_CHECK_MSG(opts_.confirm >= 1 && opts_.confirm <= opts_.window,
-                "DetectorOptions.confirm must be in [1, window]");
-  F3D_CHECK_MSG(opts_.z_threshold > 0,
-                "DetectorOptions.z_threshold must be positive");
-  F3D_CHECK_MSG(opts_.mad_floor_frac >= 0,
-                "DetectorOptions.mad_floor_frac must be non-negative");
+  F3D_CHECK_MSG(mad_floor_frac >= 0,
+                "SlowRankDetector mad_floor_frac must be non-negative");
   ranks_.resize(static_cast<std::size_t>(nranks));
 }
 
@@ -110,9 +110,7 @@ std::vector<int> SlowRankDetector::observe(
   const double med = median_of(sample);
   const double mad = mad_of(sample, med);
   const double sigma =
-      kMadToSigma * std::max(mad, opts_.mad_floor_frac * std::abs(med));
-  const std::uint64_t window_mask =
-      opts_.window == 64 ? ~0ULL : ((1ULL << opts_.window) - 1);
+      kMadToSigma * std::max(mad, mad_floor_frac_ * std::abs(med));
 
   auto& registry = obs::Registry::global();
   for (int r = 0; r < n; ++r) {
@@ -124,8 +122,8 @@ std::vector<int> SlowRankDetector::observe(
     const double x = rank_step_seconds[static_cast<std::size_t>(r)];
     const double z = sigma > 0 ? (x - med) / sigma : 0;
     st.last_z = z;
-    const bool suspect = z > opts_.z_threshold;
-    st.mask = ((st.mask << 1) | (suspect ? 1ULL : 0ULL)) & window_mask;
+    const bool suspect = z > kDetectorZThreshold;
+    st.mask = ((st.mask << 1) | (suspect ? 1ULL : 0ULL)) & kWindowMask;
     if (suspect) {
       ++suspected_events_;
       registry.count("par.slow_suspected");
@@ -135,7 +133,7 @@ std::vector<int> SlowRankDetector::observe(
     }
     const int hits = std::popcount(st.mask);
     if (st.health != RankHealth::kConfirmedSlow) {
-      if (hits >= opts_.confirm) {
+      if (hits >= kDetectorConfirm) {
         st.health = RankHealth::kConfirmedSlow;
         st.confirm_latency = step - st.first_suspect_step + 1;
         ++confirmed_ranks_;

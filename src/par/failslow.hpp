@@ -12,18 +12,18 @@
 //
 //   z_r = (x_r - median) / (1.4826 * max(MAD, mad_floor_frac * median))
 //
-// exceeds `z_threshold`; a rank is *confirmed* slow once it was flagged
-// on `confirm` of the last `window` steps. Median/MAD (not mean/stddev)
-// keeps the baseline itself immune to the straggler it is hunting, and
-// the MAD floor keeps a near-degenerate spread (every rank identical up
-// to jitter) from amplifying benign noise into a detection. The
-// false-positive bound: noise bounded by +/-b (relative) moves any
-// sample at most 2b from the sample median, so with mad_floor_frac >= b
-// the clean z-score never exceeds 2b / (1.4826 * b) ~= 1.35 — far under
-// the threshold of 4, for ANY noise amplitude. The campaign driver
-// floors the sigma at the machine's own jitter amplitude for exactly
-// this reason; that is the clean-campaign zero-false-positive guarantee
-// the tier-1 tests pin down.
+// exceeds kDetectorZThreshold; a rank is *confirmed* slow once it was
+// flagged on kDetectorConfirm of the last kDetectorWindow steps.
+// Median/MAD (not mean/stddev) keeps the baseline itself immune to the
+// straggler it is hunting, and the MAD floor keeps a near-degenerate
+// spread (every rank identical up to jitter) from amplifying benign noise
+// into a detection. The false-positive bound: noise bounded by +/-b
+// (relative) moves any sample at most 2b from the sample median, so with
+// mad_floor_frac >= b the clean z-score never exceeds 2b / (1.4826 * b)
+// ~= 1.35 — far under the threshold of 4, for ANY noise amplitude. The
+// campaign driver floors the sigma at the machine's own jitter amplitude
+// for exactly this reason; that is the clean-campaign
+// zero-false-positive guarantee the tier-1 tests pin down.
 
 #include <cstdint>
 #include <vector>
@@ -47,24 +47,21 @@ enum class SlowMitigation {
 /// Detector verdict for one rank.
 enum class RankHealth {
   kHealthy = 0,
-  kSuspected,      ///< outlier on >= 1 of the last `window` steps
-  kConfirmedSlow,  ///< outlier on >= `confirm` of the last `window` steps
+  kSuspected,      ///< outlier on >= 1 of the last kDetectorWindow steps
+  kConfirmedSlow,  ///< outlier on >= kDetectorConfirm of those steps
   kQuarantined,    ///< confirmed and migrated off; ignored until reset
 };
 [[nodiscard]] const char* rank_health_name(RankHealth h);
 
-struct DetectorOptions {
-  double z_threshold = 4.0;  ///< robust z-score needed to suspect a rank
-  int window = 8;            ///< sliding window length, in steps (<= 64)
-  int confirm = 3;           ///< suspected steps in window to confirm
-  /// Floor on the robust sigma, as a fraction of the step median. This is
-  /// the false-positive guard: benign noise bounded by +/-`b` (relative)
-  /// can never produce |z| > 2b / (1.4826 * mad_floor_frac), so set the
-  /// floor at (or above) the expected noise amplitude and clean z stays
-  /// under ~1.35. The campaign driver raises this floor to the machine's
-  /// jitter automatically; the default suits sub-1% noise.
-  double mad_floor_frac = 0.005;
-};
+// Detector thresholds (see the z-score above): the z-score that makes a
+// rank suspected, the sliding window in steps, and the suspected steps
+// within it that confirm a rank slow.
+inline constexpr double kDetectorZThreshold = 4.0;
+inline constexpr int kDetectorWindow = 8;
+inline constexpr int kDetectorConfirm = 3;
+/// Default floor on the robust sigma, as a fraction of the step median;
+/// suits sub-1% noise.
+inline constexpr double kDetectorMadFloorFrac = 0.005;
 
 /// Sliding-window median/MAD outlier detector over per-rank step times.
 /// Deterministic and thread-count independent: verdicts depend only on
@@ -77,7 +74,14 @@ struct DetectorOptions {
 ///           suspicion to its confirmation (last confirmation wins)
 class SlowRankDetector {
  public:
-  explicit SlowRankDetector(int nranks, DetectorOptions opts = {});
+  /// `mad_floor_frac` floors the robust sigma, as a fraction of the step
+  /// median. This is the false-positive guard: benign noise bounded by
+  /// +/-`b` (relative) can never produce |z| > 2b / (1.4826 *
+  /// mad_floor_frac), so set the floor at (or above) the expected noise
+  /// amplitude and clean z stays under ~1.35. The campaign driver raises
+  /// it to the machine's jitter.
+  explicit SlowRankDetector(int nranks,
+                            double mad_floor_frac = kDetectorMadFloorFrac);
 
   /// Fold one step's telemetry in. `rank_step_seconds` holds one entry
   /// per rank; ranks that are dead or quarantined still occupy a slot
@@ -103,7 +107,6 @@ class SlowRankDetector {
 
   [[nodiscard]] int suspected_events() const { return suspected_events_; }
   [[nodiscard]] int confirmed_ranks() const { return confirmed_ranks_; }
-  [[nodiscard]] const DetectorOptions& options() const { return opts_; }
   [[nodiscard]] int nranks() const { return static_cast<int>(ranks_.size()); }
 
  private:
@@ -114,7 +117,7 @@ class SlowRankDetector {
     int confirm_latency = -1;
     double last_z = 0;
   };
-  DetectorOptions opts_;
+  double mad_floor_frac_;
   std::vector<RankState> ranks_;
   int suspected_events_ = 0;
   int confirmed_ranks_ = 0;

@@ -13,6 +13,11 @@ namespace {
 
 double log2ceil(double p) { return p <= 1 ? 0.0 : std::ceil(std::log2(p)); }
 
+// Retransmit backoff of the lossy-interconnect model: the first wait, and
+// the cap its doubling stops at.
+constexpr double kBackoff0Us = 50.0;
+constexpr double kBackoffMaxUs = 3200.0;
+
 }  // namespace
 
 double model_flux_phase(const perf::MachineModel& machine,
@@ -192,8 +197,7 @@ StepBreakdown model_step(const perf::MachineModel& machine,
       // backoff, and the re-posted transfer latency are charged to
       // t_recovery; the scatter itself completes at healthy beta.
       const int ops = static_cast<int>(std::lround(scatters));
-      const double backoff =
-          std::min(comm->backoff0_us, comm->backoff_max_us) * 1e-6;
+      const double backoff = kBackoff0Us * 1e-6;
       const double repost = machine.net_latency_us * 1e-6 + msg_bytes / net_bw;
       t_timeout_recovery =
           ops * (comm->halo_timeout_us * 1e-6 + backoff + repost);
@@ -210,8 +214,7 @@ StepBreakdown model_step(const perf::MachineModel& machine,
   if (comm != nullptr) {
     // Checksum tax: one CRC pass over the ghost payload on each side of
     // every scatter, at a fraction of streaming bandwidth.
-    const double crc_bw =
-        comm->checksum_bw_fraction * machine.mem_bw_mbs * 1e6;
+    const double crc_bw = kChecksumBwFraction * machine.mem_bw_mbs * 1e6;
     out.t_scatter += scatters * 2.0 * ghost_bytes / crc_bw;
     // One corruption opportunity per communication operation. A fired
     // message backs off exponentially and resends; each retry draws again
@@ -223,11 +226,11 @@ StepBreakdown model_step(const perf::MachineModel& machine,
                               machine.allreduce_latency_us * 1e-6;
     auto episode = [&](double resend_cost) {
       double t = 0;
-      double backoff = comm->backoff0_us * 1e-6;
+      double backoff = kBackoff0Us * 1e-6;
       int tries = 0;
       do {
         t += backoff + resend_cost;
-        backoff = std::min(backoff * 2.0, comm->backoff_max_us * 1e-6);
+        backoff = std::min(backoff * 2.0, kBackoffMaxUs * 1e-6);
         ++out.retransmits;
         obs::Registry::global().count("par.halo_retransmits");
         ++tries;

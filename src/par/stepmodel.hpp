@@ -130,22 +130,24 @@ enum class NodeMode {
   kHybridOmp2, ///< 1 rank per node, 2 OpenMP threads in the flux phase
 };
 
+/// Speed of a CRC pass as a fraction of memory bandwidth: the checksum
+/// tax of the lossy-interconnect model and of buddy checkpoint transfers.
+inline constexpr double kChecksumBwFraction = 0.5;
+
 /// Reliability model of the interconnect: every halo-exchange and
 /// reduction message carries a CRC (a per-message checksum tax on both
 /// sides); a corrupted message — one FaultSite::kMessage opportunity per
 /// scatter/reduction operation — is detected on receive and
-/// retransmitted after an exponential backoff, each retry drawing again
-/// at the same site until it passes or `max_retries` is spent. The retry
-/// latency is charged to StepBreakdown::t_recovery.
+/// retransmitted after an exponential backoff (doubling up to a cap; both
+/// are constants in stepmodel.cpp), each retry drawing again at the same
+/// site until it passes or `max_retries` is spent. The retry latency is
+/// charged to StepBreakdown::t_recovery.
 struct CommReliability {
-  double checksum_bw_fraction = 0.5;  ///< CRC pass speed vs. memory bw
-  double backoff0_us = 50.0;          ///< first retransmit backoff
-  int max_retries = 4;                ///< per message; all attempts charged
-  /// Cap on the exponential backoff: the doubling stops here, so a
+  /// Per message; all attempts charged. With the backoff capped, a
   /// pathological loss rate (or a huge max_retries) charges at most
-  /// max_retries * (backoff_max + resend) per episode instead of growing
+  /// max_retries * (backoff cap + resend) per episode instead of growing
   /// geometrically without bound.
-  double backoff_max_us = 3200.0;
+  int max_retries = 4;
   /// Hard clamp on the retransmit/timeout recovery time charged to one
   /// step's StepBreakdown::t_recovery by the comm model (the campaign
   /// driver's rework/restore charges land on top and are not clamped).

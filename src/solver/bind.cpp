@@ -77,9 +77,6 @@ void PtcOptions::bind(tune::Registry& reg) {
                "assembled Krylov operator stored in float (double "
                "arithmetic) — Table 2 storage/accumulate split; only "
                "active when ptc.matrix_free is off");
-  reg.add_int("ptc.checkpoint_every", &recovery.checkpoint_every, 0, 1000,
-              "checkpoint interval tau in accepted steps (0 = off); the "
-              "resilience-overhead knob");
   gmres.bind(reg, "gmres.");
   schwarz.bind(reg, "schwarz.");
 }

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "common/error.hpp"
+#include "guard/watchdog.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "resilience/bitflip.hpp"
@@ -45,7 +46,15 @@ constexpr double kKrylovDriftTol = 1e-2;  ///< GmresOptions::sdc_drift_tol
 /// verified state.
 constexpr int kMaxRecompute = 1;
 
-// Degradation rungs (their pressure thresholds are PtcDegradeOptions).
+// Checkpoint/restart: with a checkpoint path set, write after every
+// kCheckpointEvery accepted steps.
+constexpr int kCheckpointEvery = 1;
+
+// Degradation rungs: the budget pressure each fires at, and how far it
+// loosens or shrinks.
+constexpr double kDegradeLoosenAt = 0.35;    ///< loosen the linear tolerance
+constexpr double kDegradeFreezeAt = 0.55;    ///< stop Jacobian/prec refreshes
+constexpr double kDegradeShrinkAt = 0.75;    ///< shrink the Krylov effort
 constexpr double kDegradeRtolFactor = 10.0;  ///< linear-rtol multiplier for the loosen rung
 constexpr double kDegradeRtolMax = 0.3;      ///< cap on the loosened linear rtol
 constexpr int kDegradeRestartMin = 8;        ///< floor for the shrunk GMRES restart
@@ -120,7 +129,9 @@ struct Solve {
     return sguard.tripped() != guard::TripReason::kNone;
   }
   /// Budget charge with immediate honor: the throw lands in run()'s
-  /// guard-exit handler before any of the charged work starts.
+  /// guard-exit handler before any of the charged work starts. So every
+  /// trip either unwinds to that handler or fails the attempt through
+  /// tripped(), and a tripped guard at finish() means a guard exit.
   void charge(long long units) {
     if (sguard.charge(units) != guard::TripReason::kNone)
       throw guard::CancelledError(sguard.tripped());
@@ -167,8 +178,6 @@ struct Solve {
   // Step-entry iterate: a rejected attempt restores it exactly.
   std::vector<double> x_step;
   double rnorm_step = 0;
-  bool guard_exit = false;
-  bool fault_captured = false;
   // Jacobian + Schwarz preconditioner, built lazily on the first step.
   // jac_f is the float-storage copy the Krylov products read in
   // mixed-precision mode (refreshed with jac); the preconditioner keeps
@@ -208,19 +217,14 @@ Solve::Solve(NonlinearProblem& p, std::vector<double>& x0, const PtcOptions& o)
 // thrown from any charge or poll point (driver charges, exec chunk
 // boundaries, Schwarz subdomain loops, cfd kernel entries) unwinds to it,
 // the best committed state is restored, and the exit is mapped onto the
-// verdict taxonomy — never propagated to the caller.
+// verdict taxonomy — never propagated to the caller. A NumericalError
+// (plain-path abort, exhausted recovery ladder) does propagate.
 PtcResult Solve::run() {
   try {
     start();
     for (int step = start_step; step < opts.max_steps && rnorm / r0 > opts.rtol;
          ++step) {
       cur_step = step;
-      // Guard exit between steps: a trip observed at a charge point that
-      // exits cleanly (Krylov iteration boundary) rather than by throwing.
-      if (tripped()) {
-        guard_exit = true;
-        break;
-      }
       degrade(step);
       problem.on_step(step, rnorm / r0);
       // SDC site: a silent flip in the committed state vector. Deliberately
@@ -231,11 +235,7 @@ PtcResult Solve::run() {
       verify_entry_state(step);
       PtcStepRecord rec;
       rec.step = step;
-      if (!take_step(step, rec)) {
-        guard_exit = true;
-        break;
-      }
-      if (!commit(step, rec)) break;
+      if (!take_step(step, rec) || !commit(step, rec)) break;
     }
   } catch (const guard::CancelledError&) {
     // Thrown from a charge or poll point anywhere in the stack. The
@@ -243,17 +243,6 @@ PtcResult Solve::run() {
     // contract's return value.
     x = x_commit;
     rnorm = rnorm_commit;
-    guard_exit = true;
-  } catch (const NumericalError& e) {
-    if (!opts.guard.capture_faults) throw;
-    // Opted-in graceful fault capture: an exhausted recovery ladder (or a
-    // plain-path abort) still returns the best committed state, graded,
-    // instead of losing the whole solve.
-    fault_captured = true;
-    x = x_commit;
-    rnorm = rnorm_commit;
-    record(cur_step, RecoveryAction::kGuardTrip,
-           std::string("fault captured: ") + e.what());
   }
   return finish();
 }
@@ -279,7 +268,6 @@ void Solve::start() {
   }
   x_commit = x;
   rnorm_commit = rnorm;
-  if (restored) result.last_checkpoint_step = start_step;
 
   jac = problem.allocate_jacobian();
   partition = opts.partition;
@@ -363,9 +351,8 @@ bool Solve::commit(int step, PtcStepRecord& rec) {
   // Let the CFL relaxation recover toward 1 after accepted steps.
   if (resilient && lad.cfl_relax < 1.0)
     lad.cfl_relax = std::min(1.0, lad.cfl_relax * kCflRegrow);
-  const PtcRecoveryOptions& ro = opts.recovery;
-  if (resilient && ro.checkpoint_every > 0 && !ro.checkpoint_path.empty() &&
-      result.steps % ro.checkpoint_every == 0)
+  if (resilient && !opts.recovery.checkpoint_path.empty() &&
+      result.steps % kCheckpointEvery == 0)
     checkpoint(step);
   x_commit = x;
   rnorm_commit = rnorm;
@@ -377,8 +364,8 @@ bool Solve::commit(int step, PtcStepRecord& rec) {
   if (!stall_watchdog.observe(rnorm)) return true;
   result.watchdog_fired = true;
   record(step, RecoveryAction::kDetectStall,
-         "residual stalled across " +
-             std::to_string(opts.guard.watchdog.window) + " accepted step(s)");
+         "residual stalled across " + std::to_string(guard::kWatchdogWindow) +
+             " accepted step(s)");
   return false;
 }
 
@@ -401,10 +388,8 @@ void Solve::checkpoint(int step) {
   }
   ck.log = result.recovery_log;
   const std::string& path = opts.recovery.checkpoint_path;
-  if (resilience::save_checkpoint(path, ck)) {
+  if (resilience::save_checkpoint(path, ck))
     record(step, RecoveryAction::kCheckpointWrite, path);
-    result.last_checkpoint_step = step + 1;
-  }
 }
 
 // Exit taxonomy + quality grade. disarm() first: the grading scan below
@@ -418,15 +403,13 @@ PtcResult Solve::finish() {
   result.trip = sguard.tripped();
   result.cancel_latency_units = sguard.latency_units();
   result.watchdog_fired = result.watchdog_fired || stall_watchdog.fired();
-  if (guard_exit && result.trip != guard::TripReason::kNone)
+  if (result.trip != guard::TripReason::kNone)
     record(cur_step, RecoveryAction::kGuardTrip,
            std::string(guard::trip_reason_name(result.trip)) + " after " +
                std::to_string(result.work_units) + " work unit(s)");
 
   if (result.converged)
     result.verdict = guard::SolveVerdict::kConverged;
-  else if (fault_captured)
-    result.verdict = guard::SolveVerdict::kFaultUnrecoverable;
   else if (result.watchdog_fired)
     result.verdict = guard::SolveVerdict::kStagnated;
   else if (result.trip == guard::TripReason::kCancelled)
@@ -758,10 +741,9 @@ bool Solve::eval_residual(const std::vector<double>& xx,
 // the final rung — early return of the best committed state — is the
 // budget trip itself.
 void Solve::degrade(int step) {
-  const PtcDegradeOptions& dg = opts.guard.degrade;
-  if (!dg.enabled || !opts.guard.budget.bounded()) return;
+  if (!opts.guard.degrade || !opts.guard.budget.bounded()) return;
   const double pr = sguard.pressure();
-  if (!lad.loosened && pr >= dg.loosen_at) {
+  if (!lad.loosened && pr >= kDegradeLoosenAt) {
     lad.loosened = true;
     ++result.degrade_rungs;
     GmresOptions& go = lad.linear.gmres;
@@ -769,14 +751,14 @@ void Solve::degrade(int step) {
     record(step, RecoveryAction::kDegradeRung,
            "loosen linear rtol -> " + std::to_string(go.rtol));
   }
-  if (!lad.frozen && pr >= dg.freeze_at) {
+  if (!lad.frozen && pr >= kDegradeFreezeAt) {
     lad.frozen = true;
     ++result.degrade_rungs;
     lad.jacobian_refresh = std::numeric_limits<int>::max();
     record(step, RecoveryAction::kDegradeRung,
            "freeze jacobian/preconditioner refresh");
   }
-  if (!lad.shrunk && pr >= dg.shrink_at) {
+  if (!lad.shrunk && pr >= kDegradeShrinkAt) {
     lad.shrunk = true;
     ++result.degrade_rungs;
     GmresOptions& go = lad.linear.gmres;

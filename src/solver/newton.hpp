@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "guard/guard.hpp"
-#include "guard/watchdog.hpp"
 #include "partition/partition.hpp"
 #include "resilience/faults.hpp"
 #include "resilience/recovery.hpp"
@@ -96,8 +95,8 @@ struct PtcRecoveryOptions {
   bool enabled = false;
 
   // Checkpoint/restart (see resilience/checkpoint.hpp).
-  std::string checkpoint_path;    ///< empty = no checkpointing
-  int checkpoint_every = 0;       ///< write every k accepted steps (0 = off)
+  std::string checkpoint_path;    ///< empty = no checkpointing; else one
+                                  ///< write per accepted step
   bool resume = false;            ///< restore from checkpoint_path if present
 };
 
@@ -124,32 +123,23 @@ struct PtcSdcOptions {
   bool enabled = false;
 };
 
-/// Graceful-degradation ladder: under budget pressure, trade accuracy for
-/// on-time completion instead of overrunning. Rungs fire once each, in
-/// order, as guard::SolveGuard::pressure() crosses their thresholds; the
-/// final rung — early-return the best committed state — is the budget
-/// trip itself. Every firing is logged as RecoveryAction::kDegradeRung.
-/// How far each rung loosens or shrinks is a constant in newton.cpp.
-struct PtcDegradeOptions {
-  bool enabled = false;
-  double loosen_at = 0.5;   ///< pressure to loosen the linear tolerance at
-  double freeze_at = 0.7;   ///< pressure to stop Jacobian/prec refreshes at
-  double shrink_at = 0.85;  ///< pressure to shrink the Krylov effort at
-};
-
 /// Run-to-completion contract for one solve: budget + cancellation, the
 /// livelock watchdog, and the degradation policy. Default-constructed =
 /// unbounded, watchdog off, no degradation — byte-for-byte the historical
 /// driver behavior.
 struct PtcGuardOptions {
-  guard::SolveBudget budget;          ///< deadline / work cap / cancel token
-  guard::WatchdogOptions watchdog;    ///< livelock-style stall detection
-  PtcDegradeOptions degrade;          ///< accuracy-for-time ladder
-  /// Catch NumericalError from an exhausted recovery ladder and return the
-  /// best committed state with verdict kFaultUnrecoverable instead of
-  /// propagating. Off by default: plain callers keep the historical
-  /// abort-by-exception semantics.
-  bool capture_faults = false;
+  guard::SolveBudget budget;  ///< deadline / work cap / cancel token
+  /// Livelock-style stall detection (guard::ProgressWatchdog; its window
+  /// and stall ratio are constants in guard/watchdog.hpp).
+  bool watchdog = false;
+  /// Graceful-degradation ladder: under budget pressure, trade accuracy
+  /// for on-time completion instead of overrunning. Rungs fire once each,
+  /// in order, as guard::SolveGuard::pressure() crosses their thresholds;
+  /// the final rung — early-return the best committed state — is the
+  /// budget trip itself. Every firing is logged as
+  /// RecoveryAction::kDegradeRung. The thresholds and how far each rung
+  /// loosens or shrinks are constants in newton.cpp.
+  bool degrade = false;
 };
 
 struct PtcOptions {
@@ -210,9 +200,9 @@ struct PtcOptions {
   PtcGuardOptions guard;
 
   /// Register the driver's performance knobs (continuation, Krylov choice,
-  /// refresh frequency, subdomain count, operator precision, checkpoint
-  /// interval τ) plus the nested gmres/schwarz knobs into the flat tuning
-  /// space under "ptc." / "gmres." / "schwarz." — see docs/TUNING.md.
+  /// refresh frequency, subdomain count, operator precision) plus the
+  /// nested gmres/schwarz knobs into the flat tuning space under "ptc." /
+  /// "gmres." / "schwarz." — see docs/TUNING.md.
   /// The registry borrows this struct: it must outlive the registry.
   void bind(tune::Registry& reg);
 };
@@ -261,7 +251,6 @@ struct PtcResult {
   // Quality grade of the returned state.
   double residual_drop_orders = 0;    ///< log10(r0 / final_residual)
   bool best_state_admissible = true;  ///< admissibility scan of returned x
-  int last_checkpoint_step = -1;      ///< last verified checkpoint (-1: none)
 };
 
 /// Run psi-NKS from initial state x (updated in place).

@@ -64,7 +64,6 @@ SolveLab::RunResult SolveLab::run_once(const LabFidelity& fid) {
     opts.rtol = fid.rtol;
     opts.max_steps = fid.max_steps;
     opts.guard.budget.max_work_units = fid.max_work_units;
-    opts.guard.capture_faults = true;
     opts.partition = {};  // rebuilt by the driver for num_subdomains
 
     auto x = prob.initial_state();

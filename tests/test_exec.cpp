@@ -406,7 +406,6 @@ TEST(Determinism, PtcCheckpointsByteIdenticalAt124Threads) {
     opts.schwarz.fill_level = 1;
     opts.recovery.enabled = true;
     opts.recovery.checkpoint_path = ck_path;
-    opts.recovery.checkpoint_every = 2;
     auto res = solver::ptc_solve(prob, x, opts);
     EXPECT_GT(res.steps, 0);
     *x_out = x;

@@ -276,7 +276,7 @@ TEST(PerturbedStep, JitterTermAddsNoiseWait) {
 // Satellite: retransmit escalation is bounded. A pathologically lossy
 // link (every opportunity fires, generous retry budget) charges at most
 // the per-step cap, and the exponential backoff stops doubling at
-// backoff_max_us.
+// its cap (a constant of the comm model).
 TEST(PerturbedStep, RetransmitEscalationIsBounded) {
   ModelRig rig;
   par::CommReliability comm;
@@ -308,18 +308,9 @@ TEST(Detector, MedianAndMadBasics) {
 }
 
 TEST(Detector, OptionsAreValidated) {
-  par::DetectorOptions bad;
-  bad.window = 0;
-  EXPECT_THROW(par::SlowRankDetector(4, bad), Error);
-  bad = {};
-  bad.window = 65;
-  EXPECT_THROW(par::SlowRankDetector(4, bad), Error);
-  bad = {};
-  bad.confirm = 9;  // > window
-  EXPECT_THROW(par::SlowRankDetector(4, bad), Error);
-  bad = {};
-  bad.z_threshold = 0;
-  EXPECT_THROW(par::SlowRankDetector(4, bad), Error);
+  EXPECT_THROW(par::SlowRankDetector(0), Error);
+  EXPECT_THROW(par::SlowRankDetector(4, -0.01), Error);
+  EXPECT_NO_THROW(par::SlowRankDetector(4, 0.0));
 }
 
 TEST(Detector, PersistentOutlierConfirmsAtTheConfirmBar) {
@@ -337,11 +328,11 @@ TEST(Detector, PersistentOutlierConfirmsAtTheConfirmBar) {
   }
   ASSERT_EQ(confirmed.size(), 1u);
   EXPECT_EQ(confirmed[0], 5);
-  EXPECT_EQ(confirm_step, det.options().confirm - 1);  // earliest possible
-  EXPECT_EQ(det.detect_latency(5), det.options().confirm);
+  EXPECT_EQ(confirm_step, par::kDetectorConfirm - 1);  // earliest possible
+  EXPECT_EQ(det.detect_latency(5), par::kDetectorConfirm);
   EXPECT_EQ(det.health(5), par::RankHealth::kConfirmedSlow);
   EXPECT_EQ(det.health(0), par::RankHealth::kHealthy);
-  EXPECT_GT(det.last_z(5), det.options().z_threshold);
+  EXPECT_GT(det.last_z(5), par::kDetectorZThreshold);
 }
 
 TEST(Detector, TransientSpikeIsSuspectedButAgesOut) {
@@ -352,7 +343,7 @@ TEST(Detector, TransientSpikeIsSuspectedButAgesOut) {
   EXPECT_TRUE(det.observe(0, spiky).empty());
   EXPECT_EQ(det.health(2), par::RankHealth::kSuspected);
   EXPECT_EQ(det.suspected_events(), 1);
-  for (int s = 1; s <= det.options().window; ++s)
+  for (int s = 1; s <= par::kDetectorWindow; ++s)
     EXPECT_TRUE(det.observe(s, clean).empty());
   EXPECT_EQ(det.health(2), par::RankHealth::kHealthy);  // aged out
   EXPECT_EQ(det.confirmed_ranks(), 0);
@@ -373,7 +364,7 @@ TEST(Detector, QuarantineAndResetLifecycle) {
   EXPECT_EQ(det.suspected_events(), before);
   det.reset(3);
   EXPECT_EQ(det.health(3), par::RankHealth::kHealthy);
-  EXPECT_EQ(det.detect_latency(3), det.options().confirm);  // record kept
+  EXPECT_EQ(det.detect_latency(3), par::kDetectorConfirm);  // record kept
 }
 
 // The zero-false-positive guarantee: with the MAD floor set at the
@@ -381,9 +372,7 @@ TEST(Detector, QuarantineAndResetLifecycle) {
 // median, so clean z-scores stay under 2b / (1.4826 * b) ~= 1.35 —
 // never near the threshold of 4. Hammer it with hash noise.
 TEST(Detector, BoundedBenignNoiseNeverSuspects) {
-  par::DetectorOptions opts;
-  opts.mad_floor_frac = 0.02;  // = the noise amplitude below
-  par::SlowRankDetector det(16, opts);
+  par::SlowRankDetector det(16, 0.02);  // floor = the noise amplitude below
   std::vector<double> x(16);
   for (int s = 0; s < 500; ++s) {
     for (int r2 = 0; r2 < 16; ++r2) {

@@ -2,8 +2,9 @@
 // CRC-framed scenario journal (including the SIGKILL-style truncation
 // property sweep at every byte boundary), the retry/quarantine ladder,
 // admission control with supersede budget reclaim, kill-and-restart
-// exactly-once semantics, worker-count determinism, and the tuning DB's
-// atomic save under concurrent readers/writers.
+// exactly-once semantics, worker-count determinism, the tuning-DB seed of
+// attempt 0, the dashboard document, and the tuning DB's atomic save
+// under concurrent readers/writers.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +17,12 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
 #include "fleet/journal.hpp"
 #include "fleet/service.hpp"
 #include "fleet/spec.hpp"
 #include "obs/json.hpp"
+#include "obs/obs.hpp"
 #include "tune/db.hpp"
 
 namespace {
@@ -435,6 +438,134 @@ TEST(FleetService, ResumeReplaysQuarantinedAndShedTerminals) {
   EXPECT_EQ(after.scenarios[2].detail, before.scenarios[2].detail);
   EXPECT_EQ(after.scenarios[3].detail, before.scenarios[3].detail);
   EXPECT_NE(after.scenarios[3].detail.find("admission"), std::string::npos);
+}
+
+long long fleet_counter(const std::string& name) {
+  const auto snap = obs::Registry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// Attempt 0 consults the tuning DB: the entry keyed to the batch's (mesh
+// class, ISA, "double") is applied to every scenario, filtered to the
+// knobs the fleet's solve binds. An entry the registry refuses counts as
+// rejected, and the scenario solves on compiled defaults.
+TEST(FleetService, TuneDbSeedsAttemptZero) {
+  const auto spec = small_batch();
+  const long long n = static_cast<long long>(spec.scenarios.size());
+  fleet::Service plain(quick_opts());
+  const auto defaults = plain.serve(spec);
+  ASSERT_EQ(defaults.committed, n);
+
+  auto run_with_db = [&](double cfl0, const std::string& path) {
+    tune::Db db;
+    tune::DbEntry e;
+    e.key = {tune::mesh_class_of(spec.scenarios[0].vertices),
+             simd::isa_name(), "double"};
+    e.config = obs::Json::object();
+    e.config.set("ptc.cfl0", cfl0);                         // bound
+    e.config.set("exec.threads", static_cast<long long>(2));  // not bound
+    e.strategy = "test";
+    db.put(std::move(e));
+    EXPECT_TRUE(db.save(path));
+    auto opts = quick_opts();
+    opts.tune_db_path = path;
+    fleet::Service svc(opts);
+    return svc.serve(spec);
+  };
+
+  long long applied = fleet_counter("fleet.tunedb_applied");
+  long long rejected = fleet_counter("fleet.tunedb_rejected");
+  const auto tuned = run_with_db(20.0, temp_path("fleet_tunedb_ok.json"));
+  EXPECT_EQ(fleet_counter("fleet.tunedb_applied") - applied, n);
+  EXPECT_EQ(fleet_counter("fleet.tunedb_rejected") - rejected, 0);
+  EXPECT_EQ(tuned.committed, n);
+  for (std::size_t i = 0; i < tuned.scenarios.size(); ++i) {
+    EXPECT_EQ(tuned.scenarios[i].attempts, 1) << "scenario " << i;
+    // The tuned CFL changed the trajectory, so the solution bits differ.
+    EXPECT_NE(tuned.scenarios[i].solution_crc,
+              defaults.scenarios[i].solution_crc)
+        << "scenario " << i;
+  }
+
+  applied = fleet_counter("fleet.tunedb_applied");
+  rejected = fleet_counter("fleet.tunedb_rejected");
+  const auto stale = run_with_db(1e9, temp_path("fleet_tunedb_bad.json"));
+  EXPECT_EQ(fleet_counter("fleet.tunedb_applied") - applied, 0);
+  EXPECT_EQ(fleet_counter("fleet.tunedb_rejected") - rejected, n);
+  EXPECT_EQ(stale.committed, n);
+  for (std::size_t i = 0; i < stale.scenarios.size(); ++i) {
+    EXPECT_EQ(stale.scenarios[i].attempts, 1) << "scenario " << i;
+    EXPECT_EQ(stale.scenarios[i].solution_crc,
+              defaults.scenarios[i].solution_crc)
+        << "scenario " << i;
+  }
+}
+
+// The f3d-fleet-dash-v1 document mirrors the BatchResult it was built
+// from and survives a strict re-parse unchanged.
+TEST(FleetService, DashboardJsonRoundTrips) {
+  auto spec = small_batch();
+  spec.scenarios.resize(3);
+  for (auto& sc : spec.scenarios) sc.work_units = 1000;
+  spec.scenarios[1].work_units = 5;  // poison: no configuration converges
+  auto opts = quick_opts();
+  opts.max_attempts = 3;
+  opts.admission_capacity_units = 1500;  // 0 and 1 fit; 2 is shed
+  fleet::Service svc(opts);
+  const auto res = svc.serve(spec);
+  ASSERT_EQ(res.scenarios[0].status, fleet::ScenarioStatus::kCommitted);
+  ASSERT_EQ(res.scenarios[1].status, fleet::ScenarioStatus::kQuarantined);
+  ASSERT_EQ(res.scenarios[2].status, fleet::ScenarioStatus::kShed);
+
+  const obs::Json doc = res.to_json();
+  const obs::Json* schema = doc.find("schema");
+  ASSERT_NE(schema, nullptr);
+  EXPECT_EQ(schema->s, "f3d-fleet-dash-v1");
+  auto tally = [&](const char* key) {
+    const obs::Json* v = doc.find(key);
+    EXPECT_NE(v, nullptr) << key;
+    return v != nullptr ? v->number() : -1.0;
+  };
+  EXPECT_EQ(tally("committed"), res.committed);
+  EXPECT_EQ(tally("quarantined"), res.quarantined);
+  EXPECT_EQ(tally("shed"), res.shed);
+  EXPECT_EQ(tally("cancelled"), res.cancelled);
+  EXPECT_EQ(tally("pending"), res.pending);
+  EXPECT_EQ(tally("retries"), res.retries);
+  EXPECT_EQ(tally("budget_reclaimed_units"),
+            static_cast<double>(res.budget_reclaimed_units));
+  EXPECT_EQ(tally("wall_s"), res.wall_s);
+  ASSERT_NE(doc.find("killed"), nullptr);
+  EXPECT_EQ(doc.find("killed")->b, res.killed);
+
+  const obs::Json* rows = doc.find("scenarios");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_TRUE(rows->is_array());
+  ASSERT_EQ(rows->items.size(), res.scenarios.size());
+  for (std::size_t i = 0; i < rows->items.size(); ++i) {
+    const obs::Json& row = rows->items[i];
+    const auto& sc = res.scenarios[i];
+    ASSERT_NE(row.find("id"), nullptr);
+    EXPECT_EQ(row.find("id")->number(), static_cast<double>(i));
+    ASSERT_NE(row.find("status"), nullptr);
+    EXPECT_EQ(row.find("status")->s, fleet::scenario_status_name(sc.status));
+    ASSERT_NE(row.find("detail"), nullptr);
+    EXPECT_EQ(row.find("detail")->s, sc.detail);
+  }
+  EXPECT_NE(rows->items[1].find("detail")->s.find("poison after 3 attempts"),
+            std::string::npos);
+  EXPECT_NE(rows->items[2].find("detail")->s.find("admission"),
+            std::string::npos);
+
+  const obs::Json* counters = doc.find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_TRUE(counters->is_object());
+  EXPECT_NE(counters->find("fleet.committed"), nullptr);
+  for (const auto& [name, value] : counters->members)
+    EXPECT_EQ(name.rfind("fleet.", 0), 0u) << name;
+
+  EXPECT_EQ(obs::parse_json(doc.dump()).dump(), doc.dump());
 }
 
 // ----------------------------------------------------------- tune DB save

@@ -20,6 +20,10 @@
 
 // Global allocation counter for the disabled-mode zero-allocation check.
 // The default operator new[] forwards here, so this covers both forms.
+// The nothrow form (std::stable_sort's temporary buffer) is replaced too:
+// the replaced delete frees whatever it gets, so every form it can
+// receive must come from the same malloc, or a sanitizer build reports an
+// alloc-dealloc mismatch.
 namespace {
 std::atomic<long long> g_allocs{0};
 }  // namespace
@@ -29,8 +33,13 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n > 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n > 0 ? n : 1);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 

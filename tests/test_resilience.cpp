@@ -1036,8 +1036,7 @@ TEST(Checkpoint, KilledRunResumesBitIdentically) {
     const std::string kill_path = temp_path("f3d_ck_killed.bin");
     std::remove(full_path.c_str());
     std::remove(kill_path.c_str());
-    PtcOptions opts = c.opts;
-    opts.recovery.checkpoint_every = 1;
+    const PtcOptions& opts = c.opts;
 
     // Uninterrupted reference run.
     auto inj_full = make_campaign_injector(c.cls, c.seed);

@@ -161,15 +161,15 @@ TEST(TuneRegistry, SolverStructsBindTheDocumentedSpace) {
   ptc.bind(reg);
   tune::bind_exec_threads(reg);
   tune::bind_simd(reg);
-  // The ptc/gmres/schwarz + process-global space: 10 + 4 + 6 + 2 knobs.
-  EXPECT_EQ(reg.size(), 22);
-  // Knob writes land in the nested structs.
+  // The ptc/gmres/schwarz + process-global space: 9 + 4 + 6 + 2 knobs.
+  EXPECT_EQ(reg.size(), 21);
+  // Knob writes land in the struct and its nested structs.
   reg.set_number("gmres.restart", 44);
   reg.set_number("schwarz.overlap", 1);
-  reg.set_number("ptc.checkpoint_every", 7);
+  reg.set_number("ptc.jacobian_refresh", 3);
   EXPECT_EQ(ptc.gmres.restart, 44);
   EXPECT_EQ(ptc.schwarz.overlap, 1);
-  EXPECT_EQ(ptc.recovery.checkpoint_every, 7);
+  EXPECT_EQ(ptc.jacobian_refresh, 3);
   // Every knob's catalog record names itself and documents itself.
   for (const auto& k : reg.knobs()) {
     EXPECT_FALSE(k.name.empty());
