@@ -93,6 +93,11 @@ struct Rig {
   }
 };
 
+/// The progress watchdog's verdict, read from the solve's recovery log.
+bool stalled(const solver::PtcResult& res) {
+  return res.recovery_log.count(resilience::RecoveryAction::kDetectStall) > 0;
+}
+
 std::uint64_t fnv1a(const std::vector<double>& x) {
   std::uint64_t h = 1469598103934665603ull;
   const auto* p = reinterpret_cast<const unsigned char*>(x.data());
@@ -171,7 +176,8 @@ int main(int argc, char** argv) {
         cell.on_time = res.verdict == guard::SolveVerdict::kConverged;
         cell.work_units = res.work_units;
         cell.drop_orders = res.residual_drop_orders;
-        cell.degrade_rungs = res.degrade_rungs;
+        cell.degrade_rungs =
+            res.recovery_log.count(resilience::RecoveryAction::kDegradeRung);
         if (ladder) {
           ++ladder_runs;
           ladder_on_time += cell.on_time ? 1 : 0;
@@ -207,7 +213,7 @@ int main(int argc, char** argv) {
     g.watchdog = true;
     const auto res = rig.run(sc, g);
     ++clean_runs;
-    if (res.watchdog_fired) ++watchdog_false_positives;
+    if (stalled(res)) ++watchdog_false_positives;
   }
   Scenario stall{"stall", 20.0, 1e-300, 80};  // unreachable tolerance
   bool stall_detected;
@@ -215,8 +221,8 @@ int main(int argc, char** argv) {
     solver::PtcGuardOptions g;
     g.watchdog = true;
     const auto res = rig.run(stall, g);
-    stall_detected = res.watchdog_fired &&
-                     res.verdict == guard::SolveVerdict::kStagnated;
+    stall_detected =
+        stalled(res) && res.verdict == guard::SolveVerdict::kStagnated;
   }
 
   // --- lane 3: cancellation latency at 1/2/4 threads -----------------------

@@ -51,6 +51,7 @@ using resilience::FaultInjector;
 using resilience::FaultPlan;
 using resilience::FaultSite;
 using resilience::FlipTarget;
+using resilience::RecoveryAction;
 
 solver::PtcOptions campaign_options() {
   solver::PtcOptions o;
@@ -119,8 +120,8 @@ struct Rig {
     out.injected = inj.fires(FaultSite::kBitFlip) > 0;
     if (!out.injected) return out;
 
-    const bool guard_fired =
-        aborted || res.sdc_detections > 0 || res.recovery_log.detections() > 0;
+    // Every SDC detection is logged (kDetectSdc), so detections() covers it.
+    const bool guard_fired = aborted || res.recovery_log.detections() > 0;
     double diff = 0;
     for (std::size_t i = 0; i < x.size(); ++i)
       diff = std::max(diff, std::abs(x[i] - x_ref[i]));
@@ -137,7 +138,8 @@ struct Rig {
                   bit, resilience::flip_target_name(target),
                   static_cast<unsigned long long>(seed),
                   out.caught ? "caught" : out.escaped ? "ESCAPED" : "benign",
-                  res.sdc_detections, res.recovery_log.detections(),
+                  res.recovery_log.count(RecoveryAction::kDetectSdc),
+                  res.recovery_log.detections(),
                   diff / ref_norm, aborted ? " [aborted]" : "");
     return out;
   }
@@ -234,7 +236,8 @@ int main(int argc, char** argv) {
     auto x = prob.initial_state();
     auto res = solver::ptc_solve(prob, x, campaign_options());
     ++clean_runs;
-    if (res.sdc_detections > 0) ++false_positives;
+    if (res.recovery_log.count(RecoveryAction::kDetectSdc) > 0)
+      ++false_positives;
   }
   std::printf("\nclean runs: %d, SDC false positives: %d\n", clean_runs,
               false_positives);

@@ -90,19 +90,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  using resilience::RecoveryAction;
+  const resilience::RecoveryLog& log = result.recovery_log;
   std::printf("\nflips fired: %d (of %d planned)\n",
               injector.fires(resilience::FaultSite::kBitFlip), flips);
   std::printf("SDC detections: %d | recompute rungs: %d | rollback rungs: "
               "%d\n",
-              result.sdc_detections, result.sdc_recomputes,
-              result.sdc_rollbacks);
-  std::printf("\nrecovery log (%zu events, %d detections):\n",
-              result.recovery_log.size(), result.recovery_log.detections());
-  std::printf("%s", result.recovery_log.to_string().c_str());
+              log.count(RecoveryAction::kDetectSdc),
+              log.count(RecoveryAction::kSdcRecompute),
+              log.count(RecoveryAction::kSdcRollback));
+  std::printf("\nrecovery log (%zu events, %d detections):\n", log.size(),
+              log.detections());
+  std::printf("%s", log.to_string().c_str());
 
   std::printf("\n%s in %d steps (%d rejected, final residual %.3e)\n",
               result.converged ? "CONVERGED" : "NOT converged", result.steps,
-              result.steps_rejected,
+              log.count(RecoveryAction::kStepRejected),
               result.final_residual / result.initial_residual);
   return result.converged ? 0 : 1;
 }

@@ -97,7 +97,9 @@ int main(int argc, char** argv) {
   std::printf("\n%s in %d steps (%d rejected, %d Krylov breakdowns, "
               "final residual %.3e)\n",
               result.converged ? "CONVERGED" : "NOT converged", result.steps,
-              result.steps_rejected, result.krylov_breakdowns,
+              result.recovery_log.count(
+                  resilience::RecoveryAction::kStepRejected),
+              result.krylov_breakdowns,
               result.final_residual / result.initial_residual);
   return result.converged ? 0 : 1;
 }

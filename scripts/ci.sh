@@ -18,12 +18,14 @@
 #      markdown must have no dead relative links; negative controls prove
 #      the knob cross-check and the gate checker can fail
 #   4. ASan+UBSan build + the resilience-, sdc-, failslow-, tune-, fleet-,
-#      simd- and obs-labelled tests (fault injection, recovery, checkpoints,
-#      journals, the SIMD pack loads and the strict JSON parser: where
-#      memory bugs would hide behind error handling)
-#   5. TSan build + the threaded- and obs-labelled tests (the exec pool,
-#      colored scatters, level-scheduled solves, span/counter merges) with
-#      a 4-thread pool
+#      simd-, obs- and guard-labelled tests (fault injection, recovery,
+#      checkpoints, journals, budgets and cancellation, the SIMD pack loads
+#      and the strict JSON parser: where memory bugs would hide behind
+#      error handling)
+#   5. TSan build + the threaded-, obs-, simd-, fleet- and guard-labelled
+#      tests (the exec pool, colored scatters, level-scheduled solves,
+#      span/counter merges, and the suites that sweep pool sizes) with a
+#      4-thread pool
 #
 # Usage: scripts/ci.sh [-j N]
 
@@ -122,12 +124,12 @@ for defect in no-gates failed-required-gate contradicted-pass \
   fi
 done
 
-echo "=== asan build + resilience/sdc/failslow/tune/fleet/simd/obs-labelled tests ==="
+echo "=== asan build + resilience/sdc/failslow/tune/fleet/simd/obs/guard-labelled tests ==="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 ctest --preset asan -j "$JOBS"
 
-echo "=== tsan build + threaded/obs-labelled tests ==="
+echo "=== tsan build + threaded/obs/simd/fleet/guard-labelled tests ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset tsan-threaded -j "$JOBS"

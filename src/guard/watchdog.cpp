@@ -1,7 +1,5 @@
 #include "guard/watchdog.hpp"
 
-#include "obs/obs.hpp"
-
 namespace f3d::guard {
 
 ProgressWatchdog::ProgressWatchdog(bool enabled) : enabled_(enabled) {
@@ -17,7 +15,6 @@ bool ProgressWatchdog::observe(double rnorm) {
     const double old = ring_[slot];
     if (old > 0 && rnorm >= kWatchdogStallRatio * old) {
       fired_ = true;
-      obs::Registry::global().count("guard.watchdog.fired");
       ring_[slot] = rnorm;
       ++observed_;
       return true;

@@ -31,9 +31,6 @@ class ProgressWatchdog {
   /// stall condition fires (at most once per watchdog instance).
   bool observe(double rnorm);
 
-  [[nodiscard]] bool fired() const { return fired_; }
-  [[nodiscard]] long long steps_observed() const { return observed_; }
-
  private:
   bool enabled_;
   std::vector<double> ring_;

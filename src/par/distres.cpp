@@ -12,14 +12,6 @@
 
 namespace f3d::par {
 
-const char* recovery_policy_name(RecoveryPolicy policy) {
-  switch (policy) {
-    case RecoveryPolicy::kSpareRank: return "spare-rank";
-    case RecoveryPolicy::kShrinkRepartition: return "shrink-repartition";
-  }
-  return "?";
-}
-
 CampaignDomain make_domain(const mesh::Graph& g, part::Partition p) {
   CampaignDomain d;
   d.graph = &g;
@@ -175,10 +167,6 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
   auto do_checkpoint = [&](int step) {
     resilience::PtcCheckpoint ck;
     ck.step = step;
-    ck.rank_alive = r.rank_alive;
-    ck.spares_used = r.spares_used;
-    ck.last_buddy_checkpoint_step = step;
-    ck.has_injector = true;
     ck.injector = opts.injector->state();
     const std::string payload = resilience::encode_checkpoint(ck);
     for (int rank = 0; rank < nranks; ++rank)
@@ -449,7 +437,7 @@ CampaignResult simulate_campaign(const perf::MachineModel& machine,
         restore += transfer_cost(machine, ckpt_bytes);
         r.log.add(s, resilience::RecoveryAction::kBuddyRestore,
                   "rank " + std::to_string(f) + " from checkpoint at step " +
-                      std::to_string(ck->last_buddy_checkpoint_step));
+                      std::to_string(ck->step));
         if (spares_left > 0) {
           buddy.revive_rank(f);
           r.rank_alive[static_cast<std::size_t>(f)] = 1;

@@ -39,7 +39,6 @@ enum class RecoveryPolicy {
   /// implicit-synchronization time in every subsequent step.
   kShrinkRepartition,
 };
-[[nodiscard]] const char* recovery_policy_name(RecoveryPolicy policy);
 
 /// The domain a campaign runs on: a real graph + partition (required for
 /// real shrink repartitioning) or just a synthesized load (spare-rank

@@ -33,16 +33,6 @@ const char* slow_mitigation_name(SlowMitigation m) {
   return "unknown";
 }
 
-const char* rank_health_name(RankHealth h) {
-  switch (h) {
-    case RankHealth::kHealthy: return "healthy";
-    case RankHealth::kSuspected: return "suspected";
-    case RankHealth::kConfirmedSlow: return "confirmed-slow";
-    case RankHealth::kQuarantined: return "quarantined";
-  }
-  return "unknown";
-}
-
 double median_of(std::vector<double> v) {
   if (v.empty()) return 0;
   const auto mid = v.size() / 2;

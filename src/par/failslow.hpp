@@ -51,7 +51,6 @@ enum class RankHealth {
   kConfirmedSlow,  ///< outlier on >= kDetectorConfirm of those steps
   kQuarantined,    ///< confirmed and migrated off; ignored until reset
 };
-[[nodiscard]] const char* rank_health_name(RankHealth h);
 
 // Detector thresholds (see the z-score above): the z-score that makes a
 // rank suspected, the sliding window in steps, and the suspected steps

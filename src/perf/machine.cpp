@@ -1,8 +1,5 @@
 #include "perf/machine.hpp"
 
-#include "common/timer.hpp"
-#include "perf/stream.hpp"
-
 namespace f3d::perf {
 
 MachineModel asci_red() {
@@ -70,47 +67,6 @@ MachineModel origin2000() {
   m.allreduce_latency_us = 2;
   m.l2_bytes = 4 * 1024 * 1024; // the R10000 4 MB L2 of Table 1
   m.jitter = 0.02;
-  return m;
-}
-
-std::vector<MachineModel> all_machines() {
-  return {asci_red(), blue_pacific(), cray_t3e(), origin2000()};
-}
-
-namespace {
-// Peak-ish flop probe: fused multiply-add chains on register data.
-double probe_mflops() {
-  double a0 = 1.0, a1 = 1.1, a2 = 1.2, a3 = 1.3;
-  const double b = 1.0000001, c = 1e-9;
-  const long iters = 20 * 1000 * 1000;
-  Timer t;
-  for (long i = 0; i < iters; ++i) {
-    a0 = a0 * b + c;
-    a1 = a1 * b + c;
-    a2 = a2 * b + c;
-    a3 = a3 * b + c;
-  }
-  const double dt = t.seconds();
-  asm volatile("" : "+r"(a0), "+r"(a1), "+r"(a2), "+r"(a3));
-  return dt > 0 ? 8.0 * iters / dt * 1e-6 : 1000.0;
-}
-}  // namespace
-
-MachineModel host_machine(std::size_t stream_elems) {
-  MachineModel m;
-  m.name = "host";
-  m.max_nodes = 1;
-  m.cpus_per_node = 1;
-  auto stream = run_stream(stream_elems, 2);
-  m.mem_bw_mbs = stream.best();
-  m.cpu_mflops_peak = probe_mflops();
-  m.sparse_efficiency = 0.12;  // typical sparse fraction on modern OoO
-  m.flux_efficiency = 0.25;
-  m.net_latency_us = 0.5;      // loopback placeholders
-  m.net_bw_mbs = m.mem_bw_mbs;
-  m.allreduce_latency_us = 1;
-  m.l2_bytes = 32 * 1024 * 1024;
-  m.jitter = 0.01;
   return m;
 }
 

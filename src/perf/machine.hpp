@@ -5,7 +5,6 @@
 // (flop rate vs. memory bandwidth vs. network), which are representative.
 
 #include <string>
-#include <vector>
 
 namespace f3d::perf {
 
@@ -47,14 +46,5 @@ MachineModel blue_pacific();
 MachineModel cray_t3e();
 /// SGI Origin 2000: 250 MHz R10000 (used for the sequential experiments).
 MachineModel origin2000();
-
-/// All four, for sweep-style reporting.
-std::vector<MachineModel> all_machines();
-
-/// Measure THIS host: STREAM bandwidth plus a dense-kernel flop-rate
-/// probe, packaged as a single-node MachineModel (network fields get
-/// loopback-like placeholders). Lets the projection tools answer "what
-/// would this problem do on a cluster of machines like mine".
-MachineModel host_machine(std::size_t stream_elems = 4 * 1000 * 1000);
 
 }  // namespace f3d::perf

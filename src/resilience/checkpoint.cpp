@@ -39,6 +39,9 @@ struct Reader {
     p += n;
     return true;
   }
+  [[nodiscard]] std::size_t remaining() const {
+    return static_cast<std::size_t>(end - p);
+  }
   template <class T>
   T get() {
     T v{};
@@ -47,7 +50,7 @@ struct Reader {
   }
   std::string get_string() {
     const auto n = get<std::int64_t>();
-    if (!ok || n < 0 || static_cast<std::size_t>(end - p) < static_cast<std::size_t>(n))
+    if (!ok || n < 0 || remaining() < static_cast<std::size_t>(n))
       return ok = false, std::string{};
     std::string s(p, static_cast<std::size_t>(n));
     p += n;
@@ -57,9 +60,8 @@ struct Reader {
 
 std::string encode_payload(const PtcCheckpoint& ck) {
   std::string buf;
-  buf.reserve(128 + ck.x.size() * sizeof(double) + ck.rank_alive.size());
+  buf.reserve(128 + ck.x.size() * sizeof(double));
   put<std::int64_t>(buf, ck.step);
-  put<std::int64_t>(buf, ck.steps_done);
   put<std::int64_t>(buf, static_cast<std::int64_t>(ck.x.size()));
   put_bytes(buf, ck.x.data(), ck.x.size() * sizeof(double));
   put(buf, ck.rnorm);
@@ -69,20 +71,17 @@ std::string encode_payload(const PtcCheckpoint& ck) {
   put(buf, ck.total_linear_iterations);
   put(buf, ck.gmres_restart);
   put(buf, ck.krylov);
-  put<std::int8_t>(buf, ck.has_injector ? 1 : 0);
-  if (ck.has_injector) {
-    put(buf, ck.injector.seed);
+  put<std::int8_t>(buf, ck.injector ? 1 : 0);
+  if (ck.injector) {
+    const FaultInjector::State& inj = *ck.injector;
+    put(buf, inj.seed);
     put<std::int32_t>(buf, kNumFaultSites);
     for (int i = 0; i < kNumFaultSites; ++i) {
-      put(buf, ck.injector.draws[static_cast<std::size_t>(i)]);
-      put(buf, ck.injector.fires[static_cast<std::size_t>(i)]);
-      put(buf, ck.injector.magnitudes[static_cast<std::size_t>(i)]);
+      put(buf, inj.draws[static_cast<std::size_t>(i)]);
+      put(buf, inj.fires[static_cast<std::size_t>(i)]);
+      put(buf, inj.magnitudes[static_cast<std::size_t>(i)]);
     }
   }
-  put<std::int64_t>(buf, static_cast<std::int64_t>(ck.rank_alive.size()));
-  put_bytes(buf, ck.rank_alive.data(), ck.rank_alive.size());
-  put(buf, ck.spares_used);
-  put(buf, ck.last_buddy_checkpoint_step);
   const auto& events = ck.log.events();
   put<std::int64_t>(buf, static_cast<std::int64_t>(events.size()));
   for (const auto& e : events) {
@@ -96,9 +95,12 @@ std::string encode_payload(const PtcCheckpoint& ck) {
 std::optional<PtcCheckpoint> decode_payload(Reader& rd) {
   PtcCheckpoint ck;
   ck.step = rd.get<std::int64_t>();
-  ck.steps_done = rd.get<std::int64_t>();
   const auto n = rd.get<std::int64_t>();
-  if (!rd.ok || n < 0) return std::nullopt;
+  // Validate the length against the bytes left before allocating: a
+  // CRC-valid payload may still claim an absurd length.
+  if (!rd.ok || n < 0 ||
+      static_cast<std::uint64_t>(n) > rd.remaining() / sizeof(double))
+    return std::nullopt;
   ck.x.resize(static_cast<std::size_t>(n));
   rd.take(ck.x.data(), ck.x.size() * sizeof(double));
   ck.rnorm = rd.get<double>();
@@ -108,24 +110,18 @@ std::optional<PtcCheckpoint> decode_payload(Reader& rd) {
   ck.total_linear_iterations = rd.get<std::int64_t>();
   ck.gmres_restart = rd.get<std::int32_t>();
   ck.krylov = rd.get<std::int32_t>();
-  ck.has_injector = rd.get<std::int8_t>() != 0;
-  if (ck.has_injector) {
-    ck.injector.seed = rd.get<std::uint64_t>();
+  if (rd.get<std::int8_t>() != 0) {
+    FaultInjector::State& inj = ck.injector.emplace();
+    inj.seed = rd.get<std::uint64_t>();
     // A checkpoint from a build with a different site set cannot replay
     // the same draw streams: reject rather than resume divergently.
     if (rd.get<std::int32_t>() != kNumFaultSites) return std::nullopt;
     for (int i = 0; i < kNumFaultSites; ++i) {
-      ck.injector.draws[static_cast<std::size_t>(i)] = rd.get<int>();
-      ck.injector.fires[static_cast<std::size_t>(i)] = rd.get<int>();
-      ck.injector.magnitudes[static_cast<std::size_t>(i)] = rd.get<double>();
+      inj.draws[static_cast<std::size_t>(i)] = rd.get<int>();
+      inj.fires[static_cast<std::size_t>(i)] = rd.get<int>();
+      inj.magnitudes[static_cast<std::size_t>(i)] = rd.get<double>();
     }
   }
-  const auto nranks = rd.get<std::int64_t>();
-  if (!rd.ok || nranks < 0) return std::nullopt;
-  ck.rank_alive.resize(static_cast<std::size_t>(nranks));
-  rd.take(ck.rank_alive.data(), ck.rank_alive.size());
-  ck.spares_used = rd.get<std::int32_t>();
-  ck.last_buddy_checkpoint_step = rd.get<std::int64_t>();
   const auto nev = rd.get<std::int64_t>();
   if (!rd.ok || nev < 0) return std::nullopt;
   for (std::int64_t i = 0; i < nev; ++i) {

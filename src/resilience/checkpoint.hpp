@@ -1,14 +1,13 @@
 #pragma once
-// Checkpoint/restart for the psi-NKS driver: everything the PTC outer
-// loop needs to resume a killed run bit-identically — the state vector
+// Checkpoint/restart for the psi-NKS driver: exactly what ptc_solve
+// resumes to continue a killed run bit-identically — the state vector
 // (raw IEEE-754 bytes, no text round-trip), the continuation state (step
 // index, residual norms, CFL relaxation), the escalation state of the
-// recovery ladder, the fault injector's stream position (including the
-// per-rank fail-stop process of the distributed campaign), and the
+// recovery ladder, the fault injector's stream position, and the
 // recovery log so far. Writes are atomic (temp file + rename) so a kill
 // during a checkpoint leaves the previous one intact.
 //
-// Format (version 3): an 8-byte magic, a little-endian format version, a
+// Format (version 4): an 8-byte magic, a little-endian format version, a
 // CRC32 over the payload, and the payload length — so a truncated or
 // bit-flipped checkpoint is rejected with nullopt instead of being
 // deserialized into garbage. encode/decode expose the same format as an
@@ -26,10 +25,10 @@
 namespace f3d::resilience {
 
 struct PtcCheckpoint {
-  // Outer-loop position.
-  std::int64_t step = 0;        ///< next pseudo-timestep to execute
-  std::int64_t steps_done = 0;  ///< accepted steps so far
-  std::vector<double> x;        ///< state vector, bit-exact
+  // Outer-loop position. Every step before `step` was accepted, so it is
+  // also the accepted-step count.
+  std::int64_t step = 0;  ///< next pseudo-timestep to execute
+  std::vector<double> x;  ///< state vector, bit-exact
 
   // Continuation state (SER law inputs).
   double rnorm = 0;      ///< steady residual norm at the checkpoint
@@ -44,24 +43,18 @@ struct PtcCheckpoint {
   std::int32_t gmres_restart = 0;  ///< escalated restart length (0 = unset)
   std::int32_t krylov = 0;         ///< active Krylov method (PtcOptions::Krylov)
 
-  // Fault injector stream position (reproducible campaigns). The state
-  // carries every site's draw/fire counts and armed magnitude — including
-  // the kRank straggler severity and the kRankFail per-rank process — so
-  // kill/resume with parallel faults armed stays bit-identical.
-  bool has_injector = false;
-  FaultInjector::State injector;
-
-  // Distributed campaign state (par::simulate_campaign); empty/default
-  // when the virtual parallel machine is not in use.
-  std::vector<std::uint8_t> rank_alive;  ///< per-rank alive flags
-  std::int32_t spares_used = 0;          ///< spare-pool consumption so far
-  std::int64_t last_buddy_checkpoint_step = -1;
+  // Fault injector stream position (reproducible campaigns), when one was
+  // registered. The state carries every site's draw/fire counts and armed
+  // magnitude — including the kRank straggler severity and the kRankFail
+  // per-rank process — so kill/resume with parallel faults armed stays
+  // bit-identical.
+  std::optional<FaultInjector::State> injector;
 
   RecoveryLog log;
 };
 
 /// Current on-disk/in-memory format version (see header comment).
-inline constexpr std::uint32_t kCheckpointFormatVersion = 3;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 4;
 
 /// Serialize to a self-validating byte string (magic + version + CRC32 +
 /// payload) — the exact bytes save_checkpoint writes to disk.

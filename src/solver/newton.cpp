@@ -46,10 +46,6 @@ constexpr double kKrylovDriftTol = 1e-2;  ///< GmresOptions::sdc_drift_tol
 /// verified state.
 constexpr int kMaxRecompute = 1;
 
-// Checkpoint/restart: with a checkpoint path set, write after every
-// kCheckpointEvery accepted steps.
-constexpr int kCheckpointEvery = 1;
-
 // Degradation rungs: the budget pressure each fires at, and how far it
 // loosens or shrinks.
 constexpr double kDegradeLoosenAt = 0.35;    ///< loosen the linear tolerance
@@ -293,7 +289,9 @@ bool Solve::restore() {
   rnorm = ck->rnorm;
   r0 = ck->r0;
   lad.cfl_relax = ck->cfl_relax;
-  result.steps = static_cast<int>(ck->steps_done);
+  // Steps and step index both start at 0 and commit() advances them
+  // together, so the next step index is also the accepted-step count.
+  result.steps = start_step;
   result.function_evaluations = ck->function_evaluations;
   result.total_linear_iterations = ck->total_linear_iterations;
   GmresOptions& go = lad.linear.gmres;
@@ -306,10 +304,8 @@ bool Solve::restore() {
   }
   lad.linear.method = static_cast<KrylovMethod>(ck->krylov);
   result.recovery_log = ck->log;
-  if (ck->has_injector && opts.fault_injector != nullptr)
-    opts.fault_injector->restore(ck->injector);
-  result.resumed = true;
-  result.resume_step = start_step;
+  if (ck->injector && opts.fault_injector != nullptr)
+    opts.fault_injector->restore(*ck->injector);
   result.initial_residual = r0;
   record(start_step, RecoveryAction::kResume, "restored from " + source);
   return true;
@@ -351,9 +347,7 @@ bool Solve::commit(int step, PtcStepRecord& rec) {
   // Let the CFL relaxation recover toward 1 after accepted steps.
   if (resilient && lad.cfl_relax < 1.0)
     lad.cfl_relax = std::min(1.0, lad.cfl_relax * kCflRegrow);
-  if (resilient && !opts.recovery.checkpoint_path.empty() &&
-      result.steps % kCheckpointEvery == 0)
-    checkpoint(step);
+  if (resilient && !opts.recovery.checkpoint_path.empty()) checkpoint(step);
   x_commit = x;
   rnorm_commit = rnorm;
 
@@ -362,7 +356,6 @@ bool Solve::commit(int step, PtcStepRecord& rec) {
   // per-rung watchdogs cannot see (every individual step looks healthy).
   // Deterministic — no wall clock involved.
   if (!stall_watchdog.observe(rnorm)) return true;
-  result.watchdog_fired = true;
   record(step, RecoveryAction::kDetectStall,
          "residual stalled across " + std::to_string(guard::kWatchdogWindow) +
              " accepted step(s)");
@@ -373,7 +366,6 @@ void Solve::checkpoint(int step) {
   F3D_OBS_SPAN("checkpoint");
   resilience::PtcCheckpoint ck;
   ck.step = step + 1;
-  ck.steps_done = result.steps;
   ck.x = x;
   ck.rnorm = rnorm;
   ck.r0 = r0;
@@ -382,10 +374,8 @@ void Solve::checkpoint(int step) {
   ck.total_linear_iterations = result.total_linear_iterations;
   ck.gmres_restart = lad.linear.gmres.restart;
   ck.krylov = static_cast<std::int32_t>(lad.linear.method);
-  if (opts.fault_injector != nullptr) {
-    ck.has_injector = true;
+  if (opts.fault_injector != nullptr)
     ck.injector = opts.fault_injector->state();
-  }
   ck.log = result.recovery_log;
   const std::string& path = opts.recovery.checkpoint_path;
   if (resilience::save_checkpoint(path, ck))
@@ -402,7 +392,6 @@ PtcResult Solve::finish() {
   result.work_units = sguard.work_units();
   result.trip = sguard.tripped();
   result.cancel_latency_units = sguard.latency_units();
-  result.watchdog_fired = result.watchdog_fired || stall_watchdog.fired();
   if (result.trip != guard::TripReason::kNone)
     record(cur_step, RecoveryAction::kGuardTrip,
            std::string(guard::trip_reason_name(result.trip)) + " after " +
@@ -410,7 +399,7 @@ PtcResult Solve::finish() {
 
   if (result.converged)
     result.verdict = guard::SolveVerdict::kConverged;
-  else if (result.watchdog_fired)
+  else if (result.recovery_log.count(RecoveryAction::kDetectStall) > 0)
     result.verdict = guard::SolveVerdict::kStagnated;
   else if (result.trip == guard::TripReason::kCancelled)
     result.verdict = guard::SolveVerdict::kCancelled;
@@ -745,7 +734,6 @@ void Solve::degrade(int step) {
   const double pr = sguard.pressure();
   if (!lad.loosened && pr >= kDegradeLoosenAt) {
     lad.loosened = true;
-    ++result.degrade_rungs;
     GmresOptions& go = lad.linear.gmres;
     go.rtol = std::min(kDegradeRtolMax, go.rtol * kDegradeRtolFactor);
     record(step, RecoveryAction::kDegradeRung,
@@ -753,14 +741,12 @@ void Solve::degrade(int step) {
   }
   if (!lad.frozen && pr >= kDegradeFreezeAt) {
     lad.frozen = true;
-    ++result.degrade_rungs;
     lad.jacobian_refresh = std::numeric_limits<int>::max();
     record(step, RecoveryAction::kDegradeRung,
            "freeze jacobian/preconditioner refresh");
   }
   if (!lad.shrunk && pr >= kDegradeShrinkAt) {
     lad.shrunk = true;
-    ++result.degrade_rungs;
     GmresOptions& go = lad.linear.gmres;
     go.restart = std::max(kDegradeRestartMin, go.restart / 2);
     go.max_iters = std::max(kDegradeKrylovItersMin, go.max_iters / 2);
@@ -795,7 +781,6 @@ void Solve::verify_entry_state(int step) {
 // the historical abort.
 void Solve::reject(int step, int attempt, PtcStepRecord& rec) {
   F3D_NUMERIC_CHECK_MSG(resilient, "psi-NKS diverged (NaN residual)");
-  ++result.steps_rejected;
   ++rec.rejections;
   x = x_step;
   rnorm = rnorm_step;
@@ -823,7 +808,6 @@ void Solve::recompute_or_rollback(int step, int attempt) {
   lad.force_refresh = true;
   if (lad.sdc_recomputes < kMaxRecompute) {
     ++lad.sdc_recomputes;
-    ++result.sdc_recomputes;
     record(step, RecoveryAction::kSdcRecompute,
            "reassemble and re-run attempt " + std::to_string(attempt + 1));
     return;
@@ -837,14 +821,12 @@ void Solve::recompute_or_rollback(int step, int attempt) {
 void Solve::rollback(int step) {
   x = x_commit;
   rnorm = rnorm_commit;
-  ++result.sdc_rollbacks;
   record(step, RecoveryAction::kSdcRollback, "restored last verified state");
 }
 
-// Every SDC guard firing funnels through here: tallies, logs, and either
-// hands the attempt to the ladder (resilient mode) or aborts.
+// Every SDC guard firing funnels through here: it either logs and hands
+// the attempt to the ladder (resilient mode) or aborts.
 void Solve::detect_sdc(const std::string& what) {
-  ++result.sdc_detections;
   F3D_NUMERIC_CHECK_MSG(resilient, "silent data corruption detected: " + what);
   record(cur_step, RecoveryAction::kDetectSdc, what);
   sdc_flagged = true;
@@ -869,18 +851,15 @@ PtcResult ptc_solve(NonlinearProblem& problem, std::vector<double>& x,
   }
   // Fold the solve's tallies into the process-wide registry so trace
   // files and bench reports can embed them next to the span timeline.
+  // Ladder actions need no fold: RecoveryLog::add counts each one as
+  // resilience.<action> when it happens.
   auto& reg = obs::Registry::global();
   reg.count("solver.ptc.steps", result.steps);
-  reg.count("solver.ptc.rejections", result.steps_rejected);
   reg.count("solver.ptc.function_evaluations", result.function_evaluations);
   reg.count("solver.krylov.iterations", result.total_linear_iterations);
   reg.count("solver.krylov.breakdowns", result.krylov_breakdowns);
-  reg.count("solver.ptc.sdc_recomputes", result.sdc_recomputes);
-  reg.count("solver.ptc.sdc_rollbacks", result.sdc_rollbacks);
   reg.count(std::string("guard.verdict.") +
             guard::verdict_name(result.verdict));
-  if (result.degrade_rungs > 0)
-    reg.count("guard.degrade_rungs", result.degrade_rungs);
   if (result.cancel_latency_units > 0)
     reg.count("guard.cancel_latency_units", result.cancel_latency_units);
   // Writes the Chrome trace iff the F3D_TRACE environment variable asked

@@ -229,15 +229,14 @@ struct PtcResult {
   std::vector<PtcStepRecord> history;
   SolveCounters counters;
 
-  // Resilience bookkeeping.
+  // Resilience bookkeeping. The recovery log is the one record of what
+  // the ladders did: rejected steps, SDC detections and rungs, degrade
+  // rungs, stalls and resumes are recovery_log.count(action). A resumed
+  // solve restores the log, so its tallies span the kill like `steps`.
   resilience::RecoveryLog recovery_log;  ///< every detection/recovery action
-  int steps_rejected = 0;     ///< step attempts rolled back
-  int krylov_breakdowns = 0;  ///< breakdowns reported by the inner solver
-  bool resumed = false;       ///< state was restored from a checkpoint
-  int resume_step = 0;        ///< first step executed after the restore
-  int sdc_detections = 0;     ///< guard firings (ABFT / drift / admissibility)
-  int sdc_recomputes = 0;     ///< recompute-and-verify rungs taken
-  int sdc_rollbacks = 0;      ///< rollbacks to the last verified state
+  /// Breakdowns reported by the inner solver; the plain path keeps no log,
+  /// so this is its only record of them.
+  int krylov_breakdowns = 0;
 
   // Run-to-completion contract (f3d::guard). On any early exit x holds
   // the best committed iterate — the last accepted pseudo-timestep's
@@ -246,8 +245,6 @@ struct PtcResult {
   guard::TripReason trip = guard::TripReason::kNone;
   long long work_units = 0;           ///< deterministic cost-model total
   long long cancel_latency_units = 0; ///< units charged after the trip
-  int degrade_rungs = 0;              ///< degradation-ladder rungs fired
-  bool watchdog_fired = false;        ///< livelock-style stall detected
   // Quality grade of the returned state.
   double residual_drop_orders = 0;    ///< log10(r0 / final_residual)
   bool best_state_admissible = true;  ///< admissibility scan of returned x

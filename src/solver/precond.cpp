@@ -287,13 +287,6 @@ std::string SchwarzPreconditioner::name() const {
          (opts_.single_precision ? "/float" : "/double");
 }
 
-std::vector<int> SchwarzPreconditioner::subdomain_sizes() const {
-  std::vector<int> out;
-  out.reserve(subs_.size());
-  for (const auto& sd : subs_) out.push_back(static_cast<int>(sd.vertices.size()));
-  return out;
-}
-
 std::size_t SchwarzPreconditioner::factor_bytes() const {
   std::size_t bytes = 0;
   for (const auto& sd : subs_) {

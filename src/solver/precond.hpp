@@ -79,9 +79,6 @@ public:
   [[nodiscard]] int num_subdomains() const {
     return static_cast<int>(subs_.size());
   }
-  /// Owned + overlap vertex count per subdomain (the paper's "larger local
-  /// submatrices" ASM cost).
-  [[nodiscard]] std::vector<int> subdomain_sizes() const;
   /// Total factor storage in bytes (float factors halve this — the
   /// memory-bandwidth lever of Table 2).
   [[nodiscard]] std::size_t factor_bytes() const;

@@ -17,7 +17,7 @@ constexpr std::int64_t kVecGrain = 8192;
 // The elementwise kernels vectorize 4 lanes at a time with the identical
 // per-element arithmetic (no reassociation), so the SIMD paths here are
 // bit-identical to the scalar loops — unlike the reductions, there is no
-// per-configuration rounding caveat for axpy/aypx/waxpy/scale.
+// per-configuration rounding caveat for axpy/scale.
 }  // namespace
 
 double dot(const Vec& x, const Vec& y) {
@@ -47,43 +47,6 @@ void axpy(double a, const Vec& x, Vec& y) {
       kVecGrain);
 }
 
-void aypx(double a, const Vec& x, Vec& y) {
-  F3D_CHECK(x.size() == y.size());
-  const bool use_simd = simd::enabled();
-  exec::pool().parallel_for(
-      0, static_cast<std::int64_t>(x.size()),
-      [&, use_simd](std::int64_t lo, std::int64_t hi) {
-        std::int64_t i = lo;
-        if (use_simd) {
-          const simd::Vd va = simd::Vd::broadcast(a);
-          for (; i + simd::kDoubleLanes <= hi; i += simd::kDoubleLanes)
-            (simd::Vd::loadu(&x[i]) + va * simd::Vd::loadu(&y[i]))
-                .storeu(&y[i]);
-        }
-        for (; i < hi; ++i) y[i] = x[i] + a * y[i];
-      },
-      kVecGrain);
-}
-
-void waxpy(Vec& w, double a, const Vec& x, const Vec& y) {
-  F3D_CHECK(x.size() == y.size());
-  w.resize(x.size());
-  const bool use_simd = simd::enabled();
-  exec::pool().parallel_for(
-      0, static_cast<std::int64_t>(x.size()),
-      [&, use_simd](std::int64_t lo, std::int64_t hi) {
-        std::int64_t i = lo;
-        if (use_simd) {
-          const simd::Vd va = simd::Vd::broadcast(a);
-          for (; i + simd::kDoubleLanes <= hi; i += simd::kDoubleLanes)
-            (va * simd::Vd::loadu(&x[i]) + simd::Vd::loadu(&y[i]))
-                .storeu(&w[i]);
-        }
-        for (; i < hi; ++i) w[i] = a * x[i] + y[i];
-      },
-      kVecGrain);
-}
-
 void scale(Vec& x, double a) {
   const bool use_simd = simd::enabled();
   exec::pool().parallel_for(
@@ -98,19 +61,6 @@ void scale(Vec& x, double a) {
         for (; i < hi; ++i) x[i] *= a;
       },
       kVecGrain);
-}
-
-void set_all(Vec& x, double a) {
-  exec::pool().parallel_for(
-      0, static_cast<std::int64_t>(x.size()),
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) x[i] = a;
-      },
-      kVecGrain);
-}
-
-double norm_inf(const Vec& x) {
-  return exec::max_abs(static_cast<std::int64_t>(x.size()), x.data());
 }
 
 }  // namespace f3d::sparse

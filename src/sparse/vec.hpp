@@ -14,13 +14,6 @@ double dot(const Vec& x, const Vec& y);
 double norm2(const Vec& x);
 /// y += a * x
 void axpy(double a, const Vec& x, Vec& y);
-/// y = x + a * y
-void aypx(double a, const Vec& x, Vec& y);
-/// w = a * x + y
-void waxpy(Vec& w, double a, const Vec& x, const Vec& y);
 void scale(Vec& x, double a);
-void set_all(Vec& x, double a);
-/// max_i |x_i|
-double norm_inf(const Vec& x);
 
 }  // namespace f3d::sparse

@@ -18,6 +18,7 @@
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
+#include "exec/pool.hpp"
 #include "fleet/journal.hpp"
 #include "fleet/service.hpp"
 #include "fleet/spec.hpp"
@@ -277,6 +278,9 @@ TEST(FleetService, CommitsWholeBatchAndIsDeterministic) {
 }
 
 TEST(FleetService, WorkerCountDoesNotChangeSolutions) {
+  // Multi-worker fleets require a 1-thread exec pool (Service::serve's
+  // precondition), whatever F3D_THREADS asks for.
+  exec::ThreadScope one_thread(1);
   const auto spec = small_batch();
   fleet::Service one(quick_opts());
   const auto ra = one.serve(spec);

@@ -163,7 +163,6 @@ TEST(ProgressWatchdog, CleanConvergenceNeverFires) {
     EXPECT_FALSE(wd.observe(r)) << "step " << i;
     r *= 0.9;  // steady convergence
   }
-  EXPECT_FALSE(wd.fired());
 }
 
 TEST(ProgressWatchdog, FlatResidualFiresOncePastTheWindow) {
@@ -172,14 +171,13 @@ TEST(ProgressWatchdog, FlatResidualFiresOncePastTheWindow) {
   for (int i = 0; i < 3 * guard::kWatchdogWindow && fired_at < 0; ++i)
     if (wd.observe(1e-13)) fired_at = i;
   EXPECT_EQ(fired_at, guard::kWatchdogWindow);  // earliest possible point
-  EXPECT_TRUE(wd.fired());
-  EXPECT_FALSE(wd.observe(1e-13));  // fires at most once
+  for (int i = 0; i < 2 * guard::kWatchdogWindow; ++i)
+    EXPECT_FALSE(wd.observe(1e-13)) << "step " << i;  // fires at most once
 }
 
 TEST(ProgressWatchdog, DisabledObservesNothing) {
   guard::ProgressWatchdog wd(false);
-  for (int i = 0; i < 50; ++i) EXPECT_FALSE(wd.observe(1.0));
-  EXPECT_FALSE(wd.fired());
+  for (int i = 0; i < 50; ++i) EXPECT_FALSE(wd.observe(1.0)) << "step " << i;
 }
 
 TEST(ProgressWatchdog, SlowPlateauToleratedWithinRatio) {
@@ -228,8 +226,7 @@ TEST(GuardedSolve, UnboundedGuardKeepsHistoricalBehavior) {
   EXPECT_EQ(res.trip, TripReason::kNone);
   EXPECT_GT(res.work_units, 0);  // the cost model still accumulates
   EXPECT_EQ(res.cancel_latency_units, 0);
-  EXPECT_EQ(res.degrade_rungs, 0);
-  EXPECT_FALSE(res.watchdog_fired);
+  EXPECT_TRUE(res.recovery_log.empty());  // no rung, stall or trip
   EXPECT_GE(res.residual_drop_orders, 8.0);  // rtol 1e-8 was met
   EXPECT_TRUE(res.best_state_admissible);
 }
@@ -318,7 +315,9 @@ TEST(GuardedSolve, WatchdogQuietOnCleanConvergence) {
   const auto res = run_wing(o);
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.verdict, SolveVerdict::kConverged);
-  EXPECT_FALSE(res.watchdog_fired);  // zero false positives on clean runs
+  // Zero false positives on clean runs.
+  EXPECT_EQ(res.recovery_log.count(resilience::RecoveryAction::kDetectStall),
+            0);
 }
 
 TEST(GuardedSolve, WatchdogDetectsResidualFloorStall) {
@@ -328,11 +327,10 @@ TEST(GuardedSolve, WatchdogDetectsResidualFloorStall) {
   o.guard.watchdog = true;
   const auto res = run_wing(o);
   EXPECT_FALSE(res.converged);
-  EXPECT_TRUE(res.watchdog_fired);
   EXPECT_EQ(res.verdict, SolveVerdict::kStagnated);
   EXPECT_LT(res.steps, o.max_steps);  // fired before burning the step cap
-  EXPECT_GT(res.recovery_log.count(resilience::RecoveryAction::kDetectStall),
-            0);
+  EXPECT_EQ(res.recovery_log.count(resilience::RecoveryAction::kDetectStall),
+            1);
 }
 
 TEST(GuardedSolve, DegradationLadderFiresUnderBudgetPressure) {
@@ -343,7 +341,8 @@ TEST(GuardedSolve, DegradationLadderFiresUnderBudgetPressure) {
   o.guard.budget.max_work_units = full.work_units;  // pressure reaches 1.0
   o.guard.degrade = true;  // all three rungs fire inside the budget
   const auto res = run_wing(o);
-  EXPECT_EQ(res.degrade_rungs, 3);
+  EXPECT_EQ(res.recovery_log.count(resilience::RecoveryAction::kDegradeRung),
+            3);
   std::vector<std::string> rungs;
   for (const auto& e : res.recovery_log.events()) {
     EXPECT_EQ(e.action, resilience::RecoveryAction::kDegradeRung);

@@ -16,7 +16,6 @@
 #include "mesh/ordering.hpp"
 #include "obs/obs.hpp"
 #include "partition/multilevel.hpp"
-#include "perf/machine.hpp"
 #include "solver/newton.hpp"
 
 namespace {
@@ -264,14 +263,6 @@ TEST(Integration, SecondOrderSolveAndVtkDump) {
   EXPECT_TRUE(res.converged);
   io::write_flow_vtk("/tmp/f3d_integration.vtk", m, disc.config(), x);
   std::remove("/tmp/f3d_integration.vtk");
-}
-
-TEST(Integration, HostMachineModelIsUsable) {
-  auto m = perf::host_machine(1 << 19);  // small arrays: fast test
-  EXPECT_GT(m.mem_bw_mbs, 10.0);
-  EXPECT_GT(m.cpu_mflops_peak, 100.0);
-  EXPECT_GT(m.sparse_mflops(), 0.0);
-  EXPECT_EQ(m.max_nodes, 1);
 }
 
 }  // namespace

@@ -93,7 +93,8 @@ TEST(Stream, RatesPositiveAndOrdered) {
 }
 
 TEST(Machines, PresetsAreSane) {
-  for (const auto& m : all_machines()) {
+  for (const auto& m :
+       {asci_red(), blue_pacific(), cray_t3e(), origin2000()}) {
     EXPECT_FALSE(m.name.empty());
     EXPECT_GT(m.max_nodes, 0);
     EXPECT_GT(m.cpu_mflops_peak, 0);

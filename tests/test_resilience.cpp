@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cfd/problem.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "mesh/generator.hpp"
@@ -586,7 +587,8 @@ TEST(PtcRecovery, IdleBitFlipSiteKeepsCampaignBitIdentical) {
   EXPECT_EQ(inj_b.draws(FaultSite::kBitFlip), 0);  // no draws consumed
   EXPECT_EQ(res_a.converged, res_b.converged);
   EXPECT_EQ(res_a.steps, res_b.steps);
-  EXPECT_EQ(res_a.steps_rejected, res_b.steps_rejected);
+  EXPECT_EQ(res_a.recovery_log.count(RecoveryAction::kStepRejected),
+            res_b.recovery_log.count(RecoveryAction::kStepRejected));
   EXPECT_EQ(res_a.final_residual, res_b.final_residual);
   ASSERT_EQ(x_a.size(), x_b.size());
   EXPECT_EQ(std::memcmp(x_a.data(), x_b.data(), x_a.size() * sizeof(double)),
@@ -600,7 +602,6 @@ TEST(PtcRecovery, NanResidualIsRejectedAndRecovered) {
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kDetectNanResidual), 0);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kStepRejected), 0);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kCflBacktrack), 0);
-  EXPECT_GT(res.steps_rejected, 0);
 }
 
 TEST(PtcRecovery, NanResidualAbortsWithoutRecovery) {
@@ -733,7 +734,7 @@ TEST(PtcRecovery, DivergentStepIsRejectedAndRecovered) {
   const auto res = ptc_solve(prob, x, o);
 
   EXPECT_TRUE(res.converged);
-  EXPECT_EQ(res.steps_rejected, 1);
+  EXPECT_EQ(res.recovery_log.count(RecoveryAction::kStepRejected), 1);
   std::vector<RecoveryAction> actions;
   for (const auto& e : res.recovery_log.events()) {
     EXPECT_EQ(e.step, 2);
@@ -825,10 +826,18 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
 }
 
+void expect_same_log(const RecoveryLog& a, const RecoveryLog& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.events()[i].step, b.events()[i].step);
+    EXPECT_EQ(a.events()[i].action, b.events()[i].action);
+    EXPECT_EQ(a.events()[i].detail, b.events()[i].detail);
+  }
+}
+
 TEST(Checkpoint, RoundTripIsBitExact) {
   PtcCheckpoint ck;
   ck.step = 7;
-  ck.steps_done = 7;
   Rng rng(12);
   ck.x.resize(257);
   for (auto& v : ck.x) v = rng.uniform(-10, 10);
@@ -839,7 +848,6 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   ck.total_linear_iterations = 5678;
   ck.gmres_restart = 40;
   ck.krylov = 1;
-  ck.has_injector = true;
   FaultInjector inj(314);
   FaultPlan p;
   p.probability = 0.4;
@@ -851,9 +859,6 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   for (int d = 0; d < 23; ++d) inj.should_fire(FaultSite::kResidual);
   for (int d = 0; d < 7; ++d) inj.should_fire(FaultSite::kRankFail);
   ck.injector = inj.state();
-  ck.rank_alive = {1, 1, 0, 1};  // distributed campaign state
-  ck.spares_used = 2;
-  ck.last_buddy_checkpoint_step = 5;
   ck.log.add(3, RecoveryAction::kStepRejected, "attempt 1");
   ck.log.add(3, RecoveryAction::kCflBacktrack, "cfl_relax=0.25");
   ck.log.add(5, RecoveryAction::kSpareSubstitution, "rank 2");
@@ -864,7 +869,6 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   auto back = load_checkpoint(path);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->step, ck.step);
-  EXPECT_EQ(back->steps_done, ck.steps_done);
   ASSERT_EQ(back->x.size(), ck.x.size());
   EXPECT_EQ(0, std::memcmp(back->x.data(), ck.x.data(),
                            ck.x.size() * sizeof(double)));
@@ -875,23 +879,26 @@ TEST(Checkpoint, RoundTripIsBitExact) {
   EXPECT_EQ(back->total_linear_iterations, ck.total_linear_iterations);
   EXPECT_EQ(back->gmres_restart, ck.gmres_restart);
   EXPECT_EQ(back->krylov, ck.krylov);
-  ASSERT_TRUE(back->has_injector);
-  EXPECT_EQ(back->injector.seed, ck.injector.seed);
-  EXPECT_EQ(back->injector.draws, ck.injector.draws);
-  EXPECT_EQ(back->injector.fires, ck.injector.fires);
-  EXPECT_EQ(back->injector.magnitudes, ck.injector.magnitudes);
-  EXPECT_EQ(back->injector.magnitudes[static_cast<int>(FaultSite::kRank)],
+  ASSERT_TRUE(back->injector.has_value());
+  EXPECT_EQ(back->injector->seed, ck.injector->seed);
+  EXPECT_EQ(back->injector->draws, ck.injector->draws);
+  EXPECT_EQ(back->injector->fires, ck.injector->fires);
+  EXPECT_EQ(back->injector->magnitudes, ck.injector->magnitudes);
+  EXPECT_EQ(back->injector->magnitudes[static_cast<int>(FaultSite::kRank)],
             3.75);
-  EXPECT_EQ(back->rank_alive, ck.rank_alive);
-  EXPECT_EQ(back->spares_used, ck.spares_used);
-  EXPECT_EQ(back->last_buddy_checkpoint_step, ck.last_buddy_checkpoint_step);
-  ASSERT_EQ(back->log.size(), ck.log.size());
-  for (std::size_t i = 0; i < ck.log.size(); ++i) {
-    EXPECT_EQ(back->log.events()[i].step, ck.log.events()[i].step);
-    EXPECT_EQ(back->log.events()[i].action, ck.log.events()[i].action);
-    EXPECT_EQ(back->log.events()[i].detail, ck.log.events()[i].detail);
-  }
+  expect_same_log(back->log, ck.log);
   std::remove(path.c_str());
+
+  // A solve without an injector checkpoints none, and restores none.
+  ck.injector.reset();
+  const auto bare = decode_checkpoint(encode_checkpoint(ck));
+  ASSERT_TRUE(bare.has_value());
+  EXPECT_FALSE(bare->injector.has_value());
+  EXPECT_EQ(bare->step, ck.step);
+  EXPECT_EQ(0, std::memcmp(bare->x.data(), ck.x.data(),
+                           ck.x.size() * sizeof(double)));
+  EXPECT_EQ(bare->gmres_restart, ck.gmres_restart);
+  expect_same_log(bare->log, ck.log);
 }
 
 TEST(Checkpoint, MissingOrCorruptFilesAreRejected) {
@@ -926,10 +933,16 @@ TEST(Checkpoint, SingleFlippedByteFailsTheCrc) {
   EXPECT_FALSE(
       decode_checkpoint(bytes.substr(0, bytes.size() - 1)).has_value());
   EXPECT_FALSE(decode_checkpoint(bytes.substr(0, header)).has_value());
-  // A checkpoint from a different format version is rejected up front.
+  // A checkpoint from a different format version is rejected up front,
+  // before its payload is parsed: a later version, and the previous one
+  // (3, whose payload also held steps_done and the campaign's fields).
   std::string skewed = bytes;
   skewed[8] = static_cast<char>(kCheckpointFormatVersion + 1);
   EXPECT_FALSE(decode_checkpoint(skewed).has_value());
+  ASSERT_EQ(kCheckpointFormatVersion, 4u);
+  std::string v3 = bytes;
+  v3[8] = 3;
+  EXPECT_FALSE(decode_checkpoint(v3).has_value());
   // Appending trailing garbage is not a valid checkpoint either.
   EXPECT_FALSE(decode_checkpoint(bytes + "x").has_value());
 }
@@ -1010,6 +1023,42 @@ TEST(Checkpoint, TornPrimaryFallsBackToPreviousGeneration) {
   EXPECT_FALSE(load_checkpoint_with_fallback(path).has_value());
 }
 
+// A payload whose CRC is valid but whose state length is absurd (2^58
+// doubles) must be rejected before anything is allocated for it: decode
+// returns nullopt, and restore falls back to the previous generation.
+TEST(Checkpoint, CrcValidHugeStateLengthIsRejected) {
+  PtcCheckpoint ck;
+  ck.step = 4;
+  ck.x = {1.0, 2.0};
+  std::string bytes = encode_checkpoint(ck);
+  const std::size_t header = 8 + 4 + 4 + 8;  // magic+version+crc+size
+  const std::int64_t huge = std::int64_t{1} << 58;
+  // Payload: step (int64), then the state length (int64).
+  std::memcpy(&bytes[header + 8], &huge, sizeof huge);
+  const std::uint32_t crc = crc32(bytes.data() + header, bytes.size() - header);
+  std::memcpy(&bytes[8 + 4], &crc, sizeof crc);
+  EXPECT_FALSE(decode_checkpoint(bytes).has_value());
+
+  const std::string path = temp_path("f3d_ck_huge.bin");
+  const std::string prev = path + ".prev";
+  std::remove(path.c_str());
+  std::remove(prev.c_str());
+  ASSERT_TRUE(save_checkpoint(path, ck));
+  ASSERT_TRUE(save_checkpoint(path, ck));  // rotates the first to .prev
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  std::string from;
+  const auto back = load_checkpoint_with_fallback(path, &from);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(from, prev);
+  EXPECT_EQ(back->step, 4);
+  EXPECT_EQ(back->x, ck.x);
+  std::remove(path.c_str());
+  std::remove(prev.c_str());
+}
+
 // Kill a run mid-solve, resume from its checkpoint, and require the
 // resumed trajectory to be bit-identical to an uninterrupted run — with a
 // live fault injector, so the injector stream restore is exercised too.
@@ -1062,10 +1111,22 @@ TEST(Checkpoint, KilledRunResumesBitIdentically) {
     o_resume.recovery.resume = true;
     std::vector<double> x_resume;
     auto res_resume = run_wing(&inj_resume, o_resume, &x_resume);
-    EXPECT_TRUE(res_resume.resumed);
-    EXPECT_GT(res_resume.resume_step, 0);
     EXPECT_TRUE(res_resume.converged);
-    EXPECT_GT(res_resume.recovery_log.count(RecoveryAction::kResume), 0);
+    const auto& events = res_resume.recovery_log.events();
+    const auto resume =
+        std::find_if(events.begin(), events.end(), [](const RecoveryEvent& e) {
+          return e.action == RecoveryAction::kResume;
+        });
+    ASSERT_NE(resume, events.end());
+    EXPECT_EQ(resume->step, c.kill_at_steps);
+
+    // The restored log carries the ladder's tallies across the kill.
+    for (const RecoveryAction a :
+         {RecoveryAction::kStepRejected, RecoveryAction::kDetectSdc,
+          RecoveryAction::kSdcRecompute, RecoveryAction::kSdcRollback})
+      EXPECT_EQ(res_resume.recovery_log.count(a),
+                res_full.recovery_log.count(a))
+          << recovery_action_name(a);
 
     // Bitwise-identical final state: exact double equality, no tolerance.
     EXPECT_EQ(res_resume.final_residual, res_full.final_residual);

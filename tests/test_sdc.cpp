@@ -486,8 +486,6 @@ TEST(PtcSdc, MatrixFlipDetectedByAbftAndClearedByRecompute) {
   inj.set_bit_flip({.bit = 58, .target = FlipTarget::kMatrix});
   auto res = run_wing_sdc(cfd::Model::kIncompressible, &inj, sdc_options(cfd::Model::kIncompressible));
   EXPECT_EQ(inj.fires(FaultSite::kBitFlip), 1);
-  EXPECT_GT(res.sdc_detections, 0);
-  EXPECT_GT(res.sdc_recomputes, 0);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kDetectSdc), 0);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kSdcRecompute), 0);
   EXPECT_TRUE(res.converged);
@@ -533,8 +531,6 @@ TEST(PtcSdc, PersistentStateCorruptionRollsBackToVerifiedState) {
 
   EXPECT_EQ(inj.fires(FaultSite::kBitFlip), 1);
   EXPECT_TRUE(res.converged);
-  EXPECT_GT(res.sdc_detections, 0);
-  EXPECT_EQ(res.sdc_rollbacks, 1);
   EXPECT_GT(res.recovery_log.count(RecoveryAction::kDetectSdc), 0);
   EXPECT_EQ(res.recovery_log.count(RecoveryAction::kSdcRollback), 1);
   EXPECT_EQ(res.steps, clean.steps);
@@ -634,7 +630,6 @@ TEST(PtcSdc, NonFiniteNewtonCorrectionIsRejected) {
 PtcCheckpoint small_checkpoint() {
   PtcCheckpoint ck;
   ck.step = 12;
-  ck.steps_done = 12;
   ck.x = {1.0, -2.5, 3.25, 0.0, 1e-7, 42.0};
   ck.rnorm = 1e-4;
   ck.r0 = 1.0;
@@ -642,7 +637,6 @@ PtcCheckpoint small_checkpoint() {
   ck.function_evaluations = 99;
   ck.total_linear_iterations = 321;
   ck.gmres_restart = 20;
-  ck.has_injector = true;
   FaultInjector inj(5);
   FaultPlan p;
   p.fire_every = 3;
@@ -769,9 +763,6 @@ TEST(CleanRun, TwoThousandStepsZeroDetectionsAndGuardsAreBitTransparent) {
     o.sdc.enabled = guards;
     auto res = solver::ptc_solve(prob, x, o);
     EXPECT_EQ(res.steps, 2000);
-    EXPECT_EQ(res.sdc_detections, 0);
-    EXPECT_EQ(res.sdc_recomputes, 0);
-    EXPECT_EQ(res.sdc_rollbacks, 0);
     EXPECT_EQ(res.recovery_log.count(RecoveryAction::kDetectSdc), 0);
     return x;
   };
@@ -821,9 +812,6 @@ TEST(CleanRun, MixedPrecisionTwoThousandStepsZeroFalsePositives) {
   o.sdc.enabled = true;
   auto res = solver::ptc_solve(prob, x, o);
   EXPECT_EQ(res.steps, 2000);
-  EXPECT_EQ(res.sdc_detections, 0);
-  EXPECT_EQ(res.sdc_recomputes, 0);
-  EXPECT_EQ(res.sdc_rollbacks, 0);
   EXPECT_EQ(res.recovery_log.count(RecoveryAction::kDetectSdc), 0);
 }
 
@@ -858,7 +846,7 @@ TEST(PtcSdc, MixedPrecisionMatrixFlipDetectedByAbft) {
   o.recovery.enabled = true;
   o.sdc.enabled = true;
   auto res = solver::ptc_solve(prob, x, o);
-  EXPECT_GT(res.sdc_detections, 0)
+  EXPECT_GT(res.recovery_log.count(RecoveryAction::kDetectSdc), 0)
       << "float-exponent flip in the mixed-precision operator escaped ABFT";
 }
 

@@ -144,13 +144,11 @@ TEST(SimdConfig, AxpyFamilyIsBitIdenticalScalarVsSimd) {
   {
     simd::EnabledScope off(false);
     sparse::axpy(1.7, x, y1);
-    sparse::aypx(0.3, x, y1);
     sparse::scale(y1, 1.25);
   }
   {
     simd::EnabledScope on(true);
     sparse::axpy(1.7, x, y2);
-    sparse::aypx(0.3, x, y2);
     sparse::scale(y2, 1.25);
   }
   EXPECT_EQ(std::memcmp(y1.data(), y2.data(), y1.size() * sizeof(double)), 0);

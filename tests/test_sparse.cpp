@@ -26,22 +26,14 @@ TEST(Vec, DotAndNorm) {
   Vec x = {3, 4};
   EXPECT_DOUBLE_EQ(dot(x, x), 25.0);
   EXPECT_DOUBLE_EQ(norm2(x), 5.0);
-  EXPECT_DOUBLE_EQ(norm_inf(x), 4.0);
 }
 
 TEST(Vec, AxpyFamilies) {
   Vec x = {1, 2, 3}, y = {10, 20, 30};
   axpy(2.0, x, y);
   EXPECT_EQ(y, (Vec{12, 24, 36}));
-  aypx(0.5, x, y);  // y = x + 0.5 y
-  EXPECT_EQ(y, (Vec{7, 14, 21}));
-  Vec w;
-  waxpy(w, -1.0, x, y);  // w = -x + y
-  EXPECT_EQ(w, (Vec{6, 12, 18}));
-  scale(w, 1.0 / 6.0);
-  EXPECT_DOUBLE_EQ(w[0], 1.0);
-  set_all(w, 0.0);
-  EXPECT_DOUBLE_EQ(norm2(w), 0.0);
+  scale(y, 0.5);
+  EXPECT_EQ(y, (Vec{6, 12, 18}));
 }
 
 TEST(Vec, SizeMismatchThrows) {
