@@ -138,9 +138,8 @@ int main(int argc, char** argv) {
   }
 
   // --- ILU(0) triangular solve: double vs float factors ---------------
-  const auto pat = sparse::ilu_symbolic(jac, 0);
-  const auto ilu_d = sparse::ilu_factor_block<double>(jac, pat);
-  const auto ilu_f = sparse::ilu_factor_block<float>(jac, pat);
+  const sparse::BlockIlu<double> ilu_d(jac, 0);
+  const sparse::BlockIlu<float> ilu_f(jac, 0);
   std::vector<double> z(n);
   Ab3 tri;
   {

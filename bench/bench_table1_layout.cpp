@@ -17,6 +17,7 @@
 
 #include "bench_util.hpp"
 #include "cfd/euler.hpp"
+#include "common/error.hpp"
 #include "common/options.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
@@ -67,43 +68,35 @@ double time_step(const mesh::UnstructuredMesh& mesh, cfd::Model model,
   auto stencil = sparse::stencil_from_mesh(mesh);
   auto values = sparse::synthetic_values(stencil);
 
-  sparse::Bcsr<double> ab;
-  sparse::Csr<double> ap;
-  sparse::IluPattern pat;
-  if (blocking) {
-    ab = sparse::build_bcsr(stencil, nb, values);
-    pat = sparse::ilu_symbolic(ab, 0);
-  } else {
-    ap = sparse::build_point_csr(stencil, nb, values, cfg.layout);
-    pat = sparse::ilu_symbolic(ap, 0);
-  }
-
   std::vector<double> x(static_cast<std::size_t>(stencil.n) * nb, 1.0);
   std::vector<double> y(x.size());
 
-  double best = 1e100;
-  for (int rep = 0; rep < reps; ++rep) {
-    Timer t;
-    // Two residual evaluations per step (function + matrix-free action).
-    disc.residual(q, r);
-    disc.residual(q, r);
-    // Preconditioner refresh (refactorization) + Krylov loop kernels.
-    if (blocking) {
-      auto f = sparse::ilu_factor_block<double>(ab, pat);
+  // Best time of one step on matrix `a` with its ILU factor `f`.
+  auto best_step = [&](const auto& a, auto& f) {
+    double best = 1e100;
+    for (int rep = 0; rep < reps; ++rep) {
+      Timer t;
+      // Two residual evaluations per step (function + matrix-free action).
+      disc.residual(q, r);
+      disc.residual(q, r);
+      // Preconditioner refresh (refactorization) + Krylov loop kernels.
+      F3D_CHECK(f.refactor(a).ok);
       for (int k = 0; k < linear_its; ++k) {
-        ab.spmv(x.data(), y.data());
+        a.spmv(x.data(), y.data());
         f.solve(y.data(), x.data());
       }
-    } else {
-      auto f = sparse::ilu_factor_point<double>(ap, pat);
-      for (int k = 0; k < linear_its; ++k) {
-        ap.spmv(x.data(), y.data());
-        f.solve(y.data(), x.data());
-      }
+      best = std::min(best, t.seconds());
     }
-    best = std::min(best, t.seconds());
+    return best;
+  };
+  if (blocking) {
+    const auto a = sparse::build_bcsr(stencil, nb, values);
+    sparse::BlockIlu<double> f(a, 0);
+    return best_step(a, f);
   }
-  return best;
+  const auto a = sparse::build_point_csr(stencil, nb, values, cfg.layout);
+  sparse::PointIlu<double> f(a, 0);
+  return best_step(a, f);
 }
 
 }  // namespace

@@ -58,9 +58,8 @@ int main(int argc, char** argv) {
       blk[c * 4 + c] += sr[v] / 10.0;  // CFL ~ 10 shift
   }
 
-  auto pat = sparse::ilu_symbolic(jac, 0);
-  auto fd = sparse::ilu_factor_block<double>(jac, pat);
-  auto ff = sparse::ilu_factor_block<float>(jac, pat);
+  const sparse::BlockIlu<double> fd(jac, 0);
+  const sparse::BlockIlu<float> ff(jac, 0);
 
   const std::size_t n = static_cast<std::size_t>(jac.scalar_n());
   std::vector<double> b(n, 1.0), x(n);

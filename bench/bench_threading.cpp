@@ -132,15 +132,14 @@ int main(int argc, char** argv) {
       y.size());
 
   // --- ILU(0) triangular solves (level-scheduled) ---------------------
-  const auto pat = sparse::ilu_symbolic(jac, 0);
-  const auto ilu = sparse::ilu_factor_block<double>(jac, pat);
-  const auto fwd = sparse::lower_levels(pat);
-  const auto bwd = sparse::upper_levels(pat);
+  const sparse::BlockIlu<double> ilu(jac, 0);
+  const int fwd_levels = sparse::lower_levels(ilu.pattern()).num_levels();
+  const int bwd_levels = sparse::upper_levels(ilu.pattern()).num_levels();
   std::vector<double> z(n), zserial(n);
   ilu.solve(x.data(), zserial.data());
   auto tri = sweep_kernel(
       max_threads, reps,
-      [&] { ilu.solve_levels(fwd, bwd, x.data(), z.data()); }, z.data(),
+      [&] { ilu.solve_levels(x.data(), z.data()); }, z.data(),
       z.size());
   const bool tri_matches_serial =
       std::memcmp(z.data(), zserial.data(), z.size() * sizeof(double)) == 0;
@@ -200,7 +199,7 @@ int main(int argc, char** argv) {
       "\nflux+SpMV speedup at %d threads: %.2fx (host has %u hardware "
       "thread%s)\ntrisolve fwd/bwd levels: %d/%d over %d rows\n",
       max_threads, combined_speedup, hw, hw == 1 ? "" : "s",
-      fwd.num_levels(), bwd.num_levels(), jac.nrows);
+      fwd_levels, bwd_levels, jac.nrows);
   if (hw < static_cast<unsigned>(max_threads))
     std::printf(
         "note: oversubscribed sweep (threads > cores); speedups above "
@@ -215,8 +214,8 @@ int main(int argc, char** argv) {
       .set("edges", mesh.num_edges())
       .set("edge_colors", disc.edge_coloring().num_colors())
       .set("unknowns", n)
-      .set("ilu_forward_levels", fwd.num_levels())
-      .set("ilu_backward_levels", bwd.num_levels())
+      .set("ilu_forward_levels", fwd_levels)
+      .set("ilu_backward_levels", bwd_levels)
       .set("flux_spmv_speedup_at_max_threads", combined_speedup);
   auto kernels = benchutil::Json::object();
   kernels.set("flux_residual", to_json(flux))

@@ -9,7 +9,11 @@
 #      scenario-fleet storm campaign. Each writes its BENCH_*.json with
 #      its gates in series.gates, prints its gate table, and exits
 #      nonzero when a required gate fails.
-#   3. docs gate: a traced quickstart run must produce a schema-valid
+#   3. repository benchmark self-test (perfbench/run.py --self-test): the
+#      unshuffled compwing-6k and incomp2-20k solves must reproduce their
+#      reference step / linear-iteration / residual-evaluation counts, and
+#      the traced run's layer ledger must account for the solve
+#   4. docs gate: a traced quickstart run must produce a schema-valid
 #      Chrome trace whose phase spans cover >=90% of the solve, every
 #      committed BENCH_*.json must carry the f3d-bench-v1 envelope and
 #      pass its recomputed series.gates, the tuning DB must match
@@ -17,12 +21,13 @@
 #      -dump-knobs) must be documented in docs/TUNING.md, and the
 #      markdown must have no dead relative links; negative controls prove
 #      the knob cross-check and the gate checker can fail
-#   4. ASan+UBSan build + the resilience-, sdc-, failslow-, tune-, fleet-,
-#      simd-, obs- and guard-labelled tests (fault injection, recovery,
-#      checkpoints, journals, budgets and cancellation, the SIMD pack loads
-#      and the strict JSON parser: where memory bugs would hide behind
-#      error handling)
-#   5. TSan build + the threaded-, obs-, simd-, fleet- and guard-labelled
+#   5. ASan+UBSan build + the resilience-, sdc-, failslow-, tune-, fleet-,
+#      simd-, obs-, guard- and linear-labelled tests (fault injection,
+#      recovery, checkpoints, journals, budgets and cancellation, the SIMD
+#      pack loads, the strict JSON parser: where memory bugs would hide
+#      behind error handling; and the sparse, Krylov and Schwarz tests,
+#      whose ILU factors are refactored in place in reused buffers)
+#   6. TSan build + the threaded-, obs-, simd-, fleet- and guard-labelled
 #      tests (the exec pool, colored scatters, level-scheduled solves,
 #      span/counter merges, and the suites that sweep pool sizes) with a
 #      4-thread pool
@@ -76,6 +81,9 @@ echo "=== self-tuning A/B (BENCH_tune.json + build/tune_db.json) ==="
 echo "=== scenario-fleet storm campaign (BENCH_fleet.json) ==="
 ./build/bench/bench_fleet -out BENCH_fleet.json
 
+echo "=== repository benchmark self-test (perfbench/run.py --self-test) ==="
+python3 perfbench/run.py --self-test
+
 echo "=== docs gate: trace schema + bench gates + markdown links ==="
 F3D_TRACE=1 F3D_TRACE_OUT=build/ci_trace.json ./build/examples/quickstart
 ./build/examples/tuned_solve -dump-knobs > build/knobs.json
@@ -124,7 +132,7 @@ for defect in no-gates failed-required-gate contradicted-pass \
   fi
 done
 
-echo "=== asan build + resilience/sdc/failslow/tune/fleet/simd/obs/guard-labelled tests ==="
+echo "=== asan build + resilience/sdc/failslow/tune/fleet/simd/obs/guard/linear-labelled tests ==="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 ctest --preset asan -j "$JOBS"

@@ -1,6 +1,6 @@
 #include "exec/reduce.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -87,27 +87,6 @@ double sum(std::int64_t n, const double* x) {
     for (std::int64_t i = lo; i < hi; ++i) s += x[i];
     return s;
   });
-}
-
-double max_abs(std::int64_t n, const double* x) {
-  if (n <= 0) return 0.0;
-  const std::int64_t nblk = (n + kReduceBlock - 1) / kReduceBlock;
-  std::vector<double> partial(nblk, 0.0);
-  pool().parallel_for(
-      0, nblk,
-      [&](std::int64_t blo, std::int64_t bhi) {
-        for (std::int64_t b = blo; b < bhi; ++b) {
-          const std::int64_t lo = b * kReduceBlock;
-          const std::int64_t hi = std::min(n, lo + kReduceBlock);
-          double m = 0;
-          for (std::int64_t i = lo; i < hi; ++i) m = std::max(m, std::abs(x[i]));
-          partial[b] = m;
-        }
-      },
-      /*grain=*/1);
-  double m = 0;
-  for (double v : partial) m = std::max(m, v);
-  return m;
 }
 
 }  // namespace f3d::exec

@@ -32,7 +32,4 @@ double dot(std::int64_t n, const double* x, const double* y);
 /// sum_i x[i], fixed-block tree order.
 double sum(std::int64_t n, const double* x);
 
-/// max_i |x[i]| (exact — order-independent), computed in parallel.
-double max_abs(std::int64_t n, const double* x);
-
 }  // namespace f3d::exec

@@ -124,14 +124,17 @@ std::optional<PtcCheckpoint> decode_payload(Reader& rd) {
   }
   const auto nev = rd.get<std::int64_t>();
   if (!rd.ok || nev < 0) return std::nullopt;
+  std::vector<RecoveryEvent> events;
   for (std::int64_t i = 0; i < nev; ++i) {
     const int step = rd.get<std::int32_t>();
-    const auto action = static_cast<RecoveryAction>(rd.get<std::int32_t>());
+    const int action = rd.get<std::int32_t>();
     std::string detail = rd.get_string();
-    if (!rd.ok) return std::nullopt;
-    ck.log.add(step, action, std::move(detail));
+    if (!rd.ok || action < 0 || action >= kNumRecoveryActions)
+      return std::nullopt;
+    events.push_back(
+        {step, static_cast<RecoveryAction>(action), std::move(detail)});
   }
-  if (!rd.ok) return std::nullopt;
+  ck.log = RecoveryLog(std::move(events));
   return ck;
 }
 

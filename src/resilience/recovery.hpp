@@ -6,6 +6,7 @@
 // instead of grepping stderr.
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace f3d::resilience {
@@ -51,6 +52,11 @@ enum class RecoveryAction : int {
   kDegradeRung,            ///< degradation ladder traded accuracy for time
 };
 
+/// One past the last RecoveryAction: a serialized action outside
+/// [0, kNumRecoveryActions) is rejected.
+inline constexpr int kNumRecoveryActions =
+    static_cast<int>(RecoveryAction::kDegradeRung) + 1;
+
 [[nodiscard]] const char* recovery_action_name(RecoveryAction action);
 
 struct RecoveryEvent {
@@ -61,6 +67,12 @@ struct RecoveryEvent {
 
 class RecoveryLog {
 public:
+  RecoveryLog() = default;
+  /// Restores events an earlier process logged (a checkpoint's log)
+  /// without tallying them: the registry counts what this process did.
+  explicit RecoveryLog(std::vector<RecoveryEvent> restored)
+      : events_(std::move(restored)) {}
+
   /// Appends the event and tallies it into the process-wide observability
   /// registry as "resilience.<action-name>" (defined in recovery.cpp).
   void add(int step, RecoveryAction action, std::string detail = {});

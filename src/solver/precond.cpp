@@ -77,19 +77,21 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
       // Global columns ascending and the local ids monotone in global ids
       // within the subdomain set, so local columns are already sorted.
     }
-    if (opts_.subdomain_solver == SubdomainSolver::kIlu) {
-      sd.pattern = sparse::ilu_symbolic(sd.local, opts_.fill_level);
-      // Level schedules of the triangular solves, computed once: the
-      // pattern is fixed across Newton refactorizations.
-      sd.fwd = sparse::lower_levels(sd.pattern);
-      sd.bwd = sparse::upper_levels(sd.pattern);
-    }
-
     for (int k = 0; k < nl; ++k) global_to_local[sd.vertices[k]] = -1;
-  }
 
-  const resilience::FactorReport report = refactor(a, 0);
-  F3D_NUMERIC_CHECK_MSG(report.ok, report.detail);
+    // First factorization, right after this subdomain's values arrive
+    // (one kFactorPivot draw per subdomain, in subdomain order). The ILU
+    // factor is built here once; refreshes refactor it in place.
+    extract_local_values(a, sd);
+    if (opts_.subdomain_solver == SubdomainSolver::kSsor) {
+      std::string err;
+      F3D_NUMERIC_CHECK_MSG(factor_checked(sd, err), err);
+    } else if (opts_.single_precision) {
+      sd.ilu_f.emplace(sd.local, opts_.fill_level);
+    } else {
+      sd.ilu_d.emplace(sd.local, opts_.fill_level);
+    }
+  }
 }
 
 void SchwarzPreconditioner::extract_local_values(const sparse::Bcsr<double>& a,
@@ -119,7 +121,7 @@ void SchwarzPreconditioner::extract_local_values(const sparse::Bcsr<double>& a,
   }
 }
 
-bool SchwarzPreconditioner::factor_checked(Subdomain& sd, std::string* err) {
+bool SchwarzPreconditioner::factor_checked(Subdomain& sd, std::string& err) {
   if (opts_.subdomain_solver == SubdomainSolver::kSsor) {
     // SSOR only needs the factored diagonal blocks.
     const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
@@ -132,27 +134,18 @@ bool SchwarzPreconditioner::factor_checked(Subdomain& sd, std::string* err) {
       const bool ok =
           dense::lu_factor(nb_, &sd.diag_lu[static_cast<std::size_t>(k) * bsz]);
       if (!ok) {
-        if (err != nullptr)
-          *err = "singular diagonal block in SSOR at local row " +
-                 std::to_string(k);
+        err = "singular diagonal block in SSOR at local row " +
+              std::to_string(k);
         return false;
       }
     }
-    sd.ilu_d = {};
-    sd.ilu_f = {};
     return true;
   }
-  sparse::IluFactorStatus status;
-  if (opts_.single_precision) {
-    sd.ilu_f = sparse::ilu_factor_block<float>(sd.local, sd.pattern, &status);
-    sd.ilu_d = {};
-  } else {
-    sd.ilu_d = sparse::ilu_factor_block<double>(sd.local, sd.pattern, &status);
-    sd.ilu_f = {};
-  }
-  if (!status.ok && err != nullptr)
-    *err = "singular diagonal block in block ILU at local row " +
-           std::to_string(status.bad_row);
+  const sparse::IluFactorStatus status =
+      sd.ilu_f ? sd.ilu_f->refactor(sd.local) : sd.ilu_d->refactor(sd.local);
+  if (!status.ok)
+    err = "singular diagonal block in block ILU at local row " +
+          std::to_string(status.bad_row);
   return status.ok;
 }
 
@@ -204,7 +197,7 @@ resilience::FactorReport SchwarzPreconditioner::refactor(
   for (auto& sd : subs_) {
     extract_local_values(a, sd);
     std::string err;
-    if (factor_checked(sd, &err)) continue;
+    if (factor_checked(sd, err)) continue;
 
     // Diagonal scale of the failing subdomain, so the shift is relative.
     double scale = 0;
@@ -227,7 +220,7 @@ resilience::FactorReport SchwarzPreconditioner::refactor(
       applied = target;
       ++report.shift_attempts;
       report.shift_used = std::max(report.shift_used, target);
-      if (factor_checked(sd, &err)) {
+      if (factor_checked(sd, err)) {
         ok = true;
         break;
       }
@@ -260,10 +253,10 @@ void SchwarzPreconditioner::apply(const double* r, double* z) const {
             r[static_cast<std::size_t>(sd.vertices[k]) * nb_ + c];
     if (opts_.subdomain_solver == SubdomainSolver::kSsor)
       ssor_solve(sd, rl.data(), zl.data());
-    else if (opts_.single_precision)
-      sd.ilu_f.solve_levels(sd.fwd, sd.bwd, rl.data(), zl.data());
+    else if (sd.ilu_f)
+      sd.ilu_f->solve_levels(rl.data(), zl.data());
     else
-      sd.ilu_d.solve_levels(sd.fwd, sd.bwd, rl.data(), zl.data());
+      sd.ilu_d->solve_levels(rl.data(), zl.data());
 
     const bool restrict_to_owned = opts_.type != SchwarzType::kAsm;
     for (int k = 0; k < nl; ++k) {
@@ -290,9 +283,8 @@ std::string SchwarzPreconditioner::name() const {
 std::size_t SchwarzPreconditioner::factor_bytes() const {
   std::size_t bytes = 0;
   for (const auto& sd : subs_) {
-    const std::size_t scalars =
-        sd.pattern.nnz() * static_cast<std::size_t>(nb_) * nb_;
-    bytes += scalars * (opts_.single_precision ? sizeof(float) : sizeof(double));
+    if (sd.ilu_d) bytes += sd.ilu_d->values().size() * sizeof(double);
+    if (sd.ilu_f) bytes += sd.ilu_f->values().size() * sizeof(float);
   }
   return bytes;
 }

@@ -11,6 +11,7 @@
 // separately by f3d::par.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,10 +66,11 @@ public:
                         const SchwarzOptions& opts);
 
   /// Re-extract subdomain values from a new `a` with the same sparsity and
-  /// refactor. A zero pivot / singular block is retried with an escalating
-  /// diagonal shift delta*I on the failing subdomain's local matrix — the
-  /// factorization then succeeds on a slightly perturbed operator,
-  /// degrading preconditioner quality instead of aborting.
+  /// refactor each subdomain's factor in place. A zero pivot / singular
+  /// block is retried with an escalating diagonal shift delta*I on the
+  /// failing subdomain's local matrix — the factorization then succeeds on
+  /// a slightly perturbed operator, degrading preconditioner quality
+  /// instead of aborting.
   resilience::FactorReport refactor(const sparse::Bcsr<double>& a,
                                     int shift_attempts) override;
 
@@ -88,17 +90,16 @@ private:
     std::vector<int> vertices;  ///< global vertex ids (owned + overlap)
     std::vector<char> owned;    ///< parallel to vertices
     sparse::Bcsr<double> local; ///< extracted local matrix
-    sparse::IluPattern pattern;
-    sparse::TriSchedule fwd;    ///< level schedule of the L solve
-    sparse::TriSchedule bwd;    ///< level schedule of the U solve
-    sparse::BlockIlu<double> ilu_d;  ///< populated if !single_precision
-    sparse::BlockIlu<float> ilu_f;   ///< populated if single_precision
+    /// ILU factors, built once and refactored in place: ilu_d with double
+    /// storage, ilu_f with float storage (single_precision).
+    std::optional<sparse::BlockIlu<double>> ilu_d;
+    std::optional<sparse::BlockIlu<float>> ilu_f;
     std::vector<double> diag_lu;     ///< factored diagonal blocks (SSOR)
   };
 
   void extract_local_values(const sparse::Bcsr<double>& a, Subdomain& sd) const;
-  /// Non-throwing numeric factorization; `err` gets the failure reason.
-  bool factor_checked(Subdomain& sd, std::string* err);
+  /// Non-throwing numeric refactorization; `err` gets the failure reason.
+  bool factor_checked(Subdomain& sd, std::string& err);
   /// Add `delta` to every scalar diagonal entry of sd.local's diagonal
   /// blocks (Manteuffel shift, applied cumulatively by the ladder).
   static void shift_local_diagonal(Subdomain& sd, int nb, double delta);

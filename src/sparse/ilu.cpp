@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <type_traits>
 
 #include "common/densemat.hpp"
 #include "common/error.hpp"
+#include "exec/pool.hpp"
 #include "obs/obs.hpp"
 
 namespace f3d::sparse {
@@ -106,38 +108,17 @@ TriSchedule upper_levels(const IluPattern& pat) {
   return build_levels(n, level);
 }
 
-IluPattern ilu_symbolic(const Csr<double>& a, int level) {
-  return ilu_symbolic(a.n, a.ptr, a.col, level);
-}
-
-IluPattern ilu_symbolic(const Bcsr<double>& a, int level) {
-  return ilu_symbolic(a.nrows, a.ptr, a.col, level);
-}
-
 namespace {
 
-// Report a zero pivot at `row`: records it when the caller passed a
-// status, throws NumericalError otherwise. Returns true when the caller
-// should stop factoring.
-bool pivot_failure(IluFactorStatus* status, int row) {
-  if (status != nullptr) {
-    status->ok = false;
-    status->bad_row = row;
-    return true;
-  }
-  F3D_NUMERIC_CHECK_MSG(false, "zero pivot in ILU at row " + std::to_string(row));
-  return true;  // unreachable
-}
-
-// Shared numeric point ILU in double; callers cast to the storage scalar.
-std::vector<double> factor_point_double(const Csr<double>& a,
-                                        const IluPattern& pat,
-                                        IluFactorStatus* status) {
+// Numeric point ILU of A on `pat` (a superset of A's sparsity), written
+// over `val` (pat.nnz() doubles). Returns the first row with a zero pivot,
+// or -1.
+int factor_point(const Csr<double>& a, const IluPattern& pat, double* val) {
   F3D_OBS_SPAN("ilu.factor");
   obs::Registry::global().count("sparse.ilu.factorizations");
   F3D_CHECK(a.n == pat.n);
   const int n = pat.n;
-  std::vector<double> val(pat.nnz(), 0.0);
+  std::fill_n(val, pat.nnz(), 0.0);
 
   // Scatter A into the (superset) pattern.
   for (int i = 0; i < n; ++i) {
@@ -154,7 +135,7 @@ std::vector<double> factor_point_double(const Csr<double>& a,
     for (int pos = pat.ptr[i]; pos < pat.diag[i]; ++pos) {
       const int k = pat.col[pos];
       const double ukk = val[pat.diag[k]];
-      if (ukk == 0.0 && pivot_failure(status, k)) return val;
+      if (ukk == 0.0) return k;
       const double lik = val[pos] / ukk;
       val[pos] = lik;
       // Row update: row_i -= lik * U-part of row k (pattern-restricted).
@@ -166,21 +147,21 @@ std::vector<double> factor_point_double(const Csr<double>& a,
         if (pat.col[r] == j) val[r] -= lik * val[q];
       }
     }
-    if (val[pat.diag[i]] == 0.0 && pivot_failure(status, i)) return val;
+    if (val[pat.diag[i]] == 0.0) return i;
   }
-  return val;
+  return -1;
 }
 
-std::vector<double> factor_block_double(const Bcsr<double>& a,
-                                        const IluPattern& pat,
-                                        IluFactorStatus* status) {
+// Block variant of factor_point: `val` holds nb*nb doubles per pattern
+// entry; returns the first block row with a singular diagonal block.
+int factor_block(const Bcsr<double>& a, const IluPattern& pat, int nb,
+                 double* val) {
   F3D_OBS_SPAN("ilu.factor");
   obs::Registry::global().count("sparse.ilu.factorizations");
-  F3D_CHECK(a.nrows == pat.n);
+  F3D_CHECK(a.nrows == pat.n && a.nb == nb);
   const int n = pat.n;
-  const int nb = a.nb;
   const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
-  std::vector<double> val(pat.nnz() * bsz, 0.0);
+  std::fill_n(val, pat.nnz() * bsz, 0.0);
 
   for (int i = 0; i < n; ++i) {
     int q = pat.ptr[i];
@@ -209,131 +190,171 @@ std::vector<double> factor_block_double(const Bcsr<double>& a,
                           &val[static_cast<std::size_t>(r) * bsz]);
       }
     }
-    const bool ok =
-        dense::lu_factor(nb, &val[static_cast<std::size_t>(pat.diag[i]) * bsz]);
-    if (!ok) {
-      if (status != nullptr) {
-        status->ok = false;
-        status->bad_row = i;
-        return val;
-      }
-      F3D_NUMERIC_CHECK_MSG(ok, "singular diagonal block in block ILU at row " +
-                                    std::to_string(i));
-    }
+    if (!dense::lu_factor(nb, &val[static_cast<std::size_t>(pat.diag[i]) * bsz]))
+      return i;
   }
-  return val;
+  return -1;
+}
+
+// Runs a numeric phase `factor(double* out) -> bad row` into the factor's
+// values. Double storage is written in place; float storage is computed in
+// a double scratch buffer and narrowed into the existing values (store
+// narrow, accumulate wide).
+template <class S, class Factor>
+IluFactorStatus refactor_into(std::vector<S>& val, const Factor& factor) {
+  if constexpr (std::is_same_v<S, double>) {
+    const int bad_row = factor(val.data());
+    return {bad_row < 0, bad_row};
+  } else {
+    std::vector<double> wide(val.size());
+    const int bad_row = factor(wide.data());
+    std::copy(wide.begin(), wide.end(), val.begin());
+    return {bad_row < 0, bad_row};
+  }
+}
+
+// One triangular-solve row update: s0 minus the row's partial dot with x,
+// promoted to double. The scalar path subtracts term by term; the SIMD
+// path strip-mines through row_dot_promote_simd and subtracts once.
+template <class S>
+double tri_row_reduce(bool use_simd, const S* val, const int* col, int count,
+                      const double* x, double s0) {
+  if (use_simd) return s0 - detail::row_dot_promote_simd(val, col, count, x);
+  for (int k = 0; k < count; ++k)
+    s0 -= static_cast<double>(val[k]) * x[col[k]];
+  return s0;
+}
+
+// Runs row(i) for every row of `sch`: levels in sequence, the rows of a
+// level in parallel on the exec pool.
+template <class Row>
+void for_each_row_by_level(const TriSchedule& sch, const Row& row) {
+  auto& pool = exec::pool();
+  for (int l = 0; l < sch.num_levels(); ++l) {
+    pool.parallel_for(
+        sch.level_ptr[l], sch.level_ptr[l + 1],
+        [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t k = lo; k < hi; ++k) row(sch.rows[k]);
+        },
+        /*grain=*/128);
+  }
 }
 
 }  // namespace
 
 template <class S>
-PointIlu<S> ilu_factor_point(const Csr<double>& a, const IluPattern& pat,
-                             IluFactorStatus* status) {
-  PointIlu<S> out;
-  out.pat = pat;
-  auto v = factor_point_double(a, pat, status);
-  out.val.assign(v.begin(), v.end());
-  return out;
+PointIlu<S>::PointIlu(const Csr<double>& a, int level)
+    : pat_(ilu_symbolic(a.n, a.ptr, a.col, level)),
+      fwd_(lower_levels(pat_)),
+      bwd_(upper_levels(pat_)),
+      val_(pat_.nnz()) {
+  const IluFactorStatus st = refactor(a);
+  F3D_NUMERIC_CHECK_MSG(st.ok,
+                        "zero pivot in ILU at row " + std::to_string(st.bad_row));
 }
 
 template <class S>
-BlockIlu<S> ilu_factor_block(const Bcsr<double>& a, const IluPattern& pat,
-                             IluFactorStatus* status) {
-  BlockIlu<S> out;
-  out.nb = a.nb;
-  out.pat = pat;
-  auto v = factor_block_double(a, pat, status);
-  out.val.assign(v.begin(), v.end());
-  return out;
+IluFactorStatus PointIlu<S>::refactor(const Csr<double>& a) {
+  return refactor_into(val_,
+                       [&](double* v) { return factor_point(a, pat_, v); });
+}
+
+// Both solves funnel every row through these two updates with the same
+// use_simd value, which is what keeps them bit-identical in every
+// configuration.
+template <class S>
+void PointIlu<S>::forward_row(bool use_simd, int i, const double* b,
+                              double* x) const {
+  const int p0 = pat_.ptr[i];
+  x[i] = tri_row_reduce(use_simd, val_.data() + p0, pat_.col.data() + p0,
+                        pat_.diag[i] - p0, x, b[i]);
+}
+
+template <class S>
+void PointIlu<S>::backward_row(bool use_simd, int i, double* x) const {
+  const int p0 = pat_.diag[i] + 1;
+  const double s =
+      tri_row_reduce(use_simd, val_.data() + p0, pat_.col.data() + p0,
+                     pat_.ptr[i + 1] - p0, x, x[i]);
+  x[i] = s / static_cast<double>(val_[pat_.diag[i]]);
+}
+
+template <class S>
+void PointIlu<S>::solve(const double* b, double* x) const {
+  const bool use_simd = simd::enabled();
+  for (int i = 0; i < pat_.n; ++i) forward_row(use_simd, i, b, x);
+  for (int i = pat_.n - 1; i >= 0; --i) backward_row(use_simd, i, x);
+}
+
+template <class S>
+void PointIlu<S>::solve_levels(const double* b, double* x) const {
+  const bool use_simd = simd::enabled();
+  for_each_row_by_level(fwd_,
+                        [&](int i) { forward_row(use_simd, i, b, x); });
+  for_each_row_by_level(bwd_, [&](int i) { backward_row(use_simd, i, x); });
+}
+
+template <class S>
+BlockIlu<S>::BlockIlu(const Bcsr<double>& a, int level)
+    : nb_(a.nb),
+      pat_(ilu_symbolic(a.nrows, a.ptr, a.col, level)),
+      fwd_(lower_levels(pat_)),
+      bwd_(upper_levels(pat_)),
+      val_(pat_.nnz() * static_cast<std::size_t>(nb_) * nb_) {
+  F3D_CHECK(nb_ <= 8);  // backward_row's stack buffer
+  const IluFactorStatus st = refactor(a);
+  F3D_NUMERIC_CHECK_MSG(st.ok, "singular diagonal block in block ILU at row " +
+                                   std::to_string(st.bad_row));
+}
+
+template <class S>
+IluFactorStatus BlockIlu<S>::refactor(const Bcsr<double>& a) {
+  return refactor_into(
+      val_, [&](double* v) { return factor_block(a, pat_, nb_, v); });
+}
+
+// Forward: x_i = b_i - sum_{j<i} L_ij x_j (unit block diagonal).
+template <class S>
+void BlockIlu<S>::forward_row(int i, const double* b, double* x) const {
+  const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
+  double* xi = x + static_cast<std::size_t>(i) * nb_;
+  const double* bi = b + static_cast<std::size_t>(i) * nb_;
+  for (int c = 0; c < nb_; ++c) xi[c] = bi[c];
+  for (int p = pat_.ptr[i]; p < pat_.diag[i]; ++p)
+    dense::gemv_sub(nb_, &val_[static_cast<std::size_t>(p) * bsz],
+                    x + static_cast<std::size_t>(pat_.col[p]) * nb_, xi);
+}
+
+// Backward: x_i = U_ii^{-1} (x_i - sum_{j>i} U_ij x_j).
+template <class S>
+void BlockIlu<S>::backward_row(int i, double* x) const {
+  const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
+  double* xi = x + static_cast<std::size_t>(i) * nb_;
+  for (int p = pat_.diag[i] + 1; p < pat_.ptr[i + 1]; ++p)
+    dense::gemv_sub(nb_, &val_[static_cast<std::size_t>(p) * bsz],
+                    x + static_cast<std::size_t>(pat_.col[p]) * nb_, xi);
+  double tmp[8];
+  dense::lu_solve(nb_, &val_[static_cast<std::size_t>(pat_.diag[i]) * bsz], xi,
+                  tmp);
+  for (int c = 0; c < nb_; ++c) xi[c] = tmp[c];
 }
 
 template <class S>
 void BlockIlu<S>::solve(const double* b, double* x) const {
-  const int n = pat.n;
-  const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
-  // Forward: x_i = b_i - sum_{j<i} L_ij x_j (unit block diagonal).
-  for (int i = 0; i < n; ++i) {
-    double* xi = x + static_cast<std::size_t>(i) * nb;
-    const double* bi = b + static_cast<std::size_t>(i) * nb;
-    for (int c = 0; c < nb; ++c) xi[c] = bi[c];
-    for (int p = pat.ptr[i]; p < pat.diag[i]; ++p)
-      dense::gemv_sub(nb, &val[static_cast<std::size_t>(p) * bsz],
-                      x + static_cast<std::size_t>(pat.col[p]) * nb, xi);
-  }
-  // Backward: x_i = U_ii^{-1} (x_i - sum_{j>i} U_ij x_j).
-  double tmp[8];
-  F3D_CHECK(nb <= 8);
-  for (int i = n - 1; i >= 0; --i) {
-    double* xi = x + static_cast<std::size_t>(i) * nb;
-    for (int p = pat.diag[i] + 1; p < pat.ptr[i + 1]; ++p)
-      dense::gemv_sub(nb, &val[static_cast<std::size_t>(p) * bsz],
-                      x + static_cast<std::size_t>(pat.col[p]) * nb, xi);
-    dense::lu_solve(nb, &val[static_cast<std::size_t>(pat.diag[i]) * bsz], xi,
-                    tmp);
-    for (int c = 0; c < nb; ++c) xi[c] = tmp[c];
-  }
+  for (int i = 0; i < pat_.n; ++i) forward_row(i, b, x);
+  for (int i = pat_.n - 1; i >= 0; --i) backward_row(i, x);
 }
 
 template <class S>
-void BlockIlu<S>::solve_levels(const TriSchedule& fwd, const TriSchedule& bwd,
-                               const double* b, double* x) const {
-  const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
-  auto& pool = exec::pool();
-  // Per-row arithmetic is exactly solve()'s: the schedule only reorders
-  // *across* independent rows, so results are bit-identical to solve().
-  for (int l = 0; l < fwd.num_levels(); ++l) {
-    pool.parallel_for(
-        fwd.level_ptr[l], fwd.level_ptr[l + 1],
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int i = fwd.rows[k];
-            double* xi = x + static_cast<std::size_t>(i) * nb;
-            const double* bi = b + static_cast<std::size_t>(i) * nb;
-            for (int c = 0; c < nb; ++c) xi[c] = bi[c];
-            for (int p = pat.ptr[i]; p < pat.diag[i]; ++p)
-              dense::gemv_sub(nb, &val[static_cast<std::size_t>(p) * bsz],
-                              x + static_cast<std::size_t>(pat.col[p]) * nb,
-                              xi);
-          }
-        },
-        /*grain=*/128);
-  }
-  F3D_CHECK(nb <= 8);
-  for (int l = 0; l < bwd.num_levels(); ++l) {
-    pool.parallel_for(
-        bwd.level_ptr[l], bwd.level_ptr[l + 1],
-        [&](std::int64_t lo, std::int64_t hi) {
-          double tmp[8];
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int i = bwd.rows[k];
-            double* xi = x + static_cast<std::size_t>(i) * nb;
-            for (int p = pat.diag[i] + 1; p < pat.ptr[i + 1]; ++p)
-              dense::gemv_sub(nb, &val[static_cast<std::size_t>(p) * bsz],
-                              x + static_cast<std::size_t>(pat.col[p]) * nb,
-                              xi);
-            dense::lu_solve(nb, &val[static_cast<std::size_t>(pat.diag[i]) * bsz],
-                            xi, tmp);
-            for (int c = 0; c < nb; ++c) xi[c] = tmp[c];
-          }
-        },
-        /*grain=*/128);
-  }
+void BlockIlu<S>::solve_levels(const double* b, double* x) const {
+  for_each_row_by_level(fwd_, [&](int i) { forward_row(i, b, x); });
+  for_each_row_by_level(bwd_, [&](int i) { backward_row(i, x); });
 }
 
 // Explicit instantiations for the two storage precisions.
-template struct BlockIlu<double>;
-template struct BlockIlu<float>;
-template PointIlu<double> ilu_factor_point<double>(const Csr<double>&,
-                                                   const IluPattern&,
-                                                   IluFactorStatus*);
-template PointIlu<float> ilu_factor_point<float>(const Csr<double>&,
-                                                 const IluPattern&,
-                                                 IluFactorStatus*);
-template BlockIlu<double> ilu_factor_block<double>(const Bcsr<double>&,
-                                                   const IluPattern&,
-                                                   IluFactorStatus*);
-template BlockIlu<float> ilu_factor_block<float>(const Bcsr<double>&,
-                                                 const IluPattern&,
-                                                 IluFactorStatus*);
+template class PointIlu<double>;
+template class PointIlu<float>;
+template class BlockIlu<double>;
+template class BlockIlu<float>;
 
 }  // namespace f3d::sparse

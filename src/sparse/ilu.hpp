@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "exec/pool.hpp"
 #include "sparse/csr.hpp"
 
 namespace f3d::sparse {
@@ -52,139 +51,82 @@ TriSchedule lower_levels(const IluPattern& pat);
 /// Schedule of the backward (U, cols > diag) solve of `pat`.
 TriSchedule upper_levels(const IluPattern& pat);
 
-namespace detail {
-/// One triangular-solve row update: s0 minus the row's partial dot with
-/// x, promoted to double. Scalar path subtracts term by term (the seed
-/// kernel, unchanged); SIMD path strip-mines through
-/// row_dot_promote_simd and subtracts once. Both PointIlu::solve and
-/// solve_levels funnel through this single helper with the same
-/// use_simd value, which is what keeps the serial and level-scheduled
-/// solves bit-identical in every configuration.
+/// Outcome of an in-place refactorization. `bad_row` is the first (block)
+/// row whose pivot was zero/singular; the values are then valid only up to
+/// that row, until a refactor succeeds.
+struct IluFactorStatus {
+  bool ok = true;
+  int bad_row = -1;
+};
+
+/// Point ILU(k) factors of one sparsity pattern, stored in S (double or
+/// float). The constructor runs the symbolic phase on A's sparsity, builds
+/// both level schedules and does the first numeric factorization,
+/// throwing f3d::NumericalError on a zero pivot. refactor() writes the
+/// factors of new values on the same sparsity in place and reports a zero
+/// pivot instead of throwing: the resilient solver paths climb a
+/// diagonal-shift ladder on it.
 template <class S>
-[[nodiscard]] inline double tri_row_reduce(bool use_simd, const S* val,
-                                           const int* col, int count,
-                                           const double* x, double s0) {
-  if (use_simd) return s0 - row_dot_promote_simd(val, col, count, x);
-  for (int k = 0; k < count; ++k)
-    s0 -= static_cast<double>(val[k]) * x[col[k]];
-  return s0;
-}
-}  // namespace detail
+class PointIlu {
+public:
+  PointIlu(const Csr<double>& a, int level);
+  [[nodiscard]] IluFactorStatus refactor(const Csr<double>& a);
 
-/// Point ILU factors, storage scalar S (double or float).
-template <class S>
-struct PointIlu {
-  IluPattern pat;
-  std::vector<S> val;
-
-  /// x = (LU)^{-1} b, double arithmetic.
-  void solve(const double* b, double* x) const {
-    const bool use_simd = simd::enabled();
-    const int n = pat.n;
-    const S* v = val.data();
-    const int* c = pat.col.data();
-    for (int i = 0; i < n; ++i) {
-      const int p0 = pat.ptr[i];
-      x[i] = detail::tri_row_reduce(use_simd, v + p0, c + p0,
-                                    pat.diag[i] - p0, x, b[i]);
-    }
-    for (int i = n - 1; i >= 0; --i) {
-      const int p0 = pat.diag[i] + 1;
-      const double s = detail::tri_row_reduce(use_simd, v + p0, c + p0,
-                                              pat.ptr[i + 1] - p0, x, x[i]);
-      x[i] = s / static_cast<double>(v[pat.diag[i]]);
-    }
-  }
-
+  /// x = (LU)^{-1} b in natural row order, double arithmetic: the serial
+  /// reference.
+  void solve(const double* b, double* x) const;
   void solve(const std::vector<double>& b, std::vector<double>& x) const {
     x.resize(b.size());
     solve(b.data(), x.data());
   }
+  /// The same row updates on the factor's level schedules: levels in
+  /// sequence, the rows of a level in parallel on the exec pool. The
+  /// per-row arithmetic is solve()'s, so the result is bit-identical to
+  /// it for any thread count.
+  void solve_levels(const double* b, double* x) const;
 
-  /// Level-scheduled solve on the exec pool: levels in sequence, the rows
-  /// of a level in parallel. Per-row arithmetic is identical to solve(),
-  /// so the result is bit-identical for any thread count. `fwd`/`bwd`
-  /// come from lower_levels/upper_levels of this factor's pattern.
-  void solve_levels(const TriSchedule& fwd, const TriSchedule& bwd,
-                    const double* b, double* x) const {
-    const bool use_simd = simd::enabled();
-    const S* v = val.data();
-    const int* c = pat.col.data();
-    auto& pool = exec::pool();
-    for (int l = 0; l < fwd.num_levels(); ++l) {
-      pool.parallel_for(
-          fwd.level_ptr[l], fwd.level_ptr[l + 1],
-          [&, use_simd](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t k = lo; k < hi; ++k) {
-              const int i = fwd.rows[k];
-              const int p0 = pat.ptr[i];
-              x[i] = detail::tri_row_reduce(use_simd, v + p0, c + p0,
-                                            pat.diag[i] - p0, x, b[i]);
-            }
-          },
-          /*grain=*/128);
-    }
-    for (int l = 0; l < bwd.num_levels(); ++l) {
-      pool.parallel_for(
-          bwd.level_ptr[l], bwd.level_ptr[l + 1],
-          [&, use_simd](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t k = lo; k < hi; ++k) {
-              const int i = bwd.rows[k];
-              const int p0 = pat.diag[i] + 1;
-              const double s = detail::tri_row_reduce(
-                  use_simd, v + p0, c + p0, pat.ptr[i + 1] - p0, x, x[i]);
-              x[i] = s / static_cast<double>(v[pat.diag[i]]);
-            }
-          },
-          /*grain=*/128);
-    }
-  }
+  [[nodiscard]] const IluPattern& pattern() const { return pat_; }
+  [[nodiscard]] const std::vector<S>& values() const { return val_; }
+
+private:
+  void forward_row(bool use_simd, int i, const double* b, double* x) const;
+  void backward_row(bool use_simd, int i, double* x) const;
+
+  IluPattern pat_;
+  TriSchedule fwd_;  ///< level schedule of the L solve
+  TriSchedule bwd_;  ///< level schedule of the U solve
+  std::vector<S> val_;
 };
 
-/// Block ILU factors; diagonal blocks are stored as their in-place LU
-/// factorizations.
+/// Block ILU(k) factors with PointIlu's contract; the diagonal blocks are
+/// stored as their in-place LU factorizations.
 template <class S>
-struct BlockIlu {
-  int nb = 0;
-  IluPattern pat;
-  std::vector<S> val;  ///< nb*nb per pattern entry
+class BlockIlu {
+public:
+  BlockIlu(const Bcsr<double>& a, int level);
+  [[nodiscard]] IluFactorStatus refactor(const Bcsr<double>& a);
 
   void solve(const double* b, double* x) const;
   void solve(const std::vector<double>& b, std::vector<double>& x) const {
     x.resize(b.size());
     solve(b.data(), x.data());
   }
-
   /// Level-scheduled variant of solve() (see PointIlu::solve_levels);
   /// bit-identical to solve() for any thread count.
-  void solve_levels(const TriSchedule& fwd, const TriSchedule& bwd,
-                    const double* b, double* x) const;
+  void solve_levels(const double* b, double* x) const;
+
+  [[nodiscard]] const IluPattern& pattern() const { return pat_; }
+  [[nodiscard]] const std::vector<S>& values() const { return val_; }
+
+private:
+  void forward_row(int i, const double* b, double* x) const;
+  void backward_row(int i, double* x) const;
+
+  int nb_;
+  IluPattern pat_;
+  TriSchedule fwd_;
+  TriSchedule bwd_;
+  std::vector<S> val_;  ///< nb*nb per pattern entry
 };
-
-/// Outcome of a numeric factorization when requested through the
-/// non-throwing path. `bad_row` is the first (block) row whose pivot was
-/// zero/singular; the returned factors are only valid up to that row.
-struct IluFactorStatus {
-  bool ok = true;
-  int bad_row = -1;
-};
-
-/// Numeric point factorization of A on `pat` (pattern from ilu_symbolic of
-/// A's sparsity). Computes in double, stores in S. With `status == nullptr`
-/// a zero pivot throws f3d::NumericalError; with a status out-param the
-/// call never throws on numerical failure — the resilient solver paths use
-/// that to climb a diagonal-shift ladder instead of aborting.
-template <class S = double>
-PointIlu<S> ilu_factor_point(const Csr<double>& a, const IluPattern& pat,
-                             IluFactorStatus* status = nullptr);
-
-/// Numeric block factorization (same status contract as the point variant).
-template <class S = double>
-BlockIlu<S> ilu_factor_block(const Bcsr<double>& a, const IluPattern& pat,
-                             IluFactorStatus* status = nullptr);
-
-/// Convenience: symbolic on a matrix's own sparsity.
-IluPattern ilu_symbolic(const Csr<double>& a, int level);
-IluPattern ilu_symbolic(const Bcsr<double>& a, int level);
 
 }  // namespace f3d::sparse

@@ -102,8 +102,14 @@ TEST(EdgeCase, IluZeroPivotDetected) {
   a.ptr = {0, 2, 4};
   a.col = {0, 1, 0, 1};
   a.val = {1, 1, 1, 1};
-  auto pat = sparse::ilu_symbolic(a, 0);
-  EXPECT_THROW(sparse::ilu_factor_point<double>(a, pat), Error);
+  EXPECT_THROW(sparse::PointIlu<double>(a, 0), Error);
+  // A refactor onto the same values reports the row instead.
+  auto good = a;
+  good.val = {2, 1, 1, 2};
+  sparse::PointIlu<double> f(good, 0);
+  const auto st = f.refactor(a);
+  EXPECT_FALSE(st.ok);
+  EXPECT_EQ(st.bad_row, 1);
 }
 
 TEST(EdgeCase, BlockIluSingularDiagonalDetected) {
@@ -113,8 +119,13 @@ TEST(EdgeCase, BlockIluSingularDiagonalDetected) {
   a.ptr = {0, 1};
   a.col = {0};
   a.val = {1, 2, 2, 4};  // rank-1 block
-  auto pat = sparse::ilu_symbolic(a, 0);
-  EXPECT_THROW(sparse::ilu_factor_block<double>(a, pat), Error);
+  EXPECT_THROW(sparse::BlockIlu<double>(a, 0), Error);
+  auto good = a;
+  good.val = {1, 2, 2, 5};
+  sparse::BlockIlu<double> f(good, 0);
+  const auto st = f.refactor(a);
+  EXPECT_FALSE(st.ok);
+  EXPECT_EQ(st.bad_row, 0);
 }
 
 TEST(EdgeCase, ConvertLayoutRejectsWrongSize) {

@@ -41,7 +41,7 @@ TEST_P(IluProperty, ResidualReductionImprovesWithFill) {
   for (auto& v : b) v = rng.uniform(-1, 1);
 
   auto resid_for = [&](int level) {
-    auto f = sparse::ilu_factor_block<double>(a, sparse::ilu_symbolic(a, level));
+    const sparse::BlockIlu<double> f(a, level);
     Vec x(b.size()), r(b.size());
     f.solve(b, x);
     a.spmv(x, r);

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cfd/problem.hpp"
@@ -20,6 +21,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "mesh/generator.hpp"
+#include "obs/obs.hpp"
 #include "par/loadmodel.hpp"
 #include "partition/partition.hpp"
 #include "par/stepmodel.hpp"
@@ -194,36 +196,48 @@ sparse::Csr<double> tridiag_with_zero_pivot(int n, int zero_row) {
   return a;
 }
 
+// A failed refactor leaves partial values; the next good refactor must
+// still give exactly the fresh factor's values.
+template <class Factor, class Matrix>
+void expect_recovers_fresh_values(Factor& f, const Matrix& good) {
+  ASSERT_TRUE(f.refactor(good).ok);
+  const Factor fresh(good, 0);
+  EXPECT_EQ(f.values(), fresh.values());
+}
+
 TEST(IluStatus, ZeroPivotReportsInsteadOfThrowing) {
-  auto a = tridiag_with_zero_pivot(20, 0);
-  auto pat = sparse::ilu_symbolic(a, 0);
+  const auto good = tridiag_with_zero_pivot(20, -1);
+  sparse::PointIlu<double> f(good, 0);
   sparse::IluFactorStatus st;
-  EXPECT_NO_THROW(sparse::ilu_factor_point<double>(a, pat, &st));
+  EXPECT_NO_THROW(st = f.refactor(tridiag_with_zero_pivot(20, 0)));
   EXPECT_FALSE(st.ok);
   EXPECT_EQ(st.bad_row, 0);
+  expect_recovers_fresh_values(f, good);
 }
 
 TEST(IluStatus, ZeroPivotThrowsOnThePlainPath) {
-  // Row 0: no prior elimination can fill the pivot back in.
+  // Row 0: no prior elimination can fill the pivot back in. The
+  // constructor is the plain path: it throws.
   auto a = tridiag_with_zero_pivot(20, 0);
-  auto pat = sparse::ilu_symbolic(a, 0);
-  EXPECT_THROW(sparse::ilu_factor_point<double>(a, pat), f3d::NumericalError);
+  EXPECT_THROW(sparse::PointIlu<double>(a, 0), f3d::NumericalError);
 }
 
 TEST(IluStatus, SingularDiagonalBlockReported) {
   auto m = mesh::generate_box_mesh(3, 3, 3);
   auto s = sparse::stencil_from_mesh(m);
   auto fn = sparse::synthetic_values(s);
-  auto a = sparse::build_bcsr(s, 2, fn);
+  const auto good = sparse::build_bcsr(s, 2, fn);
+  auto a = good;
   double* blk = a.find_block(0, 0);
   ASSERT_NE(blk, nullptr);
   for (int k = 0; k < 4; ++k) blk[k] = 0.0;
-  auto pat = sparse::ilu_symbolic(a, 0);
+  sparse::BlockIlu<double> f(good, 0);
   sparse::IluFactorStatus st;
-  EXPECT_NO_THROW(sparse::ilu_factor_block<double>(a, pat, &st));
+  EXPECT_NO_THROW(st = f.refactor(a));
   EXPECT_FALSE(st.ok);
   EXPECT_EQ(st.bad_row, 0);
-  EXPECT_THROW(sparse::ilu_factor_block<double>(a, pat), f3d::NumericalError);
+  expect_recovers_fresh_values(f, good);
+  EXPECT_THROW(sparse::BlockIlu<double>(a, 0), f3d::NumericalError);
 }
 
 // --- Schwarz shift ladder ------------------------------------------------
@@ -661,14 +675,11 @@ TEST(PtcRecovery, GmresPoisonStallsWithoutRecovery) {
   EXPECT_TRUE(stagnation_recorded);
 }
 
-// Inflates r(x) 1e8x at every evaluation away from the entry state of
-// pseudo-timestep `at_step`'s first attempt: the line search runs out of
-// halvings, and the step residual then reads as a ~1e8x growth. The retry
-// re-evaluates at the entry state, which ends the episode.
-class DivergingProblem : public NonlinearProblem {
+// Forwards every call to `inner`; the fault decorators below override the
+// calls they corrupt.
+class ForwardingProblem : public NonlinearProblem {
 public:
-  DivergingProblem(NonlinearProblem& inner, int at_step)
-      : inner_(inner), at_step_(at_step) {}
+  explicit ForwardingProblem(NonlinearProblem& inner) : inner_(inner) {}
 
   [[nodiscard]] int num_vertices() const override {
     return inner_.num_vertices();
@@ -677,16 +688,6 @@ public:
   void residual(const std::vector<double>& x,
                 std::vector<double>& r) override {
     inner_.residual(x, r);
-    if (phase_ == Phase::kArmed) {
-      entry_ = x;
-      phase_ = Phase::kInflating;
-    } else if (phase_ == Phase::kInflating) {
-      if (x == entry_) {
-        phase_ = Phase::kDone;
-      } else {
-        for (double& v : r) v *= 1e8;
-      }
-    }
   }
   [[nodiscard]] sparse::Bcsr<double> allocate_jacobian() const override {
     return inner_.allocate_jacobian();
@@ -703,19 +704,64 @@ public:
     inner_.cell_volumes(vol);
   }
   void on_step(int step, double residual_ratio) override {
-    if (step == at_step_ && phase_ == Phase::kIdle) phase_ = Phase::kArmed;
     inner_.on_step(step, residual_ratio);
   }
   [[nodiscard]] bool admissible(const std::vector<double>& x) const override {
     return inner_.admissible(x);
   }
 
+protected:
+  NonlinearProblem& inner_;
+};
+
+// Inflates r(x) 1e8x at every evaluation away from the entry state of
+// pseudo-timestep `at_step`'s first attempt: the line search runs out of
+// halvings, and the step residual then reads as a ~1e8x growth. The retry
+// re-evaluates at the entry state, which ends the episode.
+class DivergingProblem : public ForwardingProblem {
+public:
+  DivergingProblem(NonlinearProblem& inner, int at_step)
+      : ForwardingProblem(inner), at_step_(at_step) {}
+
+  void residual(const std::vector<double>& x,
+                std::vector<double>& r) override {
+    inner_.residual(x, r);
+    if (phase_ == Phase::kArmed) {
+      entry_ = x;
+      phase_ = Phase::kInflating;
+    } else if (phase_ == Phase::kInflating) {
+      if (x == entry_) {
+        phase_ = Phase::kDone;
+      } else {
+        for (double& v : r) v *= 1e8;
+      }
+    }
+  }
+  void on_step(int step, double residual_ratio) override {
+    if (step == at_step_ && phase_ == Phase::kIdle) phase_ = Phase::kArmed;
+    inner_.on_step(step, residual_ratio);
+  }
+
 private:
   enum class Phase { kIdle, kArmed, kInflating, kDone };
-  NonlinearProblem& inner_;
   int at_step_;
   Phase phase_ = Phase::kIdle;
   std::vector<double> entry_;
+};
+
+// Reads the state as physically inadmissible exactly once, at the second
+// admissible() call: step 0's post-step check (the first call is step 0's
+// entry scan). Every norm test passes, as with a finite bit flip.
+class InadmissibleOnceProblem : public ForwardingProblem {
+public:
+  using ForwardingProblem::ForwardingProblem;
+
+  [[nodiscard]] bool admissible(const std::vector<double>& x) const override {
+    return ++calls_ != 2 && inner_.admissible(x);
+  }
+
+private:
+  mutable int calls_ = 0;
 };
 
 TEST(PtcRecovery, DivergentStepIsRejectedAndRecovered) {
@@ -748,6 +794,53 @@ TEST(PtcRecovery, DivergentStepIsRejectedAndRecovered) {
   ASSERT_FALSE(res.recovery_log.empty());
   EXPECT_NE(res.recovery_log.events()[0].detail.find("grew"),
             std::string::npos);
+}
+
+// The post-step admissibility watchdog: an inadmissible state after a step
+// is an SDC detection, so the attempt is rejected and re-run from a fresh
+// assembly, and the solve ends where the clean guarded solve does.
+TEST(PtcRecovery, InadmissibleStepIsDetectedAndRecomputed) {
+  const auto solve = [](bool inadmissible_once, std::vector<double>& x) {
+    auto m = mesh::generate_wing_mesh(
+        mesh::WingMeshConfig{.nx = 6, .ny = 3, .nz = 3});
+    cfd::FlowConfig cfg;
+    cfg.model = cfd::Model::kIncompressible;
+    cfg.order = 1;
+    cfd::EulerDiscretization disc(m, cfg);
+    cfd::EulerProblem inner(disc, -1.0);
+    InadmissibleOnceProblem faulty(inner);
+    x = inner.initial_state();
+    PtcOptions o = campaign_options();
+    o.recovery.enabled = true;
+    o.sdc.enabled = true;
+    return ptc_solve(inadmissible_once ? static_cast<NonlinearProblem&>(faulty)
+                                       : inner,
+                     x, o);
+  };
+  std::vector<double> x_clean, x;
+  const auto clean = solve(false, x_clean);
+  const auto res = solve(true, x);
+
+  ASSERT_TRUE(clean.converged);
+  ASSERT_TRUE(clean.recovery_log.empty());
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.steps, clean.steps);
+  // The rejected attempt's Krylov work is spent on top of the clean run's.
+  EXPECT_GT(res.total_linear_iterations, clean.total_linear_iterations);
+  std::vector<std::pair<RecoveryAction, std::string>> events;
+  for (const auto& e : res.recovery_log.events()) {
+    EXPECT_EQ(e.step, 0);
+    events.emplace_back(e.action, e.detail);
+  }
+  EXPECT_EQ(events,
+            (std::vector<std::pair<RecoveryAction, std::string>>{
+                {RecoveryAction::kDetectSdc,
+                 "physically inadmissible state after step"},
+                {RecoveryAction::kStepRejected, "attempt 1"},
+                {RecoveryAction::kSdcRecompute,
+                 "reassemble and re-run attempt 1"}}));
+  ASSERT_EQ(x.size(), x_clean.size());
+  EXPECT_EQ(std::memcmp(x.data(), x_clean.data(), x.size() * sizeof(double)), 0);
 }
 
 // The headline campaign: 4 fault classes x 5 seeds. With recovery enabled
@@ -1057,6 +1150,60 @@ TEST(Checkpoint, CrcValidHugeStateLengthIsRejected) {
   EXPECT_EQ(back->x, ck.x);
   std::remove(path.c_str());
   std::remove(prev.c_str());
+}
+
+// Decoding restores the log without tallying it: the registry counts what
+// this process did, so a resume in the same process does not count the
+// pre-kill events a second time.
+TEST(Checkpoint, DecodeDoesNotRecountRestoredEvents) {
+  PtcCheckpoint ck;
+  ck.step = 3;
+  ck.log.add(1, RecoveryAction::kStepRejected, "attempt 1");
+  ck.log.add(2, RecoveryAction::kStepRejected, "attempt 1");
+  const std::string bytes = encode_checkpoint(ck);
+  const auto resilience_counters = [] {
+    auto counters = obs::Registry::global().snapshot().counters;
+    std::erase_if(counters, [](const auto& kv) {
+      return !kv.first.starts_with("resilience.");
+    });
+    return counters;
+  };
+  const auto before = resilience_counters();
+  const auto back = decode_checkpoint(bytes);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->log.count(RecoveryAction::kStepRejected), 2);
+  EXPECT_EQ(resilience_counters(), before);
+}
+
+// A CRC-valid payload whose event carries an action outside the enum is
+// rejected, not restored as an "unknown" event.
+TEST(Checkpoint, CrcValidUnknownActionIsRejected) {
+  const auto encode_with = [](RecoveryAction action) {
+    PtcCheckpoint ck;
+    ck.step = 2;
+    ck.x = {1.0};
+    ck.log.add(1, action, "detail");
+    return encode_checkpoint(ck);
+  };
+  std::string bytes = encode_with(RecoveryAction::kStepRejected);
+  const std::string other = encode_with(RecoveryAction::kCflBacktrack);
+  const std::size_t header = 8 + 4 + 4 + 8;  // magic+version+crc+size
+  // The two encodings differ in the CRC and in the action field only.
+  std::size_t at = header;
+  while (bytes[at] == other[at]) ++at;
+  const std::int32_t bogus = 999;
+  std::memcpy(&bytes[at], &bogus, sizeof bogus);
+  const std::uint32_t crc = crc32(bytes.data() + header, bytes.size() - header);
+  std::memcpy(&bytes[8 + 4], &crc, sizeof crc);
+  EXPECT_FALSE(decode_checkpoint(bytes).has_value());
+  // The same splice of a valid action decodes.
+  const std::int32_t valid = static_cast<std::int32_t>(RecoveryAction::kPivotShift);
+  std::memcpy(&bytes[at], &valid, sizeof valid);
+  const std::uint32_t crc2 = crc32(bytes.data() + header, bytes.size() - header);
+  std::memcpy(&bytes[8 + 4], &crc2, sizeof crc2);
+  const auto back = decode_checkpoint(bytes);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->log.count(RecoveryAction::kPivotShift), 1);
 }
 
 // Kill a run mid-solve, resume from its checkpoint, and require the

@@ -222,10 +222,7 @@ TEST(SimdConfig, TrisolveLevelScheduleMatchesSerialInBothConfigs) {
   cfd::EulerDiscretization disc(m, cfg);
   const auto jac = wing_jacobian(disc);
   const int n = jac.scalar_n();
-  const auto pat = sparse::ilu_symbolic(jac, 0);
-  const auto ilu = sparse::ilu_factor_block<double>(jac, pat);
-  const auto fwd = sparse::lower_levels(pat);
-  const auto bwd = sparse::upper_levels(pat);
+  const sparse::BlockIlu<double> ilu(jac, 0);
   const auto b = pattern_vector(n, 0.25);
 
   const int before = exec::pool().num_threads();
@@ -236,7 +233,7 @@ TEST(SimdConfig, TrisolveLevelScheduleMatchesSerialInBothConfigs) {
     ilu.solve(b.data(), zs.data());
     for (int nt : {1, 2, 4}) {
       exec::set_threads(nt);
-      ilu.solve_levels(fwd, bwd, b.data(), zl.data());
+      ilu.solve_levels(b.data(), zl.data());
       EXPECT_EQ(std::memcmp(zs.data(), zl.data(), zs.size() * sizeof(double)),
                 0)
           << "simd=" << use_simd << ", " << nt << " threads";

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "mesh/generator.hpp"
@@ -276,8 +278,7 @@ TEST(Ilu, TridiagonalFullFactorizationIsExact) {
     }
     a.ptr.push_back(static_cast<int>(a.col.size()));
   }
-  auto pat = ilu_symbolic(a, 0);
-  auto f = ilu_factor_point<double>(a, pat);
+  const PointIlu<double> f(a, 0);
 
   Rng rng(5);
   Vec x_true(n), b(n);
@@ -292,8 +293,7 @@ TEST(Ilu, PointIluIsApproximateInverse) {
   auto s = small_stencil();
   auto fn = synthetic_values(s);
   auto a = build_point_csr(s, 2, fn, FieldLayout::kInterlaced);
-  auto pat = ilu_symbolic(a, 1);
-  auto f = ilu_factor_point<double>(a, pat);
+  const PointIlu<double> f(a, 1);
 
   // For a diagonally dominant A, the preconditioned residual of one solve
   // should shrink strongly: || b - A M^{-1} b || << || b ||.
@@ -313,10 +313,8 @@ TEST(Ilu, BlockIluMatchesPointIluOnBlockDiagonalPattern) {
   auto fn = synthetic_values(s);
   auto bm = build_bcsr(s, 1, fn);
   auto pm = bcsr_to_point(bm);
-  auto patb = ilu_symbolic(bm, 1);
-  auto patp = ilu_symbolic(pm, 1);
-  auto fb = ilu_factor_block<double>(bm, patb);
-  auto fp = ilu_factor_point<double>(pm, patp);
+  const BlockIlu<double> fb(bm, 1);
+  const PointIlu<double> fp(pm, 1);
 
   Rng rng(7);
   Vec b(pm.n);
@@ -331,8 +329,7 @@ TEST(Ilu, BlockIluReducesResidual) {
   auto s = small_stencil();
   auto fn = synthetic_values(s);
   auto a = build_bcsr(s, 4, fn);
-  auto pat = ilu_symbolic(a, 0);
-  auto f = ilu_factor_block<double>(a, pat);
+  const BlockIlu<double> f(a, 0);
 
   Rng rng(8);
   Vec b(static_cast<std::size_t>(a.scalar_n()));
@@ -353,7 +350,7 @@ TEST(Ilu, HigherFillIsMoreAccurate) {
   for (auto& v : b) v = rng.uniform(-1, 1);
 
   auto resid = [&](int level) {
-    auto f = ilu_factor_block<double>(a, ilu_symbolic(a, level));
+    const BlockIlu<double> f(a, level);
     Vec x(b.size()), r(b.size());
     f.solve(b, x);
     a.spmv(x, r);
@@ -369,9 +366,8 @@ TEST(Ilu, FloatStorageCloseToDouble) {
   auto s = small_stencil();
   auto fn = synthetic_values(s);
   auto a = build_bcsr(s, 4, fn);
-  auto pat = ilu_symbolic(a, 1);
-  auto fd = ilu_factor_block<double>(a, pat);
-  auto ff = ilu_factor_block<float>(a, pat);
+  const BlockIlu<double> fd(a, 1);
+  const BlockIlu<float> ff(a, 1);
 
   Rng rng(10);
   Vec b(static_cast<std::size_t>(a.scalar_n()));
@@ -385,6 +381,39 @@ TEST(Ilu, FloatStorageCloseToDouble) {
     ref += xd[i] * xd[i];
   }
   EXPECT_LT(std::sqrt(diff), 1e-4 * std::sqrt(ref));
+}
+
+// refactor() writes the factors of new values over the old ones: they
+// equal a factor built fresh on those values, bit for bit, and double
+// storage keeps its value buffer.
+template <class Factor, class Matrix>
+void expect_refactor_matches_fresh(const Matrix& a1, const Matrix& a2) {
+  for (int level : {0, 1}) {
+    Factor f(a1, level);
+    const auto* buffer = f.values().data();
+    ASSERT_TRUE(f.refactor(a2).ok);
+    const Factor fresh(a2, level);
+    const auto& v = f.values();
+    ASSERT_EQ(v.size(), fresh.values().size());
+    EXPECT_EQ(std::memcmp(v.data(), fresh.values().data(), v.size() * sizeof v[0]),
+              0)
+        << "level " << level;
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(*buffer)>, double>) {
+      EXPECT_EQ(v.data(), buffer) << "level " << level;
+    }
+  }
+}
+
+TEST(Ilu, RefactorEqualsFreshFactorBitwise) {
+  auto s = small_stencil();
+  const auto b1 = build_bcsr(s, 4, synthetic_values(s, 0));
+  const auto b2 = build_bcsr(s, 4, synthetic_values(s, 1));
+  ASSERT_NE(b1.val, b2.val);
+  const auto p1 = bcsr_to_point(b1), p2 = bcsr_to_point(b2);
+  expect_refactor_matches_fresh<PointIlu<double>>(p1, p2);
+  expect_refactor_matches_fresh<PointIlu<float>>(p1, p2);
+  expect_refactor_matches_fresh<BlockIlu<double>>(b1, b2);
+  expect_refactor_matches_fresh<BlockIlu<float>>(b1, b2);
 }
 
 TEST(Ilu, MissingDiagonalThrows) {
