@@ -22,15 +22,16 @@
 #      markdown must have no dead relative links; negative controls prove
 #      the knob cross-check and the gate checker can fail
 #   5. ASan+UBSan build + the resilience-, sdc-, failslow-, tune-, fleet-,
-#      simd-, obs-, guard- and linear-labelled tests (fault injection,
+#      simd-, obs-, guard-, linear- and cfd-labelled tests (fault injection,
 #      recovery, checkpoints, journals, budgets and cancellation, the SIMD
 #      pack loads, the strict JSON parser: where memory bugs would hide
-#      behind error handling; and the sparse, Krylov and Schwarz tests,
-#      whose ILU factors are refactored in place in reused buffers)
-#   6. TSan build + the threaded-, obs-, simd-, fleet- and guard-labelled
-#      tests (the exec pool, colored scatters, level-scheduled solves,
-#      span/counter merges, and the suites that sweep pool sizes) with a
-#      4-thread pool
+#      behind error handling; the sparse, Krylov and Schwarz tests, whose
+#      ILU factors are refactored in place in reused buffers; and the cfd
+#      kernels' index-heavy loops over edges and stencil rows)
+#   6. TSan build + the threaded-, obs-, simd-, fleet-, guard- and
+#      cfd-labelled tests (the exec pool, colored scatters, the per-vertex
+#      limiter pass, level-scheduled solves, span/counter merges, and the
+#      suites that sweep pool sizes) with a 4-thread pool
 #
 # Usage: scripts/ci.sh [-j N]
 
@@ -132,12 +133,12 @@ for defect in no-gates failed-required-gate contradicted-pass \
   fi
 done
 
-echo "=== asan build + resilience/sdc/failslow/tune/fleet/simd/obs/guard/linear-labelled tests ==="
+echo "=== asan build + resilience/sdc/failslow/tune/fleet/simd/obs/guard/linear/cfd-labelled tests ==="
 cmake --preset asan
 cmake --build --preset asan -j "$JOBS"
 ctest --preset asan -j "$JOBS"
 
-echo "=== tsan build + threaded/obs/simd/fleet/guard-labelled tests ==="
+echo "=== tsan build + threaded/obs/simd/fleet/guard/cfd-labelled tests ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$JOBS"
 ctest --preset tsan-threaded -j "$JOBS"

@@ -12,9 +12,9 @@
 namespace f3d::cfd {
 
 namespace {
-// Edges per parallel_for chunk in the colored scatter loops: small enough
-// to split a color class across threads, large enough that a class on a
-// small mesh runs inline.
+// Edges per parallel_for chunk in for_each_edge: small enough to split a
+// color class across threads, large enough that a class on a small mesh
+// runs inline.
 constexpr std::int64_t kEdgeGrain = 256;
 constexpr std::int64_t kVertexGrain = 1024;
 
@@ -44,6 +44,53 @@ inline void sub_arr(bool use_simd, double* dst, const double* src,
     for (; k + simd::kDoubleLanes <= n; k += simd::kDoubleLanes)
       (Vd::loadu(dst + k) - Vd::loadu(src + k)).storeu(dst + k);
   for (; k < n; ++k) dst[k] -= src[k];
+}
+
+/// out[0..nb) = q(v, ·): one vertex's state as a local array.
+inline void gather_state(const FlowField& q, int v, double* out) {
+  const double* qv = q.data().data() + q.base(v);
+  const std::size_t st = q.stride();
+  for (int c = 0; c < q.nb(); ++c) out[c] = qv[c * st];
+}
+
+/// Runs body(e, i, j) for every edge e = (i, j), over the conflict-free
+/// color classes in sequence with the edges of each class in parallel.
+/// Within a class no two edges share a vertex, so the body may scatter
+/// into per-vertex slots of i and j without a race, and each vertex
+/// receives its contributions in class order whatever the thread count:
+/// every scatter written through here is bit-identical at any thread
+/// count.
+template <class Body>
+void for_each_edge(const mesh::EdgeColoring& coloring,
+                   const std::vector<std::array<int, 2>>& edges,
+                   const Body& body) {
+  auto& pool = exec::pool();
+  for (int cc = 0; cc < coloring.num_colors(); ++cc)
+    pool.parallel_for(
+        coloring.class_ptr[cc], coloring.class_ptr[cc + 1],
+        [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t k = lo; k < hi; ++k) {
+            const int e = coloring.edge[k];
+            body(e, edges[e][0], edges[e][1]);
+          }
+        },
+        kEdgeGrain);
+}
+
+/// Runs body(v, n3, tag) for the three vertices of every boundary face,
+/// serially in face order (boundary work is a small fraction); n3 is each
+/// vertex's third of the face's dual normal.
+template <class Body>
+void for_each_boundary_vertex(const mesh::UnstructuredMesh& mesh,
+                              const mesh::DualMetrics& dual,
+                              const Body& body) {
+  const auto& bfaces = mesh.boundary_faces();
+  for (std::size_t bf = 0; bf < bfaces.size(); ++bf) {
+    const double n3[3] = {dual.bface_normal[bf][0] / 3.0,
+                          dual.bface_normal[bf][1] / 3.0,
+                          dual.bface_normal[bf][2] / 3.0};
+    for (const int v : bfaces[bf].v) body(v, n3, bfaces[bf].tag);
+  }
 }
 }  // namespace
 
@@ -87,10 +134,8 @@ void EulerDiscretization::gradients(const FlowField& q,
   const int ncomp = nb();
   grad.assign(static_cast<std::size_t>(nv) * ncomp * 3, 0.0);
 
-  const auto& edges = mesh_.edges();
   const double* qd = q.data().data();
   const std::size_t st = q.stride();
-  auto& pool = exec::pool();
 
   // Edge-difference Green-Gauss: grad_i += 1/(2 V_i) n_ij (q_j - q_i),
   // accumulated into the SoA-blocked layout grad[(v*3 + d)*ncomp + c]:
@@ -98,44 +143,34 @@ void EulerDiscretization::gradients(const FlowField& q,
   // edge update is six pack multiply-adds (3 directions x 2 endpoints)
   // instead of 24 scalar ones. The pack path is elementwise —
   // bit-identical to the scalar path.
-  // Colored scatter: classes in sequence, edges of a class in parallel.
   const bool vec4 =
       simd::enabled() && st == 1 && ncomp == simd::kDoubleLanes;
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    pool.parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&, vec4](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const auto& n = dual_.edge_normal[e];
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            double* gi = &grad[static_cast<std::size_t>(i) * 3 * ncomp];
-            double* gj = &grad[static_cast<std::size_t>(j) * 3 * ncomp];
-            if (vec4) {
-              const Vd dq = Vd::loadu(qd + bj) - Vd::loadu(qd + bi);
-              for (int d = 0; d < 3; ++d) {
-                const Vd w = Vd::broadcast(0.5 * n[d]);
-                double* gid = gi + d * ncomp;
-                double* gjd = gj + d * ncomp;
-                (Vd::loadu(gid) + w * dq).storeu(gid);
-                (Vd::loadu(gjd) + w * dq).storeu(gjd);
-              }
-            } else {
-              for (int c = 0; c < ncomp; ++c) {
-                const double dq = qd[bj + c * st] - qd[bi + c * st];
-                for (int d = 0; d < 3; ++d) {
-                  gi[d * ncomp + c] += 0.5 * n[d] * dq;
-                  gj[d * ncomp + c] += 0.5 * n[d] * dq;
-                }
-              }
-            }
-          }
-        },
-        kEdgeGrain);
-  }
+  for_each_edge(coloring_, mesh_.edges(), [&, vec4](int e, int i, int j) {
+    const auto& n = dual_.edge_normal[e];
+    const std::size_t bi = q.base(i), bj = q.base(j);
+    double* gi = &grad[static_cast<std::size_t>(i) * 3 * ncomp];
+    double* gj = &grad[static_cast<std::size_t>(j) * 3 * ncomp];
+    if (vec4) {
+      const Vd dq = Vd::loadu(qd + bj) - Vd::loadu(qd + bi);
+      for (int d = 0; d < 3; ++d) {
+        const Vd w = Vd::broadcast(0.5 * n[d]);
+        double* gid = gi + d * ncomp;
+        double* gjd = gj + d * ncomp;
+        (Vd::loadu(gid) + w * dq).storeu(gid);
+        (Vd::loadu(gjd) + w * dq).storeu(gjd);
+      }
+    } else {
+      for (int c = 0; c < ncomp; ++c) {
+        const double dq = qd[bj + c * st] - qd[bi + c * st];
+        for (int d = 0; d < 3; ++d) {
+          gi[d * ncomp + c] += 0.5 * n[d] * dq;
+          gj[d * ncomp + c] += 0.5 * n[d] * dq;
+        }
+      }
+    }
+  });
   const bool use_simd = simd::enabled();
-  pool.parallel_for(
+  exec::pool().parallel_for(
       0, nv,
       [&, use_simd](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t v = lo; v < hi; ++v) {
@@ -183,104 +218,75 @@ void EulerDiscretization::limiters(const FlowField& q,
   F3D_OBS_SPAN("limiter");
   const int nv = num_vertices();
   const int ncomp = nb();
-  phi.assign(static_cast<std::size_t>(nv) * ncomp, GS(1));
+  phi.resize(static_cast<std::size_t>(nv) * ncomp);
 
-  const auto& edges = mesh_.edges();
   const auto& coords = mesh_.coords();
   const double* qd = q.data().data();
   const std::size_t st = q.stride();
-  auto& pool = exec::pool();
-
-  // Neighbor min/max per (vertex, component). min/max are exact, so the
-  // colored scatter is deterministic for free; the coloring only provides
-  // race-freedom.
-  std::vector<double> qmin(static_cast<std::size_t>(nv) * ncomp),
-      qmax(static_cast<std::size_t>(nv) * ncomp);
-  pool.parallel_for(
-      0, nv,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t v = lo; v < hi; ++v) {
-          const std::size_t b = q.base(static_cast<int>(v));
-          for (int c = 0; c < ncomp; ++c)
-            qmin[static_cast<std::size_t>(v) * ncomp + c] =
-                qmax[static_cast<std::size_t>(v) * ncomp + c] = qd[b + c * st];
-        }
-      },
-      kVertexGrain);
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    pool.parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            for (int c = 0; c < ncomp; ++c) {
-              const double qi = qd[bi + c * st], qj = qd[bj + c * st];
-              auto& mni = qmin[static_cast<std::size_t>(i) * ncomp + c];
-              auto& mxi = qmax[static_cast<std::size_t>(i) * ncomp + c];
-              auto& mnj = qmin[static_cast<std::size_t>(j) * ncomp + c];
-              auto& mxj = qmax[static_cast<std::size_t>(j) * ncomp + c];
-              mni = std::min(mni, qj);
-              mxi = std::max(mxi, qj);
-              mnj = std::min(mnj, qi);
-              mxj = std::max(mxj, qi);
-            }
-          }
-        },
-        kEdgeGrain);
-  }
-
   // Venkatakrishnan limiter, eps^2 ~ (K^3) * cell volume (h^3 scale).
+  const double k3 = cfg_.venkat_k * cfg_.venkat_k * cfg_.venkat_k;
   auto venkat = [](double dplus, double d2, double eps2) {
     const double num = (dplus * dplus + eps2) * d2 + 2 * d2 * d2 * dplus;
     const double den = dplus * dplus + 2 * d2 * d2 + dplus * d2 + eps2;
     return den == 0 ? 1.0 : num / (den * d2);
   };
 
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    pool.parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const double dx[3] = {coords[j][0] - coords[i][0],
-                                  coords[j][1] - coords[i][1],
-                                  coords[j][2] - coords[i][2]};
-            const std::size_t bi = q.base(i), bj = q.base(j);
+  // One pass per vertex v over its stencil row (v and its neighbors):
+  // the neighbor min/max per component, then phi_v = min(1, limiter
+  // toward the midpoint of each edge (v, j)). Each vertex writes only its
+  // own phi, so no coloring is needed. The result is bit-identical to the
+  // edge-ordered definition (both endpoints of each edge in turn): min
+  // and max are exact and order-free, also through the GS narrowing, and
+  // x_v - x_j == -(x_j - x_v), so 1/2 g.dx seen from the other endpoint
+  // differs only in sign (-ffp-contract=off); d2 == 0 is skipped either
+  // way.
+  exec::pool().parallel_for(
+      0, nv,
+      [&](std::int64_t lo, std::int64_t hi) {
+        double qmin[kMaxComponents], qmax[kMaxComponents], p[kMaxComponents];
+        for (std::int64_t v = lo; v < hi; ++v) {
+          const int* row = stencil_.col.data() + stencil_.ptr[v];
+          const int* row_end = stencil_.col.data() + stencil_.ptr[v + 1];
+          const std::size_t bv = q.base(static_cast<int>(v));
+          for (int c = 0; c < ncomp; ++c) {
+            qmin[c] = qmax[c] = qd[bv + c * st];
+            p[c] = 1.0;
+          }
+          for (const int* j = row; j != row_end; ++j) {
+            if (*j == v) continue;
+            const std::size_t bj = q.base(*j);
             for (int c = 0; c < ncomp; ++c) {
-              // Limit both endpoints' reconstructions toward the edge
-              // midpoint. Gradient reads promote GS -> double; the SoA
-              // layout puts direction d of component c at g[d * ncomp].
-              for (int side = 0; side < 2; ++side) {
-                const int v = side == 0 ? i : j;
-                const double sgn = side == 0 ? 0.5 : -0.5;
-                const GS* g =
-                    &grad[static_cast<std::size_t>(v) * 3 * ncomp + c];
-                const double d2 =
-                    sgn * (static_cast<double>(g[0]) * dx[0] +
-                           static_cast<double>(g[ncomp]) * dx[1] +
-                           static_cast<double>(g[2 * ncomp]) * dx[2]);
-                if (d2 == 0) continue;
-                const std::size_t b = side == 0 ? bi : bj;
-                const double qv = qd[b + c * st];
-                const double dplus =
-                    d2 > 0 ? qmax[static_cast<std::size_t>(v) * ncomp + c] - qv
-                           : qmin[static_cast<std::size_t>(v) * ncomp + c] - qv;
-                const double k3 = cfg_.venkat_k * cfg_.venkat_k * cfg_.venkat_k;
-                const double eps2 = k3 * dual_.vertex_volume[v];
-                const double lim =
-                    venkat(d2 > 0 ? dplus : -dplus, std::abs(d2), eps2);
-                auto& p = phi[static_cast<std::size_t>(v) * ncomp + c];
-                p = static_cast<GS>(std::min(static_cast<double>(p),
-                                             std::max(0.0, lim)));
-              }
+              qmin[c] = std::min(qmin[c], qd[bj + c * st]);
+              qmax[c] = std::max(qmax[c], qd[bj + c * st]);
             }
           }
-        },
-        kEdgeGrain);
-  }
+          const double eps2 = k3 * dual_.vertex_volume[v];
+          for (const int* j = row; j != row_end; ++j) {
+            if (*j == v) continue;
+            const double dx[3] = {coords[*j][0] - coords[v][0],
+                                  coords[*j][1] - coords[v][1],
+                                  coords[*j][2] - coords[v][2]};
+            for (int c = 0; c < ncomp; ++c) {
+              // Gradient reads promote GS -> double; the SoA layout puts
+              // direction d of component c at g[d * ncomp].
+              const GS* g = &grad[static_cast<std::size_t>(v) * 3 * ncomp + c];
+              const double d2 =
+                  0.5 * (static_cast<double>(g[0]) * dx[0] +
+                         static_cast<double>(g[ncomp]) * dx[1] +
+                         static_cast<double>(g[2 * ncomp]) * dx[2]);
+              if (d2 == 0) continue;
+              const double qv = qd[bv + c * st];
+              const double dplus = d2 > 0 ? qmax[c] - qv : qmin[c] - qv;
+              const double lim =
+                  venkat(d2 > 0 ? dplus : -dplus, std::abs(d2), eps2);
+              p[c] = std::min(p[c], std::max(0.0, lim));
+            }
+          }
+          for (int c = 0; c < ncomp; ++c)
+            phi[static_cast<std::size_t>(v) * ncomp + c] = static_cast<GS>(p[c]);
+        }
+      },
+      kVertexGrain);
 }
 
 template void EulerDiscretization::limiters<double>(
@@ -359,77 +365,46 @@ void EulerDiscretization::residual_impl_t(const FlowField& q,
     limiters(q, grad, phi);
   }
 
-  const auto& edges = mesh_.edges();
-  const double* qd = q.data().data();
   const std::size_t st = q.stride();
   double* out = r.data();
 
   F3D_OBS_SPAN("flux_scatter");
-  // Flux scatter over the conflict-free color classes: within a class no
-  // two edges touch a vertex, so threads write disjoint residual slots
-  // and each vertex accumulates in class order regardless of thread count.
-  // With an interlaced field the per-edge state copies and the +-f
-  // scatter run as packs (elementwise — bit-identical to the scalar
-  // loops); the flux arithmetic itself is always double.
+  // With an interlaced field the +-f scatter runs as packs (elementwise —
+  // bit-identical to the scalar loop); the flux arithmetic itself is
+  // always double.
   const bool use_simd = simd::enabled() && st == 1;
-  const bool vec4 = use_simd && ncomp == simd::kDoubleLanes;
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    exec::pool().parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&, use_simd, vec4](std::int64_t lo, std::int64_t hi) {
-          double ql[kMaxComponents], qr[kMaxComponents], f[kMaxComponents];
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const double n[3] = {dual_.edge_normal[e][0],
-                                 dual_.edge_normal[e][1],
-                                 dual_.edge_normal[e][2]};
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            if (second_order) {
-              interface_states_t(q, grad, phi, i, j, ql, qr);
-            } else if (vec4) {
-              Vd::loadu(qd + bi).storeu(ql);
-              Vd::loadu(qd + bj).storeu(qr);
-            } else {
-              for (int c = 0; c < ncomp; ++c) {
-                ql[c] = qd[bi + c * st];
-                qr[c] = qd[bj + c * st];
-              }
-            }
-            rusanov_flux(cfg_, ql, qr, n, f);
-            if (use_simd) {
-              acc_arr(true, out + bi, f, ncomp);
-              sub_arr(true, out + bj, f, ncomp);
-            } else {
-              for (int c = 0; c < ncomp; ++c) {
-                out[bi + c * st] += f[c];
-                out[bj + c * st] -= f[c];
-              }
-            }
-          }
-        },
-        kEdgeGrain);
-  }
-
-  // Boundary closure (serial; boundary work is a small fraction).
-  const auto& bfaces = mesh_.boundary_faces();
-  double qv[kMaxComponents], f[kMaxComponents];
-  for (std::size_t bf = 0; bf < bfaces.size(); ++bf) {
-    const auto& face = bfaces[bf];
-    const double n3[3] = {dual_.bface_normal[bf][0] / 3.0,
-                          dual_.bface_normal[bf][1] / 3.0,
-                          dual_.bface_normal[bf][2] / 3.0};
-    for (int lv = 0; lv < 3; ++lv) {
-      const int v = face.v[lv];
-      const std::size_t b = q.base(v);
-      for (int c = 0; c < ncomp; ++c) qv[c] = qd[b + c * st];
-      if (face.tag == mesh::BoundaryTag::kWall)
-        wall_flux(cfg_, qv, n3, f);
-      else
-        rusanov_flux(cfg_, qv, qinf_, n3, f);
-      for (int c = 0; c < ncomp; ++c) r[b + c * st] += f[c];
+  for_each_edge(coloring_, mesh_.edges(), [&, use_simd](int e, int i, int j) {
+    double ql[kMaxComponents], qr[kMaxComponents], f[kMaxComponents];
+    if (second_order) {
+      interface_states_t(q, grad, phi, i, j, ql, qr);
+    } else {
+      gather_state(q, i, ql);
+      gather_state(q, j, qr);
     }
-  }
+    rusanov_flux(cfg_, ql, qr, dual_.edge_normal[e].data(), f);
+    const std::size_t bi = q.base(i), bj = q.base(j);
+    if (use_simd) {
+      acc_arr(true, out + bi, f, ncomp);
+      sub_arr(true, out + bj, f, ncomp);
+    } else {
+      for (int c = 0; c < ncomp; ++c) {
+        out[bi + c * st] += f[c];
+        out[bj + c * st] -= f[c];
+      }
+    }
+  });
+
+  for_each_boundary_vertex(
+      mesh_, dual_, [&](int v, const double* n3, mesh::BoundaryTag tag) {
+        double qv[kMaxComponents], f[kMaxComponents];
+        gather_state(q, v, qv);
+        if (tag == mesh::BoundaryTag::kWall)
+          wall_flux(cfg_, qv, n3, f);
+        else
+          rusanov_flux(cfg_, qv, qinf_, n3, f);
+        const std::size_t b = q.base(v);
+        for (int c = 0; c < ncomp; ++c) out[b + c * st] += f[c];
+      });
 }
 
 void EulerDiscretization::residual(const FlowField& q,
@@ -443,57 +418,23 @@ void EulerDiscretization::residual(const FlowField& q,
 void EulerDiscretization::spectral_radius(const FlowField& q,
                                           std::vector<double>& sr) const {
   F3D_OBS_SPAN("spectral_radius");
-  const int nv = num_vertices();
-  const int ncomp = nb();
-  sr.assign(nv, 0.0);
-  const auto& edges = mesh_.edges();
-  const double* qd = q.data().data();
-  const std::size_t st = q.stride();
-  const bool vec4 =
-      simd::enabled() && st == 1 && ncomp == simd::kDoubleLanes;
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    exec::pool().parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&, vec4](std::int64_t lo, std::int64_t hi) {
-          double qi[kMaxComponents], qj[kMaxComponents];
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const double n[3] = {dual_.edge_normal[e][0],
-                                 dual_.edge_normal[e][1],
-                                 dual_.edge_normal[e][2]};
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            if (vec4) {
-              Vd::loadu(qd + bi).storeu(qi);
-              Vd::loadu(qd + bj).storeu(qj);
-            } else {
-              for (int c = 0; c < ncomp; ++c) {
-                qi[c] = qd[bi + c * st];
-                qj[c] = qd[bj + c * st];
-              }
-            }
-            const double lam = std::max(max_wave_speed(cfg_, qi, n),
-                                        max_wave_speed(cfg_, qj, n));
-            sr[i] += lam;
-            sr[j] += lam;
-          }
-        },
-        kEdgeGrain);
-  }
-  const auto& bfaces = mesh_.boundary_faces();
-  double qi[kMaxComponents];
-  for (std::size_t bf = 0; bf < bfaces.size(); ++bf) {
-    const auto& face = bfaces[bf];
-    const double n3[3] = {dual_.bface_normal[bf][0] / 3.0,
-                          dual_.bface_normal[bf][1] / 3.0,
-                          dual_.bface_normal[bf][2] / 3.0};
-    for (int lv = 0; lv < 3; ++lv) {
-      const int v = face.v[lv];
-      const std::size_t b = q.base(v);
-      for (int c = 0; c < ncomp; ++c) qi[c] = qd[b + c * st];
-      sr[v] += max_wave_speed(cfg_, qi, n3);
-    }
-  }
+  sr.assign(num_vertices(), 0.0);
+  for_each_edge(coloring_, mesh_.edges(), [&](int e, int i, int j) {
+    double qi[kMaxComponents], qj[kMaxComponents];
+    gather_state(q, i, qi);
+    gather_state(q, j, qj);
+    const double* n = dual_.edge_normal[e].data();
+    const double lam =
+        std::max(max_wave_speed(cfg_, qi, n), max_wave_speed(cfg_, qj, n));
+    sr[i] += lam;
+    sr[j] += lam;
+  });
+  for_each_boundary_vertex(
+      mesh_, dual_, [&](int v, const double* n3, mesh::BoundaryTag) {
+        double qv[kMaxComponents];
+        gather_state(q, v, qv);
+        sr[v] += max_wave_speed(cfg_, qv, n3);
+      });
 }
 
 sparse::Bcsr<double> EulerDiscretization::allocate_jacobian() const {
@@ -522,66 +463,38 @@ void EulerDiscretization::jacobian(const FlowField& q,
     return &jac.val[static_cast<std::size_t>(it - jac.col.begin()) * bsz];
   };
 
-  const auto& edges = mesh_.edges();
-  const double* qd = q.data().data();
-  const std::size_t st = q.stride();
   // Edge (i, j) updates blocks (i,i), (i,j), (j,i), (j,j); two edges with
-  // no shared vertex touch disjoint blocks, so the coloring makes the
-  // assembly scatter race-free with class-order accumulation.
+  // no shared vertex touch disjoint blocks. The block updates are
+  // elementwise over nb*nb scalars — pack strip-mined, bit-identical to
+  // the scalar loop.
   const bool use_simd = simd::enabled();
-  for (int cc = 0; cc < coloring_.num_colors(); ++cc) {
-    exec::pool().parallel_for(
-        coloring_.class_ptr[cc], coloring_.class_ptr[cc + 1],
-        [&, use_simd](std::int64_t lo, std::int64_t hi) {
-          double qi[kMaxComponents], qj[kMaxComponents];
-          double dl[kMaxComponents * kMaxComponents],
-              dr[kMaxComponents * kMaxComponents];
-          for (std::int64_t k = lo; k < hi; ++k) {
-            const int e = coloring_.edge[k];
-            const int i = edges[e][0], j = edges[e][1];
-            const double n[3] = {dual_.edge_normal[e][0],
-                                 dual_.edge_normal[e][1],
-                                 dual_.edge_normal[e][2]};
-            const std::size_t bi = q.base(i), bj = q.base(j);
-            for (int c = 0; c < ncomp; ++c) {
-              qi[c] = qd[bi + c * st];
-              qj[c] = qd[bj + c * st];
-            }
-            rusanov_flux_jacobian(cfg_, qi, qj, n, dl, dr);
-            // Block updates are elementwise over nb*nb scalars — pack
-            // strip-mined, bit-identical to the scalar loop.
-            acc_arr(use_simd, block_at(i, i), dl, bsz);
-            acc_arr(use_simd, block_at(i, j), dr, bsz);
-            sub_arr(use_simd, block_at(j, i), dl, bsz);
-            sub_arr(use_simd, block_at(j, j), dr, bsz);
-          }
-        },
-        kEdgeGrain);
-  }
+  for_each_edge(coloring_, mesh_.edges(), [&, use_simd](int e, int i, int j) {
+    double qi[kMaxComponents], qj[kMaxComponents];
+    double dl[kMaxComponents * kMaxComponents],
+        dr[kMaxComponents * kMaxComponents];
+    gather_state(q, i, qi);
+    gather_state(q, j, qj);
+    rusanov_flux_jacobian(cfg_, qi, qj, dual_.edge_normal[e].data(), dl, dr);
+    acc_arr(use_simd, block_at(i, i), dl, bsz);
+    acc_arr(use_simd, block_at(i, j), dr, bsz);
+    sub_arr(use_simd, block_at(j, i), dl, bsz);
+    sub_arr(use_simd, block_at(j, j), dr, bsz);
+  });
 
-  const auto& bfaces = mesh_.boundary_faces();
-  double qi[kMaxComponents];
+  // Heap, not stack: as stack arrays, glibc's dynamic trim threshold kept
+  // ~8 MB more freed heap in compwing-6k's peak RSS.
   std::vector<double> da(bsz), db(bsz);
-  for (std::size_t bf = 0; bf < bfaces.size(); ++bf) {
-    const auto& face = bfaces[bf];
-    const double n3[3] = {dual_.bface_normal[bf][0] / 3.0,
-                          dual_.bface_normal[bf][1] / 3.0,
-                          dual_.bface_normal[bf][2] / 3.0};
-    for (int lv = 0; lv < 3; ++lv) {
-      const int v = face.v[lv];
-      const std::size_t b = q.base(v);
-      for (int c = 0; c < ncomp; ++c) qi[c] = qd[b + c * st];
-      double* jvv = block_at(v, v);
-      if (face.tag == mesh::BoundaryTag::kWall) {
-        wall_flux_jacobian(cfg_, qi, n3, da.data());
+  for_each_boundary_vertex(
+      mesh_, dual_, [&](int v, const double* n3, mesh::BoundaryTag tag) {
+        double qv[kMaxComponents];
+        gather_state(q, v, qv);
+        if (tag == mesh::BoundaryTag::kWall)
+          wall_flux_jacobian(cfg_, qv, n3, da.data());
+        else  // d/dq_v of rusanov(q_v, q_inf): the left-state Jacobian.
+          rusanov_flux_jacobian(cfg_, qv, qinf_, n3, da.data(), db.data());
+        double* jvv = block_at(v, v);
         for (std::size_t k = 0; k < bsz; ++k) jvv[k] += da[k];
-      } else {
-        // d/dq_v of rusanov(q_v, q_inf): the left-state Jacobian.
-        rusanov_flux_jacobian(cfg_, qi, qinf_, n3, da.data(), db.data());
-        for (std::size_t k = 0; k < bsz; ++k) jvv[k] += da[k];
-      }
-    }
-  }
+      });
 }
 
 double EulerDiscretization::residual_flops() const {

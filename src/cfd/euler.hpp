@@ -28,8 +28,9 @@
 namespace f3d::cfd {
 
 /// Flow-independent geometry of a discretization: the dual-mesh metrics,
-/// the Jacobian coupling stencil, and the conflict-free edge coloring.
-/// All three depend only on the (ordered) mesh, never on the flow
+/// the vertex stencil (the Jacobian's coupling pattern and the limiter's
+/// neighbor rows), and the conflict-free edge coloring of the edge
+/// scatters. All three depend only on the (ordered) mesh, never on the flow
 /// condition, so a batch of scenarios solving different Mach x AoA cases
 /// on the same mesh can compute them once and share them immutably —
 /// the fleet layer's shared-artifact contract (src/fleet/service.hpp).
@@ -87,7 +88,7 @@ public:
   void spectral_radius(const FlowField& q, std::vector<double>& sr) const;
 
   /// Vertex coupling stencil (self + neighbors) of the first-order
-  /// Jacobian.
+  /// Jacobian; the limiter walks its rows.
   [[nodiscard]] const sparse::Stencil& stencil() const { return stencil_; }
 
   /// Allocate the block Jacobian with the right sparsity (values zero).
@@ -106,8 +107,10 @@ public:
 
   /// Venkatakrishnan limiter values per (vertex, component) given the
   /// gradients, stored as GS (double, or float for the
-  /// reco_single_precision path). 1 = unlimited. Instantiated for double
-  /// and float in euler.cpp.
+  /// reco_single_precision path). 1 = unlimited. One vertex-parallel
+  /// pass over the stencil rows; bit-identical to the edge-ordered
+  /// definition at any thread count. Instantiated for double and float
+  /// in euler.cpp.
   template <class GS>
   void limiters(const FlowField& q, const std::vector<GS>& grad,
                 std::vector<GS>& phi) const;

@@ -181,15 +181,6 @@ std::vector<int> edge_order_random(const UnstructuredMesh& mesh, unsigned seed) 
   return order;
 }
 
-ColoringStats edge_coloring_stats(const UnstructuredMesh& mesh) {
-  auto co = edge_color_classes(mesh);
-  ColoringStats st;
-  st.num_colors = co.num_colors();
-  for (int c = 0; c < co.num_colors(); ++c)
-    st.max_class = std::max(st.max_class, co.class_ptr[c + 1] - co.class_ptr[c]);
-  return st;
-}
-
 void apply_best_ordering(UnstructuredMesh& mesh) {
   auto perm = rcm_ordering(mesh.vertex_adjacency());
   mesh.permute_vertices(perm);

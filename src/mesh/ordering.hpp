@@ -49,14 +49,6 @@ std::vector<int> edge_order_colored(const UnstructuredMesh& mesh);
 /// Deterministic random shuffle.
 std::vector<int> edge_order_random(const UnstructuredMesh& mesh, unsigned seed);
 
-/// Number of colors and max color class size of the colored order (for
-/// diagnostics / tests).
-struct ColoringStats {
-  int num_colors = 0;
-  int max_class = 0;
-};
-ColoringStats edge_coloring_stats(const UnstructuredMesh& mesh);
-
 /// Conflict-free edge color classes for the parallel scatter loops of the
 /// execution layer (f3d::exec): a partition of the edge ids such that no
 /// two edges in a class share a vertex. Processing classes sequentially

@@ -13,9 +13,7 @@ namespace {
 
 using resilience::RecoveryAction;
 
-// Escalation ladder limits.
-constexpr int kGmresRestartMax = 120;  ///< cap for restart-length escalation
-constexpr int kMaxLinearRetries = 2;   ///< restart escalations per call
+constexpr int kMaxLinearRetries = 2;  ///< restart escalations per call
 
 }  // namespace
 

@@ -107,12 +107,16 @@ struct KrylovLadder {
   KrylovMethod method = KrylovMethod::kGmres;
 };
 
+/// Cap of the ladder's restart-length escalation.
+constexpr int kGmresRestartMax = 120;
+
 /// Solve A x = b from x = 0 with the ladder's active method. With a `log`,
 /// a failed solve climbs the retry rungs, each logged at `step` and each
 /// starting over from x = 0:
 ///   BiCGStab breakdown -> swap to GMRES;
-///   GMRES stagnation   -> double the restart length (capped, at most
-///                         twice), then swap to BiCGStab.
+///   GMRES stagnation   -> double the restart length (capped at
+///                         kGmresRestartMax, at most twice), then swap to
+///                         BiCGStab.
 /// A swap happens at most once per call, and the swapped-to method stays
 /// in `ladder` for later calls. Without a log this is the single solve.
 /// Returns the result summed over the solves: iterations and counters add

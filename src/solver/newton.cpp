@@ -284,6 +284,14 @@ bool Solve::restore() {
   if (!ck) return false;
   F3D_CHECK_MSG(static_cast<int>(ck->x.size()) == n,
                 "checkpoint state size mismatch");
+  F3D_CHECK_MSG(ck->krylov == static_cast<int>(KrylovMethod::kGmres) ||
+                    ck->krylov == static_cast<int>(KrylovMethod::kBicgstab),
+                "checkpoint names an unknown Krylov method");
+  // 0 means unset; no rung of this solve writes more than this bound.
+  F3D_CHECK_MSG(ck->gmres_restart >= 0 &&
+                    ck->gmres_restart <=
+                        std::max(opts.gmres.restart, kGmresRestartMax),
+                "checkpoint GMRES restart length out of range");
   x = ck->x;
   start_step = static_cast<int>(ck->step);
   rnorm = ck->rnorm;

@@ -1,16 +1,18 @@
 // Tests for the Euler discretization: flux consistency, analytic
 // Jacobians against finite differences, freestream preservation (the
 // discrete divergence identity), gradient exactness, limiter bounds,
-// layout invariance, and threaded-residual equivalence.
+// layout invariance, and the limiter against its edge-ordered definition.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "cfd/euler.hpp"
 #include "common/rng.hpp"
-#include "exec/pool.hpp"
 #include "mesh/generator.hpp"
 
 namespace {
@@ -225,27 +227,6 @@ TEST(EulerDisc, ResidualIsLayoutInvariant) {
   }
 }
 
-TEST(EulerDisc, ThreadedResidualMatchesSerial) {
-  auto m = mesh::generate_wing_mesh(mesh::WingMeshConfig{.nx = 8, .ny = 4, .nz = 4});
-  EulerDiscretization disc(m, incompressible_cfg(2));
-  auto q = disc.make_freestream_field();
-  Rng rng(4);
-  for (int v = 0; v < q.num_vertices(); ++v)
-    for (int c = 0; c < q.nb(); ++c)
-      q.set(v, c, q.get(v, c) + 0.05 * rng.uniform(-1, 1));
-  std::vector<double> r1, r2;
-  {
-    exec::ThreadScope scope(1);
-    disc.residual(q, r1);
-  }
-  {
-    exec::ThreadScope scope(2);
-    disc.residual(q, r2);
-  }
-  ASSERT_EQ(r1.size(), r2.size());
-  for (std::size_t k = 0; k < r1.size(); ++k) EXPECT_NEAR(r1[k], r2[k], 1e-11);
-}
-
 TEST(EulerDisc, GradientsExactForLinearField) {
   auto m = mesh::generate_box_mesh(5, 4, 3, 2.0, 1.5, 1.0);
   FlowConfig cfg = incompressible_cfg(2);
@@ -293,6 +274,103 @@ TEST(EulerDisc, LimitersInUnitInterval) {
   for (double p : phi) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0 + 1e-12);
+  }
+}
+
+// The Venkatakrishnan limiter as defined edge by edge, serially in the
+// mesh's edge order: neighbor min/max from both endpoints of every edge,
+// then each endpoint limited toward the edge midpoint. limiters() walks
+// the stencil rows per vertex instead and must give the same bits.
+template <class GS>
+std::vector<GS> limiters_by_edge(const EulerDiscretization& disc,
+                                 const FlowField& q,
+                                 const std::vector<GS>& grad) {
+  const auto& m = disc.mesh();
+  const int nb = disc.nb();
+  const auto at = [nb](int v, int c) {
+    return static_cast<std::size_t>(v) * nb + c;
+  };
+  std::vector<double> qmin(static_cast<std::size_t>(m.num_vertices()) * nb);
+  std::vector<double> qmax(qmin.size());
+  for (int v = 0; v < m.num_vertices(); ++v)
+    for (int c = 0; c < nb; ++c) qmin[at(v, c)] = qmax[at(v, c)] = q.get(v, c);
+  for (const auto& e : m.edges())
+    for (int c = 0; c < nb; ++c)
+      for (int side = 0; side < 2; ++side) {
+        const int v = e[side], other = e[1 - side];
+        qmin[at(v, c)] = std::min(qmin[at(v, c)], q.get(other, c));
+        qmax[at(v, c)] = std::max(qmax[at(v, c)], q.get(other, c));
+      }
+  const double k = disc.config().venkat_k;
+  std::vector<GS> phi(qmin.size(), GS(1));
+  for (const auto& e : m.edges()) {
+    const auto& xi = m.coords()[e[0]];
+    const auto& xj = m.coords()[e[1]];
+    const double dx[3] = {xj[0] - xi[0], xj[1] - xi[1], xj[2] - xi[2]};
+    for (int side = 0; side < 2; ++side) {
+      const int v = e[side];
+      const double sgn = side == 0 ? 0.5 : -0.5;
+      const double eps2 = k * k * k * disc.dual().vertex_volume[v];
+      for (int c = 0; c < nb; ++c) {
+        const GS* g = &grad[static_cast<std::size_t>(v) * 3 * nb + c];
+        const double d2 = sgn * (static_cast<double>(g[0]) * dx[0] +
+                                 static_cast<double>(g[nb]) * dx[1] +
+                                 static_cast<double>(g[2 * nb]) * dx[2]);
+        if (d2 == 0) continue;
+        const double dplus =
+            (d2 > 0 ? qmax[at(v, c)] : qmin[at(v, c)]) - q.get(v, c);
+        const double a = d2 > 0 ? dplus : -dplus, b = std::abs(d2);
+        const double num = (a * a + eps2) * b + 2 * b * b * a;
+        const double den = a * a + 2 * b * b + a * b + eps2;
+        const double lim = den == 0 ? 1.0 : num / (den * b);
+        phi[at(v, c)] = static_cast<GS>(
+            std::min(static_cast<double>(phi[at(v, c)]), std::max(0.0, lim)));
+      }
+    }
+  }
+  return phi;
+}
+
+TEST(EulerDisc, LimiterMatchesEdgeDefinitionBitwise) {
+  auto m = mesh::generate_wing_mesh_with_size(1500);
+  mesh::shuffle_mesh(m, 7);
+  for (FlowConfig cfg : {incompressible_cfg(2), compressible_cfg(2)}) {
+    for (auto layout : {FieldLayout::kInterlaced, FieldLayout::kNonInterlaced}) {
+      // The default K, and a small one that limits almost everywhere.
+      for (double k : {cfg.venkat_k, 0.5}) {
+        cfg.layout = layout;
+        cfg.venkat_k = k;
+        SCOPED_TRACE("nb " + std::to_string(cfg.nb()) + " layout " +
+                     std::to_string(static_cast<int>(layout)) + " K " +
+                     std::to_string(k));
+        EulerDiscretization disc(m, cfg);
+        auto q = disc.make_freestream_field();
+        Rng rng(8);
+        for (int v = 0; v < q.num_vertices(); ++v)
+          for (int c = 0; c < q.nb(); ++c)
+            q.set(v, c,
+                  q.get(v, c) * (1 + 0.3 * rng.uniform(-1, 1)) +
+                      0.3 * rng.uniform(-1, 1));
+        std::vector<double> grad, phi;
+        disc.gradients(q, grad);
+        disc.limiters(q, grad, phi);
+        const auto ref = limiters_by_edge(disc, q, grad);
+        ASSERT_EQ(phi.size(), ref.size());
+        EXPECT_EQ(
+            std::memcmp(phi.data(), ref.data(), phi.size() * sizeof(double)),
+            0);
+        EXPECT_LT(*std::min_element(phi.begin(), phi.end()), 1.0);
+
+        const std::vector<float> gradf(grad.begin(), grad.end());
+        std::vector<float> phif;
+        disc.limiters(q, gradf, phif);
+        const auto reff = limiters_by_edge(disc, q, gradf);
+        ASSERT_EQ(phif.size(), reff.size());
+        EXPECT_EQ(
+            std::memcmp(phif.data(), reff.data(), phif.size() * sizeof(float)),
+            0);
+      }
+    }
   }
 }
 

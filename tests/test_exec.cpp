@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -310,30 +311,58 @@ TEST(LevelSchedule, BlockSolveMatchesSerialBitwise) {
 
 // --- parallel kernels bit-identical across thread counts ------------------
 
+// Every cfd kernel through every traversal (colored edge scatter,
+// per-vertex limiter pass, boundary closure), for both models and both
+// layouts, is bit-identical at 2 and 4 threads to 1 thread.
 TEST(ColoredKernels, ResidualBitIdenticalAcrossThreadCounts) {
   auto m = mesh::generate_wing_mesh_with_size(1500);
   mesh::shuffle_mesh(m, 2);
-  cfd::FlowConfig cfg;
-  cfg.model = cfd::Model::kIncompressible;
-  cfg.order = 2;  // exercises gradients + limiters too
-  cfd::EulerDiscretization disc(m, cfg);
-  auto q = disc.make_freestream_field();
-  // Perturb so the limiter actually limits somewhere.
-  for (std::size_t i = 0; i < q.data().size(); ++i)
-    q.data()[i] += 1e-2 * std::sin(0.3 * static_cast<double>(i));
-  std::vector<double> r_ref, r;
-  {
-    exec::ThreadScope scope(1);
-    disc.residual(q, r_ref);
-  }
-  for (int nt : {2, 4}) {
-    exec::ThreadScope scope(nt);
-    disc.residual(q, r);
-    ASSERT_EQ(r.size(), r_ref.size());
-    EXPECT_EQ(std::memcmp(r.data(), r_ref.data(), r.size() * sizeof(double)),
-              0)
-        << "nt=" << nt;
-  }
+  const auto eval = [](cfd::EulerDiscretization& disc,
+                       const cfd::FlowField& q) {
+    std::map<std::string, std::vector<double>> out;
+    auto& cfg = disc.config();
+    cfg.order = 2;  // exercises gradients + limiters too
+    cfg.reco_single_precision = false;
+    disc.residual(q, out["residual 2nd order"]);
+    cfg.reco_single_precision = true;
+    disc.residual(q, out["residual 2nd order, float reconstruction"]);
+    cfg.reco_single_precision = false;
+    cfg.order = 1;
+    disc.residual(q, out["residual 1st order"]);
+    disc.spectral_radius(q, out["spectral radius"]);
+    auto jac = disc.allocate_jacobian();
+    disc.jacobian(q, jac);
+    out["jacobian"] = jac.val;
+    return out;
+  };
+  for (const auto model : {cfd::Model::kIncompressible, cfd::Model::kCompressible})
+    for (const auto layout :
+         {sparse::FieldLayout::kInterlaced, sparse::FieldLayout::kNonInterlaced}) {
+      cfd::FlowConfig cfg;
+      cfg.model = model;
+      cfg.layout = layout;
+      cfd::EulerDiscretization disc(m, cfg);
+      auto q = disc.make_freestream_field();
+      // Perturb so the limiter actually limits somewhere.
+      for (std::size_t i = 0; i < q.data().size(); ++i)
+        q.data()[i] += 1e-2 * std::sin(0.3 * static_cast<double>(i));
+      std::map<std::string, std::vector<double>> ref;
+      {
+        exec::ThreadScope scope(1);
+        ref = eval(disc, q);
+      }
+      for (int nt : {2, 4}) {
+        exec::ThreadScope scope(nt);
+        for (const auto& [name, v] : eval(disc, q)) {
+          const auto& r = ref.at(name);
+          ASSERT_EQ(v.size(), r.size()) << name;
+          EXPECT_EQ(std::memcmp(v.data(), r.data(), v.size() * sizeof(double)),
+                    0)
+              << name << ", model " << static_cast<int>(model) << ", layout "
+              << static_cast<int>(layout) << ", nt=" << nt;
+        }
+      }
+    }
 }
 
 TEST(ColoredKernels, SpmvBitIdenticalAcrossThreadCounts) {

@@ -80,15 +80,6 @@ TEST(EdgeOrder, ColoredOrderIsPermutation) {
   EXPECT_EQ(static_cast<int>(s.size()), m.num_edges());
 }
 
-TEST(EdgeOrder, ColoringIsProper) {
-  // Within the colored order, recompute colors and verify no two edges of
-  // the same color share a vertex.
-  auto m = generate_box_mesh(3, 2, 2);
-  auto stats = edge_coloring_stats(m);
-  EXPECT_GT(stats.num_colors, 1);
-  EXPECT_GT(stats.max_class, 0);
-}
-
 TEST(EdgeOrder, ColoredHasWorseLocalityThanSorted) {
   // Locality proxy: mean |tail(k+1) - tail(k)| across the edge sequence.
   auto measure = [](const UnstructuredMesh& m) {

@@ -1206,6 +1206,58 @@ TEST(Checkpoint, CrcValidUnknownActionIsRejected) {
   EXPECT_EQ(back->log.count(RecoveryAction::kPivotShift), 1);
 }
 
+// A resume checks the checkpoint's Krylov fields before it overwrites the
+// caller's state: a method outside KrylovMethod, or a restart length
+// outside [0, max(gmres.restart, kGmresRestartMax)] (0 = unset), for which
+// GMRES would size its basis, is rejected.
+TEST(Checkpoint, ResumeRejectsOutOfRangeKrylovFields) {
+  const std::string path = temp_path("f3d_ck_krylov.bin");
+  std::remove(path.c_str());
+  std::remove((path + ".prev").c_str());
+  PtcOptions opts = campaign_options();
+  opts.recovery.enabled = true;
+  opts.recovery.checkpoint_path = path;
+  opts.gmres.restart = 20;
+  PtcOptions killed = opts;
+  killed.max_steps = 2;
+  ASSERT_FALSE(run_wing(nullptr, killed).converged);
+  const auto written = load_checkpoint(path);
+  ASSERT_TRUE(written.has_value());
+
+  auto m = mesh::generate_wing_mesh(
+      mesh::WingMeshConfig{.nx = 6, .ny = 3, .nz = 3});
+  cfd::FlowConfig cfg;
+  cfg.model = cfd::Model::kIncompressible;
+  cfg.order = 1;
+  cfd::EulerDiscretization disc(m, cfg);
+  cfd::EulerProblem prob(disc, -1.0);
+  opts.recovery.resume = true;
+  const auto resume_with = [&](std::int32_t krylov, std::int32_t restart,
+                               std::vector<double>& x) {
+    PtcCheckpoint ck = *written;
+    ck.krylov = krylov;
+    ck.gmres_restart = restart;
+    EXPECT_TRUE(save_checkpoint(path, ck));
+    return ptc_solve(prob, x, opts);
+  };
+  const std::vector<double> x0 = prob.initial_state();
+  const struct {
+    std::int32_t krylov, restart;
+  } rejected[] = {{7, 0}, {0, -1}, {0, 121}};
+  for (const auto& c : rejected) {
+    std::vector<double> x = x0;
+    EXPECT_THROW(resume_with(c.krylov, c.restart, x), Error)
+        << "krylov " << c.krylov << ", restart " << c.restart;
+    EXPECT_EQ(x, x0);
+  }
+  std::vector<double> x = x0;
+  const auto res = resume_with(0, 40, x);
+  EXPECT_EQ(res.recovery_log.count(RecoveryAction::kResume), 1);
+  EXPECT_TRUE(res.converged);
+  std::remove(path.c_str());
+  std::remove((path + ".prev").c_str());
+}
+
 // Kill a run mid-solve, resume from its checkpoint, and require the
 // resumed trajectory to be bit-identical to an uninterrupted run — with a
 // live fault injector, so the injector stream restore is exercised too.
