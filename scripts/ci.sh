@@ -25,8 +25,10 @@
 #      simd-, obs-, guard-, linear- and cfd-labelled tests (fault injection,
 #      recovery, checkpoints, journals, budgets and cancellation, the SIMD
 #      pack loads, the strict JSON parser: where memory bugs would hide
-#      behind error handling; the sparse, Krylov and Schwarz tests, whose
-#      ILU factors are refactored in place in reused buffers; and the cfd
+#      behind error handling; the sparse, Krylov, Schwarz, SSOR and
+#      ILU/Schwarz edge-case tests (test_sparse, test_solver, test_solver2,
+#      test_coarse, test_edgecases), whose factors gather A through index
+#      maps and are refactored in place in reused buffers; and the cfd
 #      kernels' index-heavy loops over edges and stencil rows)
 #   6. TSan build + the threaded-, obs-, simd-, fleet-, guard- and
 #      cfd-labelled tests (the exec pool, colored scatters, the per-vertex

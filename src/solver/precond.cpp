@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
 
 #include "common/densemat.hpp"
 #include "common/error.hpp"
@@ -17,6 +18,23 @@ namespace {
 // First rung of the zero-pivot shift ladder, relative to the diagonal
 // scale of the failing subdomain.
 constexpr double kPivotShift0 = 1e-8;
+
+// The one place a build or refresh changes a subdomain's gathered values,
+// before elimination, for either subdomain solver: a fired kFactorPivot
+// draw zeroes block (0, 0) (a corrupted Jacobian block arriving at the
+// factorization), and a ladder rung adds its shift to every scalar
+// diagonal entry, once. Empty when neither applies, so a fault-free
+// factorization reads A's values untouched.
+sparse::DiagonalEdit diagonal_edit(int nb, bool zeroed, double shift) {
+  if (!zeroed && shift == 0) return {};
+  return [=](int k, double* blk) {
+    if (zeroed && k == 0)
+      std::fill_n(blk, static_cast<std::size_t>(nb) * nb, 0.0);
+    if (shift != 0)
+      for (int c = 0; c < nb; ++c)
+        blk[static_cast<std::size_t>(c) * nb + c] += shift;
+  };
+}
 
 }  // namespace
 
@@ -42,7 +60,6 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
   auto regions = part::overlap_expand(g, partition, opts_.overlap);
 
   subs_.resize(partition.nparts);
-  std::vector<int> global_to_local(a.nrows, -1);
   for (int s = 0; s < partition.nparts; ++s) {
     auto& sd = subs_[s];
     sd.vertices = std::move(regions[s]);
@@ -51,89 +68,40 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
     for (std::size_t k = 0; k < sd.vertices.size(); ++k)
       sd.owned[k] = partition.part[sd.vertices[k]] == s ? 1 : 0;
 
-    // Local block sparsity: rows/cols restricted to the subdomain set.
-    const int nl = static_cast<int>(sd.vertices.size());
-    for (int k = 0; k < nl; ++k) global_to_local[sd.vertices[k]] = k;
-
-    sd.local.nb = nb_;
-    sd.local.nrows = nl;
-    sd.local.ptr.assign(nl + 1, 0);
-    for (int k = 0; k < nl; ++k) {
-      const int gi = sd.vertices[k];
-      int cnt = 0;
-      for (int p = a.ptr[gi]; p < a.ptr[gi + 1]; ++p)
-        if (global_to_local[a.col[p]] >= 0) ++cnt;
-      sd.local.ptr[k + 1] = sd.local.ptr[k] + cnt;
-    }
-    sd.local.col.resize(sd.local.ptr[nl]);
-    sd.local.val.resize(sd.local.ptr[nl] * static_cast<std::size_t>(nb_) * nb_);
-    for (int k = 0; k < nl; ++k) {
-      const int gi = sd.vertices[k];
-      int q = sd.local.ptr[k];
-      for (int p = a.ptr[gi]; p < a.ptr[gi + 1]; ++p) {
-        const int lj = global_to_local[a.col[p]];
-        if (lj >= 0) sd.local.col[q++] = lj;
-      }
-      // Global columns ascending and the local ids monotone in global ids
-      // within the subdomain set, so local columns are already sorted.
-    }
-    for (int k = 0; k < nl; ++k) global_to_local[sd.vertices[k]] = -1;
-
-    // First factorization, right after this subdomain's values arrive
-    // (one kFactorPivot draw per subdomain, in subdomain order). The ILU
-    // factor is built here once; refreshes refactor it in place.
-    extract_local_values(a, sd);
+    // First factorization of A[vertices, vertices], right after this
+    // subdomain's kFactorPivot draw (one per subdomain, in subdomain
+    // order). The ILU factor is built here once; refreshes refactor it in
+    // place.
+    const auto edit = diagonal_edit(
+        nb_, resilience::fault_fires(resilience::FaultSite::kFactorPivot), 0);
     if (opts_.subdomain_solver == SubdomainSolver::kSsor) {
+      std::tie(sd.local, sd.local_map) =
+          sparse::principal_submatrix(a.ptr, a.col, sd.vertices, 0);
+      sd.local_val.resize(sd.local.nnz() * nb_ * nb_);
       std::string err;
-      F3D_NUMERIC_CHECK_MSG(factor_checked(sd, err), err);
+      F3D_NUMERIC_CHECK_MSG(factor_subdomain(sd, a, edit, err), err);
     } else if (opts_.single_precision) {
-      sd.ilu_f.emplace(sd.local, opts_.fill_level);
+      sd.ilu_f.emplace(a, opts_.fill_level, sd.vertices, edit);
     } else {
-      sd.ilu_d.emplace(sd.local, opts_.fill_level);
+      sd.ilu_d.emplace(a, opts_.fill_level, sd.vertices, edit);
     }
   }
 }
 
-void SchwarzPreconditioner::extract_local_values(const sparse::Bcsr<double>& a,
-                                                 Subdomain& sd) const {
-  const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
-  std::vector<char> in_sub(a.nrows, 0);
-  for (int v : sd.vertices) in_sub[v] = 1;
-  const int nl = static_cast<int>(sd.vertices.size());
-  for (int k = 0; k < nl; ++k) {
-    const int gi = sd.vertices[k];
-    int q = sd.local.ptr[k];
-    for (int p = a.ptr[gi]; p < a.ptr[gi + 1]; ++p) {
-      if (!in_sub[a.col[p]]) continue;
-      std::copy_n(&a.val[static_cast<std::size_t>(p) * bsz], bsz,
-                  &sd.local.val[static_cast<std::size_t>(q) * bsz]);
-      ++q;
-    }
-    F3D_CHECK(q == sd.local.ptr[k + 1]);
-  }
-  // Fault-injection site: a corrupted Jacobian block arriving at the
-  // factorization (forced zero pivot). One opportunity per subdomain
-  // extraction.
-  if (resilience::fault_fires(resilience::FaultSite::kFactorPivot)) {
-    double* blk = sd.local.find_block(0, 0);
-    if (blk != nullptr)
-      std::fill_n(blk, static_cast<std::size_t>(nb_) * nb_, 0.0);
-  }
-}
-
-bool SchwarzPreconditioner::factor_checked(Subdomain& sd, std::string& err) {
+bool SchwarzPreconditioner::factor_subdomain(Subdomain& sd,
+                                             const sparse::Bcsr<double>& a,
+                                             const sparse::DiagonalEdit& edit,
+                                             std::string& err) {
   if (opts_.subdomain_solver == SubdomainSolver::kSsor) {
-    // SSOR only needs the factored diagonal blocks.
+    // SSOR factors only the diagonal blocks, in place in its copy; the
+    // off-diagonal ones stay as A's for its sweeps.
     const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
-    const int nl = static_cast<int>(sd.vertices.size());
-    sd.diag_lu.resize(static_cast<std::size_t>(nl) * bsz);
-    for (int k = 0; k < nl; ++k) {
-      const double* blk = sd.local.find_block(k, k);
-      F3D_CHECK_MSG(blk != nullptr, "missing diagonal block");
-      std::copy_n(blk, bsz, &sd.diag_lu[static_cast<std::size_t>(k) * bsz]);
-      const bool ok =
-          dense::lu_factor(nb_, &sd.diag_lu[static_cast<std::size_t>(k) * bsz]);
-      if (!ok) {
+    sd.local_map.gather(sd.local, a.ptr, a.col, a.val, bsz,
+                        sd.local_val.data());
+    for (int k = 0; k < sd.local.n; ++k) {
+      double* blk = &sd.local_val[sd.local.diag[k] * bsz];
+      if (edit) edit(k, blk);
+      if (!dense::lu_factor(nb_, blk)) {
         err = "singular diagonal block in SSOR at local row " +
               std::to_string(k);
         return false;
@@ -142,22 +110,11 @@ bool SchwarzPreconditioner::factor_checked(Subdomain& sd, std::string& err) {
     return true;
   }
   const sparse::IluFactorStatus status =
-      sd.ilu_f ? sd.ilu_f->refactor(sd.local) : sd.ilu_d->refactor(sd.local);
+      sd.ilu_f ? sd.ilu_f->refactor(a, edit) : sd.ilu_d->refactor(a, edit);
   if (!status.ok)
     err = "singular diagonal block in block ILU at local row " +
           std::to_string(status.bad_row);
   return status.ok;
-}
-
-void SchwarzPreconditioner::shift_local_diagonal(Subdomain& sd, int nb,
-                                                 double delta) {
-  const int nl = static_cast<int>(sd.vertices.size());
-  for (int k = 0; k < nl; ++k) {
-    double* blk = sd.local.find_block(k, k);
-    if (blk == nullptr) continue;
-    for (int c = 0; c < nb; ++c)
-      blk[static_cast<std::size_t>(c) * nb + c] += delta;
-  }
 }
 
 void SchwarzPreconditioner::ssor_solve(const Subdomain& sd, const double* b,
@@ -176,11 +133,10 @@ void SchwarzPreconditioner::ssor_solve(const Subdomain& sd, const double* b,
     for (int p = sd.local.ptr[i]; p < sd.local.ptr[i + 1]; ++p) {
       const int j = sd.local.col[p];
       if (j == i) continue;
-      dense::gemv_sub(nb_, &sd.local.val[static_cast<std::size_t>(p) * bsz],
+      dense::gemv_sub(nb_, &sd.local_val[static_cast<std::size_t>(p) * bsz],
                       z + static_cast<std::size_t>(j) * nb_, rhs);
     }
-    dense::lu_solve(nb_, &sd.diag_lu[static_cast<std::size_t>(i) * bsz], rhs,
-                    sol);
+    dense::lu_solve(nb_, &sd.local_val[sd.local.diag[i] * bsz], rhs, sol);
     double* zi = z + static_cast<std::size_t>(i) * nb_;
     for (int c = 0; c < nb_; ++c) zi[c] = sol[c];
   };
@@ -195,15 +151,16 @@ resilience::FactorReport SchwarzPreconditioner::refactor(
   F3D_CHECK(a.scalar_n() == n_ && a.nb == nb_);
   resilience::FactorReport report;
   for (auto& sd : subs_) {
-    extract_local_values(a, sd);
+    const bool zeroed =
+        resilience::fault_fires(resilience::FaultSite::kFactorPivot);
     std::string err;
-    if (factor_checked(sd, err)) continue;
+    if (factor_subdomain(sd, a, diagonal_edit(nb_, zeroed, 0), err)) continue;
 
-    // Diagonal scale of the failing subdomain, so the shift is relative.
+    // Diagonal scale of the failing subdomain's gathered values, so the
+    // shift is relative; a zeroed block (0, 0) adds nothing to it.
     double scale = 0;
-    const int nl = static_cast<int>(sd.vertices.size());
-    for (int k = 0; k < nl; ++k) {
-      const double* blk = sd.local.find_block(k, k);
+    for (std::size_t k = zeroed ? 1 : 0; k < sd.vertices.size(); ++k) {
+      const double* blk = a.find_block(sd.vertices[k], sd.vertices[k]);
       if (blk == nullptr) continue;
       for (int c = 0; c < nb_; ++c)
         scale = std::max(scale,
@@ -211,16 +168,14 @@ resilience::FactorReport SchwarzPreconditioner::refactor(
     }
     if (scale == 0 || !std::isfinite(scale)) scale = 1.0;
 
+    // Rung k refactors from A with its target shift added once.
     bool ok = false;
-    double applied = 0;
     double shift = kPivotShift0;
     for (int attempt = 0; attempt < shift_attempts; ++attempt, shift *= 10) {
       const double target = shift * scale;
-      shift_local_diagonal(sd, nb_, target - applied);
-      applied = target;
       ++report.shift_attempts;
       report.shift_used = std::max(report.shift_used, target);
-      if (factor_checked(sd, err)) {
+      if (factor_subdomain(sd, a, diagonal_edit(nb_, zeroed, target), err)) {
         ok = true;
         break;
       }

@@ -65,11 +65,12 @@ public:
                         const part::Partition& partition,
                         const SchwarzOptions& opts);
 
-  /// Re-extract subdomain values from a new `a` with the same sparsity and
-  /// refactor each subdomain's factor in place. A zero pivot / singular
+  /// Refactor each subdomain in place from a new `a` with the same
+  /// sparsity (an f3d::Error otherwise), gathering A[V, V]'s blocks
+  /// through the index map built at construction. A zero pivot / singular
   /// block is retried with an escalating diagonal shift delta*I on the
-  /// failing subdomain's local matrix — the factorization then succeeds on
-  /// a slightly perturbed operator, degrading preconditioner quality
+  /// failing subdomain's gathered values — the factorization then succeeds
+  /// on a slightly perturbed operator, degrading preconditioner quality
   /// instead of aborting.
   resilience::FactorReport refactor(const sparse::Bcsr<double>& a,
                                     int shift_attempts) override;
@@ -87,22 +88,26 @@ public:
 
 private:
   struct Subdomain {
-    std::vector<int> vertices;  ///< global vertex ids (owned + overlap)
+    std::vector<int> vertices;  ///< ascending vertex ids (owned + overlap)
     std::vector<char> owned;    ///< parallel to vertices
-    sparse::Bcsr<double> local; ///< extracted local matrix
-    /// ILU factors, built once and refactored in place: ilu_d with double
-    /// storage, ilu_f with float storage (single_precision).
+    /// ILU factors of A[vertices, vertices], built once and refactored in
+    /// place straight from A: ilu_d with double storage, ilu_f with float
+    /// storage (single_precision).
     std::optional<sparse::BlockIlu<double>> ilu_d;
     std::optional<sparse::BlockIlu<float>> ilu_f;
-    std::vector<double> diag_lu;     ///< factored diagonal blocks (SSOR)
+    /// SSOR reads off-diagonal blocks on every apply, so it keeps a copy
+    /// of A[vertices, vertices], gathered through local_map, with its
+    /// diagonal blocks factored in place.
+    sparse::IluPattern local;
+    sparse::GatherMap local_map;
+    std::vector<double> local_val;
   };
 
-  void extract_local_values(const sparse::Bcsr<double>& a, Subdomain& sd) const;
-  /// Non-throwing numeric refactorization; `err` gets the failure reason.
-  bool factor_checked(Subdomain& sd, std::string& err);
-  /// Add `delta` to every scalar diagonal entry of sd.local's diagonal
-  /// blocks (Manteuffel shift, applied cumulatively by the ladder).
-  static void shift_local_diagonal(Subdomain& sd, int nb, double delta);
+  /// Non-throwing numeric refactorization of one subdomain from `a`, with
+  /// `edit` applied to the gathered diagonal blocks; `err` gets the
+  /// failure reason.
+  bool factor_subdomain(Subdomain& sd, const sparse::Bcsr<double>& a,
+                        const sparse::DiagonalEdit& edit, std::string& err);
   void ssor_solve(const Subdomain& sd, const double* b, double* z) const;
 
   int n_ = 0;

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <string>
+#include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "common/densemat.hpp"
 #include "common/error.hpp"
@@ -12,9 +15,25 @@
 
 namespace f3d::sparse {
 
-IluPattern ilu_symbolic(int n, const std::vector<int>& aptr,
-                        const std::vector<int>& acol, int level) {
+std::pair<IluPattern, GatherMap> principal_submatrix(
+    const std::vector<int>& aptr, const std::vector<int>& acol,
+    std::vector<int> rows, int level) {
   F3D_CHECK(level >= 0);
+  GatherMap map{{}, {}, static_cast<int>(aptr.size()) - 1, acol.size()};
+  if (rows.empty()) {
+    rows.resize(map.a_rows);
+    std::iota(rows.begin(), rows.end(), 0);
+  }
+  // local[j]: V's number for A's row/column j, or -1 outside V. V's
+  // numbering is monotone in A's, so each row's columns stay ascending.
+  std::vector<int> local(map.a_rows, -1);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    F3D_CHECK_MSG(rows[k] >= 0 && rows[k] < map.a_rows &&
+                      (k == 0 || rows[k - 1] < rows[k]),
+                  "submatrix rows must be ascending rows of A");
+    local[rows[k]] = static_cast<int>(k);
+  }
+  const int n = static_cast<int>(rows.size());
   IluPattern pat;
   pat.n = n;
   pat.ptr.assign(n + 1, 0);
@@ -24,43 +43,39 @@ IluPattern ilu_symbolic(int n, const std::vector<int>& aptr,
   // later rows.
   std::vector<std::vector<std::pair<int, int>>> urow(n);
 
-  std::vector<int> cols_out;
-  cols_out.reserve(acol.size() * 2);
-
-  // Workspace: ordered col -> level map for the current row.
-  std::map<int, int> w;
+  // Workspace: ordered col -> (fill level, index in A or -1) for the
+  // current row.
+  std::map<int, std::pair<int, int>> w;
   for (int i = 0; i < n; ++i) {
     w.clear();
-    bool has_diag = false;
-    for (int p = aptr[i]; p < aptr[i + 1]; ++p) {
-      w.emplace(acol[p], 0);
-      if (acol[p] == i) has_diag = true;
-    }
-    F3D_CHECK_MSG(has_diag, "ILU requires a structurally nonzero diagonal");
+    for (int p = aptr[rows[i]]; p < aptr[rows[i] + 1]; ++p)
+      if (local[acol[p]] >= 0) w.emplace(local[acol[p]], std::pair(0, p));
+    F3D_CHECK_MSG(w.count(i) == 1,
+                  "ILU requires a structurally nonzero diagonal");
 
     // Merge fill contributions from all k < i present in the (growing)
     // workspace, ascending. std::map iteration stays valid under inserts.
     for (auto it = w.begin(); it != w.end() && it->first < i; ++it) {
       const int k = it->first;
-      const int lev_ik = it->second;
+      const int lev_ik = it->second.first;
       for (const auto& [j, lev_kj] : urow[k]) {
         const int lev = lev_ik + lev_kj + 1;
         if (lev > level) continue;
-        auto [jt, inserted] = w.emplace(j, lev);
-        if (!inserted && jt->second > lev) jt->second = lev;
+        auto [jt, inserted] = w.emplace(j, std::pair(lev, -1));
+        if (!inserted && jt->second.first > lev) jt->second.first = lev;
       }
     }
 
     pat.ptr[i + 1] = pat.ptr[i] + static_cast<int>(w.size());
-    for (const auto& [j, lev] : w) {
-      if (j == i) pat.diag[i] = static_cast<int>(cols_out.size());
-      if (j > i) urow[i].push_back({j, lev});
-      cols_out.push_back(j);
+    for (const auto& [j, entry] : w) {
+      if (j == i) pat.diag[i] = static_cast<int>(pat.col.size());
+      if (j > i) urow[i].push_back({j, entry.first});
+      pat.col.push_back(j);
+      map.src.push_back(entry.second);
     }
-    F3D_CHECK(pat.diag[i] >= 0);
   }
-  pat.col = std::move(cols_out);
-  return pat;
+  map.rows = std::move(rows);
+  return {std::move(pat), std::move(map)};
 }
 
 namespace {
@@ -108,29 +123,42 @@ TriSchedule upper_levels(const IluPattern& pat) {
   return build_levels(n, level);
 }
 
-namespace {
-
-// Numeric point ILU of A on `pat` (a superset of A's sparsity), written
-// over `val` (pat.nnz() doubles). Returns the first row with a zero pivot,
-// or -1.
-int factor_point(const Csr<double>& a, const IluPattern& pat, double* val) {
-  F3D_OBS_SPAN("ilu.factor");
-  obs::Registry::global().count("sparse.ilu.factorizations");
-  F3D_CHECK(a.n == pat.n);
-  const int n = pat.n;
-  std::fill_n(val, pat.nnz(), 0.0);
-
-  // Scatter A into the (superset) pattern.
-  for (int i = 0; i < n; ++i) {
-    int q = pat.ptr[i];
-    for (int p = a.ptr[i]; p < a.ptr[i + 1]; ++p) {
-      const int j = a.col[p];
-      while (pat.col[q] < j) ++q;
-      F3D_CHECK_MSG(pat.col[q] == j, "pattern does not contain A");
-      val[q] = a.val[p];
+void GatherMap::gather(const IluPattern& pat, const std::vector<int>& aptr,
+                       const std::vector<int>& acol,
+                       const std::vector<double>& aval, std::size_t bsz,
+                       double* out) const {
+  const char* const mismatch =
+      "A's sparsity is not the one the map was built from";
+  F3D_CHECK_MSG(aptr.size() == static_cast<std::size_t>(a_rows) + 1 &&
+                    acol.size() == a_nnz && aval.size() == a_nnz * bsz,
+                mismatch);
+  for (int i = 0; i < pat.n; ++i) {
+    const int row_begin = aptr[rows[i]], row_end = aptr[rows[i] + 1];
+    for (int q = pat.ptr[i]; q < pat.ptr[i + 1]; ++q) {
+      const int p = src[q];
+      if (p < 0) {
+        std::fill_n(out + q * bsz, bsz, 0.0);
+        continue;
+      }
+      F3D_CHECK_MSG(
+          p >= row_begin && p < row_end && acol[p] == rows[pat.col[q]],
+          mismatch);
+      std::copy_n(&aval[static_cast<std::size_t>(p) * bsz], bsz, out + q * bsz);
     }
   }
+}
 
+namespace {
+
+// The numeric phase of a point factor: writes every entry of `val`
+// (pat.nnz() doubles) from A through `map`, then eliminates in place.
+// Returns the first row with a zero pivot, or -1.
+int factor_point(const Csr<double>& a, const IluPattern& pat,
+                 const GatherMap& map, double* val) {
+  F3D_OBS_SPAN("ilu.factor");
+  obs::Registry::global().count("sparse.ilu.factorizations");
+  map.gather(pat, a.ptr, a.col, a.val, 1, val);
+  const int n = pat.n;
   for (int i = 0; i < n; ++i) {
     for (int pos = pat.ptr[i]; pos < pat.diag[i]; ++pos) {
       const int k = pat.col[pos];
@@ -153,25 +181,19 @@ int factor_point(const Csr<double>& a, const IluPattern& pat, double* val) {
 }
 
 // Block variant of factor_point: `val` holds nb*nb doubles per pattern
-// entry; returns the first block row with a singular diagonal block.
-int factor_block(const Bcsr<double>& a, const IluPattern& pat, int nb,
+// entry, and `edit` (if set) changes the gathered diagonal blocks before
+// elimination; returns the first block row with a singular diagonal block.
+int factor_block(const Bcsr<double>& a, const IluPattern& pat,
+                 const GatherMap& map, int nb, const DiagonalEdit& edit,
                  double* val) {
   F3D_OBS_SPAN("ilu.factor");
   obs::Registry::global().count("sparse.ilu.factorizations");
-  F3D_CHECK(a.nrows == pat.n && a.nb == nb);
   const int n = pat.n;
   const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
-  std::fill_n(val, pat.nnz() * bsz, 0.0);
-
-  for (int i = 0; i < n; ++i) {
-    int q = pat.ptr[i];
-    for (int p = a.ptr[i]; p < a.ptr[i + 1]; ++p) {
-      const int j = a.col[p];
-      while (pat.col[q] < j) ++q;
-      F3D_CHECK_MSG(pat.col[q] == j, "pattern does not contain A");
-      std::copy_n(&a.val[p * bsz], bsz, &val[q * bsz]);
-    }
-  }
+  map.gather(pat, a.ptr, a.col, a.val, bsz, val);
+  if (edit)
+    for (int k = 0; k < n; ++k)
+      edit(k, &val[static_cast<std::size_t>(pat.diag[k]) * bsz]);
 
   for (int i = 0; i < n; ++i) {
     for (int pos = pat.ptr[i]; pos < pat.diag[i]; ++pos) {
@@ -243,11 +265,11 @@ void for_each_row_by_level(const TriSchedule& sch, const Row& row) {
 }  // namespace
 
 template <class S>
-PointIlu<S>::PointIlu(const Csr<double>& a, int level)
-    : pat_(ilu_symbolic(a.n, a.ptr, a.col, level)),
-      fwd_(lower_levels(pat_)),
-      bwd_(upper_levels(pat_)),
-      val_(pat_.nnz()) {
+PointIlu<S>::PointIlu(const Csr<double>& a, int level) {
+  std::tie(pat_, map_) = principal_submatrix(a.ptr, a.col, {}, level);
+  fwd_ = lower_levels(pat_);
+  bwd_ = upper_levels(pat_);
+  val_.resize(pat_.nnz());
   const IluFactorStatus st = refactor(a);
   F3D_NUMERIC_CHECK_MSG(st.ok,
                         "zero pivot in ILU at row " + std::to_string(st.bad_row));
@@ -255,8 +277,8 @@ PointIlu<S>::PointIlu(const Csr<double>& a, int level)
 
 template <class S>
 IluFactorStatus PointIlu<S>::refactor(const Csr<double>& a) {
-  return refactor_into(val_,
-                       [&](double* v) { return factor_point(a, pat_, v); });
+  return refactor_into(
+      val_, [&](double* v) { return factor_point(a, pat_, map_, v); });
 }
 
 // Both solves funnel every row through these two updates with the same
@@ -295,22 +317,26 @@ void PointIlu<S>::solve_levels(const double* b, double* x) const {
 }
 
 template <class S>
-BlockIlu<S>::BlockIlu(const Bcsr<double>& a, int level)
-    : nb_(a.nb),
-      pat_(ilu_symbolic(a.nrows, a.ptr, a.col, level)),
-      fwd_(lower_levels(pat_)),
-      bwd_(upper_levels(pat_)),
-      val_(pat_.nnz() * static_cast<std::size_t>(nb_) * nb_) {
+BlockIlu<S>::BlockIlu(const Bcsr<double>& a, int level, std::vector<int> rows,
+                      const DiagonalEdit& edit)
+    : nb_(a.nb) {
   F3D_CHECK(nb_ <= 8);  // backward_row's stack buffer
-  const IluFactorStatus st = refactor(a);
+  std::tie(pat_, map_) =
+      principal_submatrix(a.ptr, a.col, std::move(rows), level);
+  fwd_ = lower_levels(pat_);
+  bwd_ = upper_levels(pat_);
+  val_.resize(pat_.nnz() * static_cast<std::size_t>(nb_) * nb_);
+  const IluFactorStatus st = refactor(a, edit);
   F3D_NUMERIC_CHECK_MSG(st.ok, "singular diagonal block in block ILU at row " +
                                    std::to_string(st.bad_row));
 }
 
 template <class S>
-IluFactorStatus BlockIlu<S>::refactor(const Bcsr<double>& a) {
-  return refactor_into(
-      val_, [&](double* v) { return factor_block(a, pat_, nb_, v); });
+IluFactorStatus BlockIlu<S>::refactor(const Bcsr<double>& a,
+                                      const DiagonalEdit& edit) {
+  return refactor_into(val_, [&](double* v) {
+    return factor_block(a, pat_, map_, nb_, edit, v);
+  });
 }
 
 // Forward: x_i = b_i - sum_{j<i} L_ij x_j (unit block diagonal).

@@ -4,12 +4,17 @@
 // Table 4: k = 0, 1, 2).
 //
 // The symbolic phase is shared: level-of-fill on the (block) sparsity
-// graph. The numeric phase always computes in double; the factors may be
+// graph, also of a principal submatrix A[V, V] (a Schwarz subdomain),
+// whose factor reads A's values through a gather map with no copy of A.
+// The numeric phase always computes in double; the factors may be
 // *stored* in float for the paper's single-precision-preconditioner
 // experiment (§2.2, Table 2) — the triangular solves then read float
 // operands but accumulate in double, halving the memory traffic of the
 // bandwidth-bound solve at no observed cost in convergence.
 
+#include <cstddef>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "sparse/csr.hpp"
@@ -27,10 +32,32 @@ struct IluPattern {
   [[nodiscard]] std::size_t nnz() const { return col.size(); }
 };
 
-/// Level-of-fill symbolic factorization on an arbitrary CSR sparsity
-/// (must contain the diagonal). level == 0 returns the input pattern.
-IluPattern ilu_symbolic(int n, const std::vector<int>& aptr,
-                        const std::vector<int>& acol, int level);
+/// The index map through which a pattern over the rows V of a (block)
+/// matrix A reads A's values, built once from A's sparsity: pattern entry
+/// q takes A's entry src[q], or zero where src[q] is -1 (an ILU fill).
+struct GatherMap {
+  std::vector<int> rows;  ///< V, ascending
+  std::vector<int> src;   ///< per pattern entry: index into A, or -1
+  int a_rows = 0;         ///< A's row and entry counts at build
+  std::size_t a_nnz = 0;
+
+  /// Writes the entries of `pat`, the pattern the map indexes, into `out`,
+  /// `bsz` scalars each. Throws f3d::Error when A's sparsity is not the
+  /// one the map was built from (other counts, or a moved entry); that
+  /// check reads only A's integer arrays, never out of bounds.
+  void gather(const IluPattern& pat, const std::vector<int>& aptr,
+              const std::vector<int>& acol, const std::vector<double>& aval,
+              std::size_t bsz, double* out) const;
+};
+
+/// The symbolic phase: the level-of-fill pattern of the principal
+/// submatrix A[V, V] of a CSR sparsity, in V's numbering, and the map
+/// gathering A's entries into it. `rows` (V) must be ascending; empty
+/// means all of A. A[V, V] must hold its diagonal; level 0 returns its
+/// own sparsity.
+std::pair<IluPattern, GatherMap> principal_submatrix(
+    const std::vector<int>& aptr, const std::vector<int>& acol,
+    std::vector<int> rows, int level);
 
 /// Level schedule of one triangular factor's dependency DAG: rows grouped
 /// into levels such that every row's in-factor dependencies sit in
@@ -59,13 +86,18 @@ struct IluFactorStatus {
   int bad_row = -1;
 };
 
+/// Called on each gathered diagonal block (k, k), k ascending, before
+/// elimination: how a caller changes what it factors without copying A.
+using DiagonalEdit = std::function<void(int k, double* block)>;
+
 /// Point ILU(k) factors of one sparsity pattern, stored in S (double or
-/// float). The constructor runs the symbolic phase on A's sparsity, builds
-/// both level schedules and does the first numeric factorization,
-/// throwing f3d::NumericalError on a zero pivot. refactor() writes the
-/// factors of new values on the same sparsity in place and reports a zero
-/// pivot instead of throwing: the resilient solver paths climb a
-/// diagonal-shift ladder on it.
+/// float). A factor owns its pattern, its level schedules and its gather
+/// map. The constructor builds them from A's sparsity and does the first
+/// numeric factorization, throwing f3d::NumericalError on a zero pivot.
+/// refactor() reads A's new values through the map (same sparsity, else
+/// f3d::Error), writes the factors in place and reports a zero pivot
+/// instead of throwing: the resilient solver paths climb a diagonal-shift
+/// ladder on it.
 template <class S>
 class PointIlu {
 public:
@@ -93,18 +125,22 @@ private:
   void backward_row(bool use_simd, int i, double* x) const;
 
   IluPattern pat_;
+  GatherMap map_;
   TriSchedule fwd_;  ///< level schedule of the L solve
   TriSchedule bwd_;  ///< level schedule of the U solve
   std::vector<S> val_;
 };
 
-/// Block ILU(k) factors with PointIlu's contract; the diagonal blocks are
+/// Block ILU(k) factors of A[rows, rows] (empty rows: all of A) with
+/// PointIlu's contract, applying `edit` if set; the diagonal blocks are
 /// stored as their in-place LU factorizations.
 template <class S>
 class BlockIlu {
 public:
-  BlockIlu(const Bcsr<double>& a, int level);
-  [[nodiscard]] IluFactorStatus refactor(const Bcsr<double>& a);
+  BlockIlu(const Bcsr<double>& a, int level, std::vector<int> rows = {},
+           const DiagonalEdit& edit = {});
+  [[nodiscard]] IluFactorStatus refactor(const Bcsr<double>& a,
+                                         const DiagonalEdit& edit = {});
 
   void solve(const double* b, double* x) const;
   void solve(const std::vector<double>& b, std::vector<double>& x) const {
@@ -124,6 +160,7 @@ private:
 
   int nb_;
   IluPattern pat_;
+  GatherMap map_;
   TriSchedule fwd_;
   TriSchedule bwd_;
   std::vector<S> val_;  ///< nb*nb per pattern entry

@@ -254,7 +254,8 @@ TEST(LevelSchedule, ValidOnShuffledWingsAndFillLevels) {
     mesh::shuffle_mesh(m, 11);
     const auto a = graph_matrix(m);
     for (int fill : {0, 1}) {
-      const auto pat = sparse::ilu_symbolic(a.n, a.ptr, a.col, fill);
+      const auto pat =
+          sparse::principal_submatrix(a.ptr, a.col, {}, fill).first;
       check_schedule(pat);
     }
   }

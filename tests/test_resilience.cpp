@@ -271,6 +271,61 @@ TEST(SchwarzLadder, ShiftAbsorbsSingularDiagonalBlock) {
   for (double v : z) EXPECT_TRUE(std::isfinite(v));
 }
 
+TEST(SchwarzLadder, FactorPivotZeroesOneSubdomain) {
+  // One kFactorPivot draw per subdomain per build and per refresh, in
+  // subdomain order; the fired draw zeroes block (0, 0) of that subdomain
+  // only, and one rung of the shift ladder absorbs it.
+  auto m = mesh::generate_box_mesh(4, 4, 4);
+  auto s = sparse::stencil_from_mesh(m);
+  const auto a = sparse::build_bcsr(s, 2, sparse::synthetic_values(s));
+  const auto partition = part::kway_grow(graph_from_bcsr(a), 4);
+  SchwarzOptions so;
+  so.type = SchwarzType::kRasm;
+  so.overlap = 1;
+  const SchwarzPreconditioner clean(a, partition, so);
+
+  FaultInjector inj(3);
+  FaultPlan third_of_refresh;
+  third_of_refresh.fire_every = 1;
+  third_of_refresh.skip_first = 4 + 2;
+  third_of_refresh.max_fires = 1;
+  inj.arm(FaultSite::kFactorPivot, third_of_refresh);
+  InjectorScope scope(&inj);
+  SchwarzPreconditioner prec(a, partition, so);
+  EXPECT_EQ(inj.draws(FaultSite::kFactorPivot), 4);
+  const FactorReport report = prec.refactor(a, 8);
+  EXPECT_EQ(inj.draws(FaultSite::kFactorPivot), 8);
+  EXPECT_EQ(inj.fires(FaultSite::kFactorPivot), 1);
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(report.shift_attempts, 1);
+
+  Vec r(a.scalar_n(), 1.0), z(r.size()), z_clean(r.size());
+  prec.apply(r.data(), z.data());
+  clean.apply(r.data(), z_clean.data());
+  bool faulted_differs = false;
+  for (int v = 0; v < a.nrows; ++v) {
+    const std::size_t at = static_cast<std::size_t>(v) * a.nb;
+    const bool same =
+        std::memcmp(&z[at], &z_clean[at], a.nb * sizeof(double)) == 0;
+    if (partition.part[v] != 2)
+      EXPECT_TRUE(same) << "vertex " << v;
+    else
+      faulted_differs = faulted_differs || !same;
+  }
+  EXPECT_TRUE(faulted_differs);
+
+  // Without a ladder the refresh stops at the failing subdomain.
+  FaultInjector stop(3);
+  FaultPlan third;
+  third.fire_every = 1;
+  third.skip_first = 2;
+  third.max_fires = 1;
+  stop.arm(FaultSite::kFactorPivot, third);
+  InjectorScope stop_scope(&stop);
+  EXPECT_FALSE(prec.refactor(a, 0).ok);
+  EXPECT_EQ(stop.draws(FaultSite::kFactorPivot), 3);
+}
+
 // --- two-level coarse-disable rung ---------------------------------------
 
 // Block-diagonal operator with diagonal blocks alternating +I / -I along

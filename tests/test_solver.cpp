@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "cfd/problem.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "mesh/generator.hpp"
 #include "mesh/ordering.hpp"
@@ -187,16 +190,102 @@ INSTANTIATE_TEST_SUITE_P(PartsByOverlap, SchwarzTest,
                          ::testing::Combine(::testing::Values(2, 4, 8),
                                             ::testing::Values(0, 1, 2)));
 
-TEST(Schwarz, SingleDomainIluEqualsGlobalIlu) {
-  auto sys = make_system();
-  auto prec = make_global_ilu(sys.a, 1);
-  EXPECT_EQ(prec->num_subdomains(), 1);
-  // One apply must give the same result as a direct BlockIlu solve.
-  const sparse::BlockIlu<double> f(sys.a, 1);
-  Vec z1(sys.b.size()), z2(sys.b.size());
-  prec->apply(sys.b.data(), z1.data());
-  f.solve(sys.b.data(), z2.data());
-  for (std::size_t i = 0; i < z1.size(); ++i) EXPECT_NEAR(z1[i], z2[i], 1e-14);
+// A[vertices, vertices] copied out of A into a Bcsr of its own.
+sparse::Bcsr<double> extract_submatrix(const sparse::Bcsr<double>& a,
+                                       const std::vector<int>& vertices) {
+  std::vector<int> local(a.nrows, -1);
+  for (std::size_t k = 0; k < vertices.size(); ++k)
+    local[vertices[k]] = static_cast<int>(k);
+  const std::size_t bsz = static_cast<std::size_t>(a.nb) * a.nb;
+  sparse::Bcsr<double> sub;
+  sub.nb = a.nb;
+  sub.nrows = static_cast<int>(vertices.size());
+  sub.ptr.push_back(0);
+  for (const int v : vertices) {
+    for (int p = a.ptr[v]; p < a.ptr[v + 1]; ++p) {
+      if (local[a.col[p]] < 0) continue;
+      sub.col.push_back(local[a.col[p]]);
+      sub.val.insert(sub.val.end(), a.val.begin() + p * bsz,
+                     a.val.begin() + (p + 1) * bsz);
+    }
+    sub.ptr.push_back(static_cast<int>(sub.col.size()));
+  }
+  return sub;
+}
+
+// The Schwarz apply written out subdomain by subdomain, in order: gather
+// r on the subdomain, solve with the factor of the extracted submatrix,
+// and scatter (to owned vertices for bjacobi and RASM, summed for ASM).
+template <class S>
+Vec reference_apply(const sparse::Bcsr<double>& a,
+                    const part::Partition& partition,
+                    const SchwarzOptions& so, const Vec& r) {
+  const int nb = a.nb;
+  const auto regions =
+      part::overlap_expand(graph_from_bcsr(a), partition, so.overlap);
+  Vec z(r.size(), 0.0);
+  for (int s = 0; s < partition.nparts; ++s) {
+    const auto& vs = regions[s];
+    const sparse::BlockIlu<S> f(extract_submatrix(a, vs), so.fill_level);
+    Vec rl(vs.size() * nb), zl;
+    for (std::size_t k = 0; k < vs.size(); ++k)
+      for (int c = 0; c < nb; ++c) rl[k * nb + c] = r[vs[k] * nb + c];
+    f.solve(rl, zl);
+    for (std::size_t k = 0; k < vs.size(); ++k) {
+      if (so.type != SchwarzType::kAsm && partition.part[vs[k]] != s) continue;
+      for (int c = 0; c < nb; ++c) z[vs[k] * nb + c] += zl[k * nb + c];
+    }
+  }
+  return z;
+}
+
+TEST(Schwarz, SubdomainFactorsEqualExtractedSubmatrixFactorsBitwise) {
+  // Each subdomain's factor, gathered straight from A, equals the factor
+  // of A[V, V] extracted into its own matrix, bit for bit: at build and
+  // after a refactor from new values.
+  auto m = mesh::generate_box_mesh(6, 6, 6);
+  auto s = sparse::stencil_from_mesh(m);
+  const auto a1 = sparse::build_bcsr(s, 4, sparse::synthetic_values(s, 0));
+  const auto a2 = sparse::build_bcsr(s, 4, sparse::synthetic_values(s, 1));
+  Vec r(a1.scalar_n());
+  Rng rng(2);
+  for (auto& v : r) v = rng.uniform(-1, 1);
+  const auto g = graph_from_bcsr(a1);
+  int configs = 0;
+  for (int nparts : {1, 4, 16}) {
+    const auto partition = part::kway_grow(g, nparts);
+    for (auto type :
+         {SchwarzType::kBlockJacobi, SchwarzType::kAsm, SchwarzType::kRasm})
+      for (int overlap : {0, 1, 2}) {
+        if (type == SchwarzType::kBlockJacobi && overlap > 0) continue;
+        for (int fill : {0, 1})
+          for (bool single : {false, true}) {
+            SchwarzOptions so;
+            so.type = type;
+            so.overlap = overlap;
+            so.fill_level = fill;
+            so.single_precision = single;
+            SchwarzPreconditioner prec(a1, partition, so);
+            for (const auto* a : {&a1, &a2}) {
+              if (a == &a2) {
+                ASSERT_TRUE(prec.refactor(a2, 0).ok);
+              }
+              Vec z(r.size());
+              prec.apply(r.data(), z.data());
+              const Vec ref =
+                  single ? reference_apply<float>(*a, partition, so, r)
+                         : reference_apply<double>(*a, partition, so, r);
+              EXPECT_EQ(
+                  std::memcmp(z.data(), ref.data(), z.size() * sizeof(double)),
+                  0)
+                  << prec.name() << " nparts " << nparts
+                  << (a == &a2 ? " after refactor" : " at build");
+            }
+            ++configs;
+          }
+      }
+  }
+  EXPECT_EQ(configs, 84);
 }
 
 TEST(Schwarz, MoreSubdomainsNeedMoreIterations) {
@@ -290,14 +379,19 @@ TEST(Schwarz, RefactorTracksNewValues) {
 
   // The factors refactored in place equal freshly built ones, bit for bit,
   // with double and float storage (four overlapping ILU(1) subdomains,
-  // so fill entries from the old values must not leak through).
+  // so fill entries from the old values must not leak through), and so
+  // does SSOR's gathered copy.
   const auto g = graph_from_bcsr(sys.a);
   const auto partition = part::kway_grow(g, 4);
-  for (bool single : {false, true}) {
+  for (const auto& [single, solver] :
+       {std::pair{false, SubdomainSolver::kIlu},
+        std::pair{true, SubdomainSolver::kIlu},
+        std::pair{false, SubdomainSolver::kSsor}}) {
     SchwarzOptions so;
     so.overlap = 1;
     so.fill_level = 1;
     so.single_precision = single;
+    so.subdomain_solver = solver;
     auto old_a = sys.a;
     for (auto& v : old_a.val) v *= 0.5;
     SchwarzPreconditioner refreshed(old_a, partition, so);
@@ -309,6 +403,50 @@ TEST(Schwarz, RefactorTracksNewValues) {
     EXPECT_EQ(std::memcmp(z1.data(), z2.data(), z1.size() * sizeof(double)), 0)
         << refreshed.name();
   }
+}
+
+TEST(Ilu, RefactorRejectsADifferentSparsity) {
+  // A 6x6 tridiagonal point matrix, and a copy whose (0, 1) entry moved
+  // to (0, 2): the same n and nnz, and still a valid CSR.
+  sparse::Csr<double> a;
+  a.n = 6;
+  a.ptr.push_back(0);
+  for (int i = 0; i < a.n; ++i) {
+    for (int j = std::max(0, i - 1); j <= std::min(a.n - 1, i + 1); ++j) {
+      a.col.push_back(j);
+      a.val.push_back(i == j ? 4.0 : -1.0);
+    }
+    a.ptr.push_back(static_cast<int>(a.col.size()));
+  }
+  auto moved = a;
+  moved.col[1] = 2;
+  moved.check();
+  sparse::PointIlu<double> point(a, 0);
+  EXPECT_THROW((void)point.refactor(moved), Error);
+  EXPECT_TRUE(point.refactor(a).ok);
+
+  // Block matrices: the last block of row 0 moved to a column row 0 does
+  // not hold, and a matrix with one block fewer.
+  auto sys = make_system();
+  auto bmoved = sys.a;
+  bmoved.col[bmoved.ptr[1] - 1] = bmoved.nrows - 1;
+  bmoved.check();
+  auto fewer = sys.a;
+  fewer.col.pop_back();
+  fewer.ptr.back() -= 1;
+  fewer.val.resize(fewer.col.size() * 16);
+  fewer.check();
+  sparse::BlockIlu<double> block(sys.a, 1);
+  EXPECT_THROW((void)block.refactor(bmoved), Error);
+  EXPECT_THROW((void)block.refactor(fewer), Error);
+  EXPECT_TRUE(block.refactor(sys.a).ok);
+
+  SchwarzOptions so;
+  so.overlap = 1;
+  SchwarzPreconditioner prec(sys.a, part::kway_grow(graph_from_bcsr(sys.a), 4),
+                             so);
+  EXPECT_THROW((void)prec.refactor(fewer, 0), Error);
+  EXPECT_TRUE(prec.refactor(sys.a, 0).ok);
 }
 
 TEST(Schwarz, SubdomainSizesReflectOverlap) {

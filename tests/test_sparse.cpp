@@ -228,25 +228,29 @@ TEST(Formats, FindLocatesEntries) {
 
 TEST(Ilu, SymbolicLevel0EqualsInput) {
   auto s = small_stencil();
-  auto pat = ilu_symbolic(s.n, s.ptr, s.col, 0);
+  const auto [pat, map] = principal_submatrix(s.ptr, s.col, {}, 0);
   EXPECT_EQ(pat.ptr, s.ptr);
   EXPECT_EQ(pat.col, s.col);
   for (int i = 0; i < s.n; ++i) EXPECT_EQ(pat.col[pat.diag[i]], i);
+  // Every entry gathers from itself.
+  std::vector<int> identity(s.col.size());
+  std::iota(identity.begin(), identity.end(), 0);
+  EXPECT_EQ(map.src, identity);
 }
 
 TEST(Ilu, FillGrowsWithLevel) {
   auto s = small_stencil();
-  auto p0 = ilu_symbolic(s.n, s.ptr, s.col, 0);
-  auto p1 = ilu_symbolic(s.n, s.ptr, s.col, 1);
-  auto p2 = ilu_symbolic(s.n, s.ptr, s.col, 2);
+  auto p0 = principal_submatrix(s.ptr, s.col, {}, 0).first;
+  auto p1 = principal_submatrix(s.ptr, s.col, {}, 1).first;
+  auto p2 = principal_submatrix(s.ptr, s.col, {}, 2).first;
   EXPECT_LT(p0.nnz(), p1.nnz());
   EXPECT_LT(p1.nnz(), p2.nnz());
 }
 
 TEST(Ilu, PatternsNest) {
   auto s = small_stencil();
-  auto p1 = ilu_symbolic(s.n, s.ptr, s.col, 1);
-  auto p2 = ilu_symbolic(s.n, s.ptr, s.col, 2);
+  auto p1 = principal_submatrix(s.ptr, s.col, {}, 1).first;
+  auto p2 = principal_submatrix(s.ptr, s.col, {}, 2).first;
   // Every level-1 entry appears at level 2.
   for (int i = 0; i < s.n; ++i) {
     int q = p2.ptr[i];
@@ -419,7 +423,7 @@ TEST(Ilu, RefactorEqualsFreshFactorBitwise) {
 TEST(Ilu, MissingDiagonalThrows) {
   std::vector<int> ptr = {0, 1, 2};
   std::vector<int> col = {1, 0};  // 2x2 anti-diagonal: no (0,0)
-  EXPECT_THROW(ilu_symbolic(2, ptr, col, 0), Error);
+  EXPECT_THROW(principal_submatrix(ptr, col, {}, 0), Error);
 }
 
 }  // namespace
