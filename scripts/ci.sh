@@ -28,7 +28,9 @@
 #      behind error handling; the sparse, Krylov, Schwarz, SSOR and
 #      ILU/Schwarz edge-case tests (test_sparse, test_solver, test_solver2,
 #      test_coarse, test_edgecases), whose factors gather A through index
-#      maps and are refactored in place in reused buffers; and the cfd
+#      maps and are refactored in place in reused buffers; the dense block
+#      kernels and SpMV dispatch (test_kernels), including the rejection
+#      of a block size above the kernels' row buffers; and the cfd
 #      kernels' index-heavy loops over edges and stencil rows)
 #   6. TSan build + the threaded-, obs-, simd-, fleet-, guard- and
 #      cfd-labelled tests (the exec pool, colored scatters, the per-vertex

@@ -1,177 +1,206 @@
 #pragma once
 // Small dense-block kernels used by the block sparse (BAIJ) path: in-place
-// LU factorization of nb-by-nb diagonal blocks, triangular solves with
-// them, and block multiply-accumulate. Blocks are stored row-major and are
-// small (nb = 4 incompressible, nb = 5 compressible), so everything is a
-// straightforward register-friendly triple loop.
+// LU factorization of NB-by-NB diagonal blocks, triangular solves with
+// them, and block multiply-subtract. Blocks are stored row-major and are
+// small (nb = 4 incompressible, nb = 5 compressible). Each kernel is
+// written once, over a compile-time block size NB, as PETSc unrolls its
+// BAIJ kernels per block size: every block loop unrolls, so a block row is
+// held in registers and a block's rows can run as SIMD lanes.
+// with_block_size() turns a run-time nb into NB, once per factorization or
+// solve. Every entry goes through the same IEEE operations, in the same
+// order, as in a plain triple loop (and -ffp-contract=off rules out FMA),
+// so the unrolling changes no bit.
 
+#include <array>
 #include <cstddef>
+#include <string>
 #include <type_traits>
 
 #include "common/error.hpp"
 #include "common/simd.hpp"
 
+// Unrolls a loop over a block dimension (at most kMaxBlockSize trips)
+// completely: -O2 unrolls only loops whose code does not grow.
+#define F3D_UNROLL_BLOCK _Pragma("GCC unroll 8")
+
 namespace f3d::dense {
 
-namespace detail {
-// The gemv kernels take a one-pack fast path for the incompressible
-// block size (nb == 4 — one full f3d::simd::Vd row) when the SIMD
-// dispatch is on and the accumulate type is double. The pack dot uses the
-// fixed pairwise hsum, so it rounds differently from the sequential
-// scalar loop but identically everywhere it is called — both BlockIlu
-// trisolve variants (serial reference and level-scheduled) funnel through
-// here, which keeps their bitwise equivalence intact per configuration.
-template <class TA, class TX, class TY>
-inline constexpr bool kGemvSimdEligible =
-    std::is_same_v<TX, double> && std::is_same_v<TY, double> &&
-    (std::is_same_v<TA, double> || std::is_same_v<TA, float>);
-}  // namespace detail
+/// The largest block size of the block kernels, and of the block formats
+/// that call them (sparse::Bcsr, sparse::BlockIlu, SSOR).
+inline constexpr int kMaxBlockSize = 8;
 
-/// y += A * x for a row-major nb x nb block.
-template <class TA, class TX, class TY>
-inline void gemv_acc(int nb, const TA* a, const TX* x, TY* y) {
-  if constexpr (detail::kGemvSimdEligible<TA, TX, TY>) {
-    if (nb == simd::kDoubleLanes && simd::enabled()) {
-      const simd::Vd xv = simd::Vd::loadu(x);
-      for (int i = 0; i < simd::kDoubleLanes; ++i)
-        y[i] += (simd::Vd::loadu(a + static_cast<std::size_t>(i) *
-                                         simd::kDoubleLanes) *
-                 xv)
-                    .hsum();
-      return;
-    }
-  }
-  for (int i = 0; i < nb; ++i) {
-    TY s = 0;
-    const TA* row = a + static_cast<std::size_t>(i) * nb;
-    for (int j = 0; j < nb; ++j) s += static_cast<TY>(row[j]) * static_cast<TY>(x[j]);
-    y[i] += s;
+/// Returns f(std::integral_constant<int, NB>{}) with NB == nb; throws
+/// f3d::Error unless 1 <= nb <= kMaxBlockSize.
+template <class F>
+decltype(auto) with_block_size(int nb, F&& f) {
+  F3D_CHECK_MSG(nb >= 1 && nb <= kMaxBlockSize,
+                "block size " + std::to_string(nb) + " is not in [1, " +
+                    std::to_string(kMaxBlockSize) + "]");
+  static_assert(kMaxBlockSize == 8);
+  switch (nb) {
+    case 1: return f(std::integral_constant<int, 1>{});
+    case 2: return f(std::integral_constant<int, 2>{});
+    case 3: return f(std::integral_constant<int, 3>{});
+    case 4: return f(std::integral_constant<int, 4>{});
+    case 5: return f(std::integral_constant<int, 5>{});
+    case 6: return f(std::integral_constant<int, 6>{});
+    case 7: return f(std::integral_constant<int, 7>{});
+    default: return f(std::integral_constant<int, 8>{});
   }
 }
 
-/// y -= A * x for a row-major nb x nb block.
-template <class TA, class TX, class TY>
-inline void gemv_sub(int nb, const TA* a, const TX* x, TY* y) {
-  if constexpr (detail::kGemvSimdEligible<TA, TX, TY>) {
-    if (nb == simd::kDoubleLanes && simd::enabled()) {
-      const simd::Vd xv = simd::Vd::loadu(x);
-      for (int i = 0; i < simd::kDoubleLanes; ++i)
-        y[i] -= (simd::Vd::loadu(a + static_cast<std::size_t>(i) *
-                                         simd::kDoubleLanes) *
-                 xv)
-                    .hsum();
-      return;
+/// with_block_size for the callers of gemv_sub: calls f(NB, kSimd), both
+/// as std::integral_constant values, with kSimd == simd::enabled() read
+/// once.
+template <class F>
+void with_block_kernels(int nb, F&& f) {
+  with_block_size(nb, [&](auto kNb) {
+    if (simd::enabled())
+      f(kNb, std::true_type{});
+    else
+      f(kNb, std::false_type{});
+  });
+}
+
+/// y -= A * x for a row-major NB x NB block A stored in double or float
+/// (promoted on load). Each row's dot product sums sequentially from 0;
+/// with kSimd at NB == 4 the four row products are reduced together, each
+/// by hsum's fixed tree (simd::hsum4).
+template <int NB, bool kSimd, class TA>
+inline void gemv_sub(const TA* a, const double* x, double* y) {
+  if constexpr (kSimd && NB == simd::kDoubleLanes) {
+    using simd::Vd;
+    const Vd xv = Vd::loadu(x);
+    const Vd s = simd::hsum4(Vd::loadu(a) * xv, Vd::loadu(a + 4) * xv,
+                             Vd::loadu(a + 8) * xv, Vd::loadu(a + 12) * xv);
+    (Vd::loadu(y) - s).storeu(y);
+  } else {
+    F3D_UNROLL_BLOCK
+    for (int i = 0; i < NB; ++i) {
+      double s = 0;
+      F3D_UNROLL_BLOCK
+      for (int j = 0; j < NB; ++j)
+        s += static_cast<double>(a[i * NB + j]) * x[j];
+      y[i] -= s;
     }
-  }
-  for (int i = 0; i < nb; ++i) {
-    TY s = 0;
-    const TA* row = a + static_cast<std::size_t>(i) * nb;
-    for (int j = 0; j < nb; ++j) s += static_cast<TY>(row[j]) * static_cast<TY>(x[j]);
-    y[i] -= s;
   }
 }
 
-/// C -= A * B (all row-major nb x nb blocks).
-template <class T>
-inline void gemm_sub(int nb, const T* a, const T* b, T* c) {
-  for (int i = 0; i < nb; ++i) {
-    for (int k = 0; k < nb; ++k) {
-      const T aik = a[static_cast<std::size_t>(i) * nb + k];
-      const T* brow = b + static_cast<std::size_t>(k) * nb;
-      T* crow = c + static_cast<std::size_t>(i) * nb;
-      for (int j = 0; j < nb; ++j) crow[j] -= aik * brow[j];
+/// C -= A * B (all row-major NB x NB blocks). Row i of C is held in
+/// registers, as simd::Vd packs plus a scalar tail, while a_ik * b_kj is
+/// subtracted for k ascending: lane-wise, so SIMD on or off is the same.
+template <int NB>
+inline void gemm_sub(const double* a, const double* b, double* c) {
+  using simd::Vd;
+  constexpr int kPacks = NB / simd::kDoubleLanes;
+  constexpr int kHead = kPacks * simd::kDoubleLanes;
+  F3D_UNROLL_BLOCK
+  for (int i = 0; i < NB; ++i) {
+    double* crow = c + i * NB;
+    std::array<Vd, kPacks> head;
+    std::array<double, NB - kHead> tail;
+    F3D_UNROLL_BLOCK
+    for (int p = 0; p < kPacks; ++p)
+      head[p] = Vd::loadu(crow + p * simd::kDoubleLanes);
+    F3D_UNROLL_BLOCK
+    for (int j = kHead; j < NB; ++j) tail[j - kHead] = crow[j];
+    F3D_UNROLL_BLOCK
+    for (int k = 0; k < NB; ++k) {
+      const double aik = a[i * NB + k];
+      const double* brow = b + k * NB;
+      F3D_UNROLL_BLOCK
+      for (int p = 0; p < kPacks; ++p)
+        head[p] -=
+            Vd::broadcast(aik) * Vd::loadu(brow + p * simd::kDoubleLanes);
+      F3D_UNROLL_BLOCK
+      for (int j = kHead; j < NB; ++j) tail[j - kHead] -= aik * brow[j];
     }
+    F3D_UNROLL_BLOCK
+    for (int p = 0; p < kPacks; ++p)
+      head[p].storeu(crow + p * simd::kDoubleLanes);
+    F3D_UNROLL_BLOCK
+    for (int j = kHead; j < NB; ++j) crow[j] = tail[j - kHead];
   }
 }
 
 /// In-place LU factorization (no pivoting; the Euler point Jacobians we
 /// factor are strongly diagonally dominated by the pseudo-timestep term).
 /// Returns false if a zero/denormal pivot is hit.
-template <class T>
-inline bool lu_factor(int nb, T* a) {
-  for (int k = 0; k < nb; ++k) {
-    T pivot = a[static_cast<std::size_t>(k) * nb + k];
-    if (!(pivot != T(0))) return false;
-    T inv = T(1) / pivot;
-    for (int i = k + 1; i < nb; ++i) {
-      T lik = a[static_cast<std::size_t>(i) * nb + k] * inv;
-      a[static_cast<std::size_t>(i) * nb + k] = lik;
-      for (int j = k + 1; j < nb; ++j)
-        a[static_cast<std::size_t>(i) * nb + j] -=
-            lik * a[static_cast<std::size_t>(k) * nb + j];
+template <int NB>
+inline bool lu_factor(double* a) {
+  F3D_UNROLL_BLOCK
+  for (int k = 0; k < NB; ++k) {
+    const double pivot = a[k * NB + k];
+    if (!(pivot != 0.0)) return false;
+    const double inv = 1.0 / pivot;
+    F3D_UNROLL_BLOCK
+    for (int i = k + 1; i < NB; ++i) {
+      const double lik = a[i * NB + k] * inv;
+      a[i * NB + k] = lik;
+      F3D_UNROLL_BLOCK
+      for (int j = k + 1; j < NB; ++j) a[i * NB + j] -= lik * a[k * NB + j];
     }
   }
   return true;
 }
 
-/// Solve (LU) x = b with factors from lu_factor; x may alias b.
-template <class TA, class T>
-inline void lu_solve(int nb, const TA* lu, const T* b, T* x) {
+/// Solve (LU) x = b with factors from lu_factor, stored in double or float
+/// (promoted on load); x may alias b.
+template <int NB, class TA>
+inline void lu_solve(const TA* lu, const double* b, double* x) {
   // Forward: L y = b (unit diagonal).
-  for (int i = 0; i < nb; ++i) {
-    T s = b[i];
+  F3D_UNROLL_BLOCK
+  for (int i = 0; i < NB; ++i) {
+    double s = b[i];
+    F3D_UNROLL_BLOCK
     for (int j = 0; j < i; ++j)
-      s -= static_cast<T>(lu[static_cast<std::size_t>(i) * nb + j]) * x[j];
+      s -= static_cast<double>(lu[i * NB + j]) * x[j];
     x[i] = s;
   }
   // Backward: U x = y.
-  for (int i = nb - 1; i >= 0; --i) {
-    T s = x[i];
-    for (int j = i + 1; j < nb; ++j)
-      s -= static_cast<T>(lu[static_cast<std::size_t>(i) * nb + j]) * x[j];
-    x[i] = s / static_cast<T>(lu[static_cast<std::size_t>(i) * nb + i]);
-  }
-}
-
-/// B := A^{-1} * B where A is given as LU factors (used by block ILU:
-/// multiplies an off-diagonal block by the inverted diagonal pivot block).
-template <class T>
-inline void lu_solve_block(int nb, const T* lu, T* b) {
-  // Solve column by column: (LU) X = B, B row-major.
-  for (int col = 0; col < nb; ++col) {
-    // Forward.
-    for (int i = 0; i < nb; ++i) {
-      T s = b[static_cast<std::size_t>(i) * nb + col];
-      for (int j = 0; j < i; ++j)
-        s -= lu[static_cast<std::size_t>(i) * nb + j] *
-             b[static_cast<std::size_t>(j) * nb + col];
-      b[static_cast<std::size_t>(i) * nb + col] = s;
-    }
-    // Backward.
-    for (int i = nb - 1; i >= 0; --i) {
-      T s = b[static_cast<std::size_t>(i) * nb + col];
-      for (int j = i + 1; j < nb; ++j)
-        s -= lu[static_cast<std::size_t>(i) * nb + j] *
-             b[static_cast<std::size_t>(j) * nb + col];
-      b[static_cast<std::size_t>(i) * nb + col] =
-          s / lu[static_cast<std::size_t>(i) * nb + i];
-    }
+  F3D_UNROLL_BLOCK
+  for (int i = NB - 1; i >= 0; --i) {
+    double s = x[i];
+    F3D_UNROLL_BLOCK
+    for (int j = i + 1; j < NB; ++j)
+      s -= static_cast<double>(lu[i * NB + j]) * x[j];
+    x[i] = s / static_cast<double>(lu[i * NB + i]);
   }
 }
 
 /// B := B * (LU)^{-1} (right-multiplication by the inverse of a factored
 /// block). Used by block ILU to normalize sub-diagonal blocks:
-/// A_ik := A_ik * A_kk^{-1}. Row r of B is independent:
+/// A_ik := A_ik * A_kk^{-1}. Row r of B is independent, held in
+/// registers:
 ///   solve y U = b (forward in U^T), then x L = y (backward in L^T).
-template <class T>
-inline void right_lu_solve_block(int nb, const T* lu, T* b) {
-  for (int r = 0; r < nb; ++r) {
-    T* row = b + static_cast<std::size_t>(r) * nb;
+template <int NB>
+inline void right_lu_solve_block(const double* lu, double* b) {
+  F3D_UNROLL_BLOCK
+  for (int r = 0; r < NB; ++r) {
+    double row[NB];
+    F3D_UNROLL_BLOCK
+    for (int j = 0; j < NB; ++j) row[j] = b[r * NB + j];
     // y U = row  (U upper, non-unit diagonal)
-    for (int j = 0; j < nb; ++j) {
-      T s = row[j];
-      for (int i = 0; i < j; ++i)
-        s -= row[i] * lu[static_cast<std::size_t>(i) * nb + j];
-      row[j] = s / lu[static_cast<std::size_t>(j) * nb + j];
+    F3D_UNROLL_BLOCK
+    for (int j = 0; j < NB; ++j) {
+      double s = row[j];
+      F3D_UNROLL_BLOCK
+      for (int i = 0; i < j; ++i) s -= row[i] * lu[i * NB + j];
+      row[j] = s / lu[j * NB + j];
     }
     // x L = y  (L unit lower)
-    for (int j = nb - 1; j >= 0; --j) {
-      T s = row[j];
-      for (int i = j + 1; i < nb; ++i)
-        s -= row[i] * lu[static_cast<std::size_t>(i) * nb + j];
+    F3D_UNROLL_BLOCK
+    for (int j = NB - 1; j >= 0; --j) {
+      double s = row[j];
+      F3D_UNROLL_BLOCK
+      for (int i = j + 1; i < NB; ++i) s -= row[i] * lu[i * NB + j];
       row[j] = s;
     }
+    F3D_UNROLL_BLOCK
+    for (int j = 0; j < NB; ++j) b[r * NB + j] = row[j];
   }
 }
 
 }  // namespace f3d::dense
+
+#undef F3D_UNROLL_BLOCK

@@ -216,4 +216,26 @@ struct Vd {
   friend Vd operator*(Vd a, const Vd& b) { return a *= b; }
 };
 
+/// Four hsum()s at once: lane r of the result is the r-th argument's
+/// hsum(), by the same fixed tree (l0 + l1) + (l2 + l3), so it equals four
+/// hsum() calls bit for bit (the four row products of a 4x4 block).
+[[nodiscard]] inline Vd hsum4(const Vd& a, const Vd& b, const Vd& c,
+                              const Vd& d) {
+  Vd out;
+#if F3D_SIMD_HAVE_VEC && (defined(__clang__) || __GNUC__ >= 12)
+  // Pair lanes (0, 1) and (2, 3) of a with b and of c with d, then add
+  // the pair sums of lanes 0/1 to those of lanes 2/3.
+  const Vd::Raw ab = __builtin_shufflevector(a.r, b.r, 0, 4, 2, 6) +
+                     __builtin_shufflevector(a.r, b.r, 1, 5, 3, 7);
+  const Vd::Raw cd = __builtin_shufflevector(c.r, d.r, 0, 4, 2, 6) +
+                     __builtin_shufflevector(c.r, d.r, 1, 5, 3, 7);
+  out.r = __builtin_shufflevector(ab, cd, 0, 1, 4, 5) +
+          __builtin_shufflevector(ab, cd, 2, 3, 6, 7);
+#else
+  const Vd* packs[kDoubleLanes] = {&a, &b, &c, &d};
+  for (int i = 0; i < kDoubleLanes; ++i) out.r[i] = packs[i]->hsum();
+#endif
+  return out;
+}
+
 }  // namespace f3d::simd

@@ -53,11 +53,14 @@ template <class Tracer>
 void traced_spmv_bcsr(const sparse::Bcsr<double>& a, const double* x,
                       double* y, Tracer& t) {
   const int nb = a.nb;
+  F3D_CHECK_MSG(nb <= dense::kMaxBlockSize,
+                "block size " + std::to_string(nb) + " is above " +
+                    std::to_string(dense::kMaxBlockSize));
   const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
   const bool use_simd = f3d::simd::enabled();
   for (int i = 0; i < a.nrows; ++i) {
     t.touch(&a.ptr[i], 2 * sizeof(int));
-    double acc[8] = {0};
+    double acc[dense::kMaxBlockSize] = {};
     for (int p = a.ptr[i]; p < a.ptr[i + 1]; ++p) {
       t.touch(&a.col[p], sizeof(int));
       const double* b = &a.val[p * bsz];

@@ -36,6 +36,33 @@ sparse::DiagonalEdit diagonal_edit(int nb, bool zeroed, double shift) {
   };
 }
 
+// `sweeps` symmetric block Gauss-Seidel iterations on the local system
+// (pattern `local`, values `val` with factored diagonal blocks), starting
+// from z = 0. Each half-sweep: z_i = D_ii^{-1} (b_i - sum_{j!=i} A_ij z_j)
+// with the latest z values (forward then backward order).
+template <int NB, bool kSimd>
+void ssor_sweeps(const sparse::IluPattern& local, const double* val,
+                 int sweeps, const double* b, double* z) {
+  constexpr std::size_t bsz = static_cast<std::size_t>(NB) * NB;
+  std::fill(z, z + static_cast<std::size_t>(local.n) * NB, 0.0);
+  auto relax_row = [&](int i) {
+    double zi[NB];
+    std::copy_n(b + static_cast<std::size_t>(i) * NB, NB, zi);
+    for (int p = local.ptr[i]; p < local.ptr[i + 1]; ++p) {
+      const int j = local.col[p];
+      if (j == i) continue;
+      dense::gemv_sub<NB, kSimd>(val + p * bsz,
+                                 z + static_cast<std::size_t>(j) * NB, zi);
+    }
+    dense::lu_solve<NB>(val + local.diag[i] * bsz, zi, zi);
+    std::copy_n(zi, NB, z + static_cast<std::size_t>(i) * NB);
+  };
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    for (int i = 0; i < local.n; ++i) relax_row(i);
+    for (int i = local.n - 1; i >= 0; --i) relax_row(i);
+  }
+}
+
 }  // namespace
 
 mesh::Graph graph_from_bcsr(const sparse::Bcsr<double>& a) {
@@ -75,6 +102,7 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
     const auto edit = diagonal_edit(
         nb_, resilience::fault_fires(resilience::FaultSite::kFactorPivot), 0);
     if (opts_.subdomain_solver == SubdomainSolver::kSsor) {
+      F3D_CHECK(nb_ <= dense::kMaxBlockSize);
       std::tie(sd.local, sd.local_map) =
           sparse::principal_submatrix(a.ptr, a.col, sd.vertices, 0);
       sd.local_val.resize(sd.local.nnz() * nb_ * nb_);
@@ -98,16 +126,18 @@ bool SchwarzPreconditioner::factor_subdomain(Subdomain& sd,
     const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
     sd.local_map.gather(sd.local, a.ptr, a.col, a.val, bsz,
                         sd.local_val.data());
-    for (int k = 0; k < sd.local.n; ++k) {
-      double* blk = &sd.local_val[sd.local.diag[k] * bsz];
-      if (edit) edit(k, blk);
-      if (!dense::lu_factor(nb_, blk)) {
-        err = "singular diagonal block in SSOR at local row " +
-              std::to_string(k);
-        return false;
+    const int bad_row = dense::with_block_size(nb_, [&](auto kNb) {
+      for (int k = 0; k < sd.local.n; ++k) {
+        double* blk = &sd.local_val[sd.local.diag[k] * bsz];
+        if (edit) edit(k, blk);
+        if (!dense::lu_factor<kNb>(blk)) return k;
       }
-    }
-    return true;
+      return -1;
+    });
+    if (bad_row >= 0)
+      err = "singular diagonal block in SSOR at local row " +
+            std::to_string(bad_row);
+    return bad_row < 0;
   }
   const sparse::IluFactorStatus status =
       sd.ilu_f ? sd.ilu_f->refactor(a, edit) : sd.ilu_d->refactor(a, edit);
@@ -119,31 +149,9 @@ bool SchwarzPreconditioner::factor_subdomain(Subdomain& sd,
 
 void SchwarzPreconditioner::ssor_solve(const Subdomain& sd, const double* b,
                                        double* z) const {
-  // `sweeps` symmetric block Gauss-Seidel iterations on the local system,
-  // starting from z = 0. Each half-sweep: z_i = D_ii^{-1} (b_i - sum_{j!=i}
-  // A_ij z_j) with the latest z values (forward then backward order).
-  const int nl = static_cast<int>(sd.vertices.size());
-  const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
-  std::fill(z, z + static_cast<std::size_t>(nl) * nb_, 0.0);
-  double rhs[8], sol[8];
-  F3D_CHECK(nb_ <= 8);
-  auto relax_row = [&](int i) {
-    const double* bi = b + static_cast<std::size_t>(i) * nb_;
-    for (int c = 0; c < nb_; ++c) rhs[c] = bi[c];
-    for (int p = sd.local.ptr[i]; p < sd.local.ptr[i + 1]; ++p) {
-      const int j = sd.local.col[p];
-      if (j == i) continue;
-      dense::gemv_sub(nb_, &sd.local_val[static_cast<std::size_t>(p) * bsz],
-                      z + static_cast<std::size_t>(j) * nb_, rhs);
-    }
-    dense::lu_solve(nb_, &sd.local_val[sd.local.diag[i] * bsz], rhs, sol);
-    double* zi = z + static_cast<std::size_t>(i) * nb_;
-    for (int c = 0; c < nb_; ++c) zi[c] = sol[c];
-  };
-  for (int sweep = 0; sweep < opts_.sweeps; ++sweep) {
-    for (int i = 0; i < nl; ++i) relax_row(i);
-    for (int i = nl - 1; i >= 0; --i) relax_row(i);
-  }
+  dense::with_block_kernels(nb_, [&](auto kNb, auto kSimd) {
+    ssor_sweeps<kNb, kSimd>(sd.local, sd.local_val.data(), opts_.sweeps, b, z);
+  });
 }
 
 resilience::FactorReport SchwarzPreconditioner::refactor(

@@ -77,7 +77,7 @@ BlockValueFn synthetic_values(const Stencil& stencil, unsigned seed) {
 
 Bcsr<double> build_bcsr(const Stencil& stencil, int nb,
                         const BlockValueFn& fn) {
-  F3D_CHECK(nb >= 1 && nb <= 8);
+  F3D_CHECK(nb >= 1 && nb <= dense::kMaxBlockSize);
   Bcsr<double> m;
   m.nb = nb;
   m.nrows = stencil.n;
@@ -93,7 +93,7 @@ Bcsr<double> build_bcsr(const Stencil& stencil, int nb,
 
 Csr<double> build_point_csr(const Stencil& stencil, int nb,
                             const BlockValueFn& fn, FieldLayout layout) {
-  F3D_CHECK(nb >= 1 && nb <= 8);
+  F3D_CHECK(nb >= 1 && nb <= dense::kMaxBlockSize);
   const int nv = stencil.n;
   const int n = nv * nb;
   Csr<double> m;

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/densemat.hpp"
 #include "common/error.hpp"
 #include "common/simd.hpp"
 #include "exec/pool.hpp"
@@ -162,7 +163,8 @@ struct Csr {
 /// integer loads and more register reuse in spmv (paper §2.1.2).
 template <class S = double>
 struct Bcsr {
-  int nb = 0;      ///< block size (4 incompressible, 5 compressible)
+  int nb = 0;      ///< block size (4 incompressible, 5 compressible), at
+                   ///< most dense::kMaxBlockSize
   int nrows = 0;   ///< block rows
   std::vector<int> ptr;  ///< block-row pointers, size nrows+1
   std::vector<int> col;  ///< block-column indices, ascending in a row
@@ -172,7 +174,7 @@ struct Bcsr {
   [[nodiscard]] int scalar_n() const { return nrows * nb; }
 
   void check() const {
-    F3D_CHECK(nb >= 1);
+    F3D_CHECK(nb >= 1 && nb <= dense::kMaxBlockSize);
     F3D_CHECK(static_cast<int>(ptr.size()) == nrows + 1);
     F3D_CHECK(val.size() ==
               col.size() * static_cast<std::size_t>(nb) * nb);
@@ -236,10 +238,14 @@ struct Bcsr {
         /*grain=*/256);
   }
 
-  /// Fallback for arbitrary nb. Funnels through the same dot helpers as
-  /// the fixed kernels (including the SIMD dispatch) so the direct-call
-  /// equivalence tests hold bitwise in every configuration.
+  /// Fallback for any nb up to dense::kMaxBlockSize (f3d::Error above
+  /// it). Funnels through the same dot helpers as the fixed kernels
+  /// (including the SIMD dispatch) so the direct-call equivalence tests
+  /// hold bitwise in every configuration.
   void spmv_generic(const double* x, double* y) const {
+    F3D_CHECK_MSG(nb <= dense::kMaxBlockSize,
+                  "block size " + std::to_string(nb) + " is above " +
+                      std::to_string(dense::kMaxBlockSize));
     if (simd::enabled())
       spmv_generic_impl<true>(x, y);
     else
@@ -250,12 +256,11 @@ struct Bcsr {
   void spmv_generic_impl(const double* x, double* y) const {
     const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
     const S* vals = val.data();
-    F3D_ASSERT(nb <= 8);
     exec::pool().parallel_for(
         0, nrows,
         [&](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t i = lo; i < hi; ++i) {
-            double acc[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+            double acc[dense::kMaxBlockSize] = {};
             for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
               const S* b = vals + static_cast<std::size_t>(p) * bsz;
               const double* xj = &x[static_cast<std::size_t>(col[p]) * nb];

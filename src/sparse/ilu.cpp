@@ -180,6 +180,36 @@ int factor_point(const Csr<double>& a, const IluPattern& pat,
   return -1;
 }
 
+// The elimination of a block factor whose gathered values are in `val`,
+// NB*NB doubles per pattern entry, in place; returns the first block row
+// with a singular diagonal block, or -1.
+template <int NB>
+int eliminate_block(const IluPattern& pat, double* val) {
+  constexpr std::size_t bsz = static_cast<std::size_t>(NB) * NB;
+  for (int i = 0; i < pat.n; ++i) {
+    for (int pos = pat.ptr[i]; pos < pat.diag[i]; ++pos) {
+      const int k = pat.col[pos];
+      double* blk_ik = &val[static_cast<std::size_t>(pos) * bsz];
+      // blk_ik := blk_ik * (A_kk)^{-1}; A_kk already holds its LU factors.
+      dense::right_lu_solve_block<NB>(
+          &val[static_cast<std::size_t>(pat.diag[k]) * bsz], blk_ik);
+      int r = pos + 1;
+      for (int u = pat.diag[k] + 1; u < pat.ptr[k + 1]; ++u) {
+        const int j = pat.col[u];
+        while (r < pat.ptr[i + 1] && pat.col[r] < j) ++r;
+        if (r == pat.ptr[i + 1]) break;
+        if (pat.col[r] == j)
+          dense::gemm_sub<NB>(blk_ik, &val[static_cast<std::size_t>(u) * bsz],
+                              &val[static_cast<std::size_t>(r) * bsz]);
+      }
+    }
+    if (!dense::lu_factor<NB>(
+            &val[static_cast<std::size_t>(pat.diag[i]) * bsz]))
+      return i;
+  }
+  return -1;
+}
+
 // Block variant of factor_point: `val` holds nb*nb doubles per pattern
 // entry, and `edit` (if set) changes the gathered diagonal blocks before
 // elimination; returns the first block row with a singular diagonal block.
@@ -188,34 +218,13 @@ int factor_block(const Bcsr<double>& a, const IluPattern& pat,
                  double* val) {
   F3D_OBS_SPAN("ilu.factor");
   obs::Registry::global().count("sparse.ilu.factorizations");
-  const int n = pat.n;
   const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
   map.gather(pat, a.ptr, a.col, a.val, bsz, val);
   if (edit)
-    for (int k = 0; k < n; ++k)
+    for (int k = 0; k < pat.n; ++k)
       edit(k, &val[static_cast<std::size_t>(pat.diag[k]) * bsz]);
-
-  for (int i = 0; i < n; ++i) {
-    for (int pos = pat.ptr[i]; pos < pat.diag[i]; ++pos) {
-      const int k = pat.col[pos];
-      double* blk_ik = &val[static_cast<std::size_t>(pos) * bsz];
-      // blk_ik := blk_ik * (A_kk)^{-1}; A_kk already holds its LU factors.
-      dense::right_lu_solve_block(nb, &val[static_cast<std::size_t>(pat.diag[k]) * bsz],
-                                  blk_ik);
-      int r = pos + 1;
-      for (int u = pat.diag[k] + 1; u < pat.ptr[k + 1]; ++u) {
-        const int j = pat.col[u];
-        while (r < pat.ptr[i + 1] && pat.col[r] < j) ++r;
-        if (r == pat.ptr[i + 1]) break;
-        if (pat.col[r] == j)
-          dense::gemm_sub(nb, blk_ik, &val[static_cast<std::size_t>(u) * bsz],
-                          &val[static_cast<std::size_t>(r) * bsz]);
-      }
-    }
-    if (!dense::lu_factor(nb, &val[static_cast<std::size_t>(pat.diag[i]) * bsz]))
-      return i;
-  }
-  return -1;
+  return dense::with_block_size(
+      nb, [&](auto kNb) { return eliminate_block<kNb>(pat, val); });
 }
 
 // Runs a numeric phase `factor(double* out) -> bad row` into the factor's
@@ -260,6 +269,37 @@ void for_each_row_by_level(const TriSchedule& sch, const Row& row) {
         },
         /*grain=*/128);
   }
+}
+
+// The block rows of the triangular solves. A row holds x_i in registers
+// across its blocks; solve() and solve_levels() call the same two updates,
+// which keeps them bit-identical.
+
+// Forward: x_i = b_i - sum_{j<i} L_ij x_j (unit block diagonal).
+template <int NB, bool kSimd, class S>
+void block_forward_row(const IluPattern& pat, const S* val, int i,
+                       const double* b, double* x) {
+  constexpr std::size_t bsz = static_cast<std::size_t>(NB) * NB;
+  double xi[NB];
+  std::copy_n(b + static_cast<std::size_t>(i) * NB, NB, xi);
+  for (int p = pat.ptr[i]; p < pat.diag[i]; ++p)
+    dense::gemv_sub<NB, kSimd>(
+        val + p * bsz, x + static_cast<std::size_t>(pat.col[p]) * NB, xi);
+  std::copy_n(xi, NB, x + static_cast<std::size_t>(i) * NB);
+}
+
+// Backward: x_i = U_ii^{-1} (x_i - sum_{j>i} U_ij x_j).
+template <int NB, bool kSimd, class S>
+void block_backward_row(const IluPattern& pat, const S* val, int i,
+                        double* x) {
+  constexpr std::size_t bsz = static_cast<std::size_t>(NB) * NB;
+  double xi[NB];
+  std::copy_n(x + static_cast<std::size_t>(i) * NB, NB, xi);
+  for (int p = pat.diag[i] + 1; p < pat.ptr[i + 1]; ++p)
+    dense::gemv_sub<NB, kSimd>(
+        val + p * bsz, x + static_cast<std::size_t>(pat.col[p]) * NB, xi);
+  dense::lu_solve<NB>(val + pat.diag[i] * bsz, xi, xi);
+  std::copy_n(xi, NB, x + static_cast<std::size_t>(i) * NB);
 }
 
 }  // namespace
@@ -320,7 +360,7 @@ template <class S>
 BlockIlu<S>::BlockIlu(const Bcsr<double>& a, int level, std::vector<int> rows,
                       const DiagonalEdit& edit)
     : nb_(a.nb) {
-  F3D_CHECK(nb_ <= 8);  // backward_row's stack buffer
+  F3D_CHECK(nb_ <= dense::kMaxBlockSize);
   std::tie(pat_, map_) =
       principal_submatrix(a.ptr, a.col, std::move(rows), level);
   fwd_ = lower_levels(pat_);
@@ -339,42 +379,26 @@ IluFactorStatus BlockIlu<S>::refactor(const Bcsr<double>& a,
   });
 }
 
-// Forward: x_i = b_i - sum_{j<i} L_ij x_j (unit block diagonal).
-template <class S>
-void BlockIlu<S>::forward_row(int i, const double* b, double* x) const {
-  const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
-  double* xi = x + static_cast<std::size_t>(i) * nb_;
-  const double* bi = b + static_cast<std::size_t>(i) * nb_;
-  for (int c = 0; c < nb_; ++c) xi[c] = bi[c];
-  for (int p = pat_.ptr[i]; p < pat_.diag[i]; ++p)
-    dense::gemv_sub(nb_, &val_[static_cast<std::size_t>(p) * bsz],
-                    x + static_cast<std::size_t>(pat_.col[p]) * nb_, xi);
-}
-
-// Backward: x_i = U_ii^{-1} (x_i - sum_{j>i} U_ij x_j).
-template <class S>
-void BlockIlu<S>::backward_row(int i, double* x) const {
-  const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
-  double* xi = x + static_cast<std::size_t>(i) * nb_;
-  for (int p = pat_.diag[i] + 1; p < pat_.ptr[i + 1]; ++p)
-    dense::gemv_sub(nb_, &val_[static_cast<std::size_t>(p) * bsz],
-                    x + static_cast<std::size_t>(pat_.col[p]) * nb_, xi);
-  double tmp[8];
-  dense::lu_solve(nb_, &val_[static_cast<std::size_t>(pat_.diag[i]) * bsz], xi,
-                  tmp);
-  for (int c = 0; c < nb_; ++c) xi[c] = tmp[c];
-}
-
 template <class S>
 void BlockIlu<S>::solve(const double* b, double* x) const {
-  for (int i = 0; i < pat_.n; ++i) forward_row(i, b, x);
-  for (int i = pat_.n - 1; i >= 0; --i) backward_row(i, x);
+  dense::with_block_kernels(nb_, [&](auto kNb, auto kSimd) {
+    for (int i = 0; i < pat_.n; ++i)
+      block_forward_row<kNb, kSimd>(pat_, val_.data(), i, b, x);
+    for (int i = pat_.n - 1; i >= 0; --i)
+      block_backward_row<kNb, kSimd>(pat_, val_.data(), i, x);
+  });
 }
 
 template <class S>
 void BlockIlu<S>::solve_levels(const double* b, double* x) const {
-  for_each_row_by_level(fwd_, [&](int i) { forward_row(i, b, x); });
-  for_each_row_by_level(bwd_, [&](int i) { backward_row(i, x); });
+  dense::with_block_kernels(nb_, [&](auto kNb, auto kSimd) {
+    for_each_row_by_level(fwd_, [&](int i) {
+      block_forward_row<kNb, kSimd>(pat_, val_.data(), i, b, x);
+    });
+    for_each_row_by_level(bwd_, [&](int i) {
+      block_backward_row<kNb, kSimd>(pat_, val_.data(), i, x);
+    });
+  });
 }
 
 // Explicit instantiations for the two storage precisions.

@@ -133,7 +133,9 @@ private:
 
 /// Block ILU(k) factors of A[rows, rows] (empty rows: all of A) with
 /// PointIlu's contract, applying `edit` if set; the diagonal blocks are
-/// stored as their in-place LU factorizations.
+/// stored as their in-place LU factorizations. A's block size must be at
+/// most dense::kMaxBlockSize; the factorization and the solves run the
+/// dense kernels at that block size as a compile-time constant.
 template <class S>
 class BlockIlu {
 public:
@@ -155,9 +157,6 @@ public:
   [[nodiscard]] const std::vector<S>& values() const { return val_; }
 
 private:
-  void forward_row(int i, const double* b, double* x) const;
-  void backward_row(int i, double* x) const;
-
   int nb_;
   IluPattern pat_;
   GatherMap map_;

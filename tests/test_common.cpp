@@ -1,5 +1,6 @@
-// Unit tests for the common utilities: error macros, timers, RNG, dense
-// block kernels, options parser, and table formatting.
+// Unit tests for the common utilities: error macros, timers, RNG, options
+// parser, and table formatting. The dense block kernels' tests are in
+// test_kernels.cpp.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +8,6 @@
 #include <set>
 #include <vector>
 
-#include "common/densemat.hpp"
 #include "common/error.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"
@@ -75,64 +75,6 @@ TEST(Rng, ShuffleIsPermutation) {
   std::set<int> s(v.begin(), v.end());
   EXPECT_EQ(s.size(), 100u);
   EXPECT_NE(v[0] * 100 + v[1], 0 * 100 + 1);  // overwhelmingly likely moved
-}
-
-TEST(Dense, LuRoundTrip4x4) {
-  // A = random-ish diagonally dominant block; check A x = b solve.
-  const int nb = 4;
-  double a[16] = {10, 1, 2, 0, 1, 12, 0, 3, 2, 0, 9, 1, 0, 3, 1, 11};
-  double a_copy[16];
-  std::copy(a, a + 16, a_copy);
-  double x_true[4] = {1, -2, 3, 0.5};
-  double b[4] = {0, 0, 0, 0};
-  f3d::dense::gemv_acc(nb, a, x_true, b);
-
-  ASSERT_TRUE(f3d::dense::lu_factor(nb, a_copy));
-  double x[4];
-  f3d::dense::lu_solve(nb, a_copy, b, x);
-  for (int i = 0; i < 4; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-12);
-}
-
-TEST(Dense, LuDetectsZeroPivot) {
-  double a[4] = {0, 1, 1, 0};  // 2x2 with zero leading pivot
-  EXPECT_FALSE(f3d::dense::lu_factor(2, a));
-}
-
-TEST(Dense, GemvSubMatchesAcc) {
-  const int nb = 3;
-  double a[9] = {1, 2, 3, 4, 5, 6, 7, 8, 10};
-  double x[3] = {1, 1, 1};
-  double yp[3] = {0, 0, 0}, ym[3] = {0, 0, 0};
-  f3d::dense::gemv_acc(nb, a, x, yp);
-  f3d::dense::gemv_sub(nb, a, x, ym);
-  for (int i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(yp[i], -ym[i]);
-}
-
-TEST(Dense, GemmSubMatchesManual) {
-  const int nb = 2;
-  double a[4] = {1, 2, 3, 4};
-  double b[4] = {5, 6, 7, 8};
-  double c[4] = {0, 0, 0, 0};
-  f3d::dense::gemm_sub(nb, a, b, c);
-  // c -= a*b => c = -(a*b)
-  EXPECT_DOUBLE_EQ(c[0], -(1 * 5 + 2 * 7));
-  EXPECT_DOUBLE_EQ(c[1], -(1 * 6 + 2 * 8));
-  EXPECT_DOUBLE_EQ(c[2], -(3 * 5 + 4 * 7));
-  EXPECT_DOUBLE_EQ(c[3], -(3 * 6 + 4 * 8));
-}
-
-TEST(Dense, LuSolveBlockInvertsAgainstGemm) {
-  const int nb = 3;
-  double a[9] = {8, 1, 2, 1, 9, 3, 2, 3, 10};
-  double lu[9];
-  std::copy(a, a + 9, lu);
-  ASSERT_TRUE(f3d::dense::lu_factor(nb, lu));
-  double b[9] = {1, 0, 0, 0, 1, 0, 0, 0, 1};
-  f3d::dense::lu_solve_block(nb, lu, b);  // b = A^{-1}
-  // Check A * A^{-1} = I via gemm_sub: c = I - A*Ainv should be ~0.
-  double c[9] = {1, 0, 0, 0, 1, 0, 0, 0, 1};
-  f3d::dense::gemm_sub(nb, a, b, c);
-  for (double v : c) EXPECT_NEAR(v, 0.0, 1e-12);
 }
 
 TEST(Options, ParsesKeyValueAndFlags) {

@@ -1,23 +1,110 @@
-// Focused kernel tests: the dense block helpers that back block-ILU
-// (right-solve identity), the compile-time-specialized SpMV dispatch, and
+// Focused kernel tests: the dense block kernels that back block ILU and
+// SSOR (factor, solves, right-solve identity, block-size dispatch), the
+// compile-time-specialized SpMV dispatch and its block-size bound, and
 // scalar-storage conversions.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/densemat.hpp"
 #include "common/rng.hpp"
 #include "mesh/generator.hpp"
+#include "simcache/traced_kernels.hpp"
 #include "sparse/assembly.hpp"
 
 namespace {
 
 using namespace f3d;
 
+// y += A x for a row-major nb x nb block: the plain loop the identities
+// below check the library kernels against.
+void gemv_acc(int nb, const double* a, const double* x, double* y) {
+  for (int i = 0; i < nb; ++i)
+    for (int j = 0; j < nb; ++j) y[i] += a[i * nb + j] * x[j];
+}
+
+// A^{-1} from A's LU factors, column by column through lu_solve.
+template <int NB>
+void inverse_from_lu(const double* lu, double* inv) {
+  for (int col = 0; col < NB; ++col) {
+    double e[NB] = {}, x[NB];
+    e[col] = 1;
+    dense::lu_solve<NB>(lu, e, x);
+    for (int i = 0; i < NB; ++i) inv[i * NB + col] = x[i];
+  }
+}
+
+TEST(Dense, LuRoundTrip4x4) {
+  // A = random-ish diagonally dominant block; check A x = b solve.
+  constexpr int nb = 4;
+  double a[16] = {10, 1, 2, 0, 1, 12, 0, 3, 2, 0, 9, 1, 0, 3, 1, 11};
+  double a_copy[16];
+  std::copy(a, a + 16, a_copy);
+  double x_true[4] = {1, -2, 3, 0.5};
+  double b[4] = {0, 0, 0, 0};
+  gemv_acc(nb, a, x_true, b);
+
+  ASSERT_TRUE(dense::lu_factor<nb>(a_copy));
+  double x[4];
+  dense::lu_solve<nb>(a_copy, b, x);
+  for (int i = 0; i < 4; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-12);
+}
+
+TEST(Dense, LuDetectsZeroPivot) {
+  double a[4] = {0, 1, 1, 0};  // 2x2 with zero leading pivot
+  EXPECT_FALSE(dense::lu_factor<2>(a));
+}
+
+TEST(Dense, GemvSubMatchesAcc) {
+  constexpr int nb = 3;
+  double a[9] = {1, 2, 3, 4, 5, 6, 7, 8, 10};
+  double x[3] = {1, 1, 1};
+  double yp[3] = {0, 0, 0}, ym[3] = {0, 0, 0};
+  gemv_acc(nb, a, x, yp);
+  dense::gemv_sub<nb, false>(a, x, ym);
+  for (int i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(yp[i], -ym[i]);
+}
+
+TEST(Dense, GemmSubMatchesManual) {
+  double a[4] = {1, 2, 3, 4};
+  double b[4] = {5, 6, 7, 8};
+  double c[4] = {0, 0, 0, 0};
+  dense::gemm_sub<2>(a, b, c);
+  // c -= a*b => c = -(a*b)
+  EXPECT_DOUBLE_EQ(c[0], -(1 * 5 + 2 * 7));
+  EXPECT_DOUBLE_EQ(c[1], -(1 * 6 + 2 * 8));
+  EXPECT_DOUBLE_EQ(c[2], -(3 * 5 + 4 * 7));
+  EXPECT_DOUBLE_EQ(c[3], -(3 * 6 + 4 * 8));
+}
+
+TEST(Dense, LuSolveBlockInvertsAgainstGemm) {
+  constexpr int nb = 3;
+  double a[9] = {8, 1, 2, 1, 9, 3, 2, 3, 10};
+  double lu[9];
+  std::copy(a, a + 9, lu);
+  ASSERT_TRUE(dense::lu_factor<nb>(lu));
+  double b[9];
+  inverse_from_lu<nb>(lu, b);  // b = A^{-1}
+  // Check A * A^{-1} = I via gemm_sub: c = I - A*Ainv should be ~0.
+  double c[9] = {1, 0, 0, 0, 1, 0, 0, 0, 1};
+  dense::gemm_sub<nb>(a, b, c);
+  for (double v : c) EXPECT_NEAR(v, 0.0, 1e-12);
+}
+
+TEST(Dense, BlockSizeDispatchCoversOneToEight) {
+  for (int nb = 1; nb <= dense::kMaxBlockSize; ++nb)
+    EXPECT_EQ(dense::with_block_size(nb, [](auto k) { return int{k}; }), nb);
+  for (int nb : {0, dense::kMaxBlockSize + 1})
+    EXPECT_THROW(dense::with_block_size(nb, [](auto k) { return int{k}; }),
+                 Error);
+}
+
 TEST(DenseKernels, RightLuSolveBlockInvertsFromTheRight) {
   // B := B * (LU)^{-1}  =>  (result) * A == B_original.
-  const int nb = 4;
+  constexpr int nb = 4;
   Rng rng(3);
   double a[16], b[16], b_orig[16], lu[16];
   for (int i = 0; i < 16; ++i) {
@@ -27,8 +114,8 @@ TEST(DenseKernels, RightLuSolveBlockInvertsFromTheRight) {
   for (int i = 0; i < nb; ++i) a[i * nb + i] += 4.0;  // invertible
   std::copy(b, b + 16, b_orig);
   std::copy(a, a + 16, lu);
-  ASSERT_TRUE(dense::lu_factor(nb, lu));
-  dense::right_lu_solve_block(nb, lu, b);
+  ASSERT_TRUE(dense::lu_factor<nb>(lu));
+  dense::right_lu_solve_block<nb>(lu, b);
 
   // Check b * a == b_orig.
   for (int i = 0; i < nb; ++i)
@@ -40,17 +127,17 @@ TEST(DenseKernels, RightLuSolveBlockInvertsFromTheRight) {
 }
 
 TEST(DenseKernels, RightSolveConsistentWithLeftSolveViaTranspose) {
-  // For B = I: right_lu_solve_block gives A^{-1}; lu_solve_block gives
-  // A^{-1} too; they must agree.
-  const int nb = 3;
+  // For B = I: right_lu_solve_block gives A^{-1}; solving A x = e_j for
+  // each column gives A^{-1} too; they must agree.
+  constexpr int nb = 3;
   double a[9] = {7, 1, 2, 1, 8, 3, 2, 3, 9};
   double lu[9];
   std::copy(a, a + 9, lu);
-  ASSERT_TRUE(dense::lu_factor(nb, lu));
-  double left[9] = {1, 0, 0, 0, 1, 0, 0, 0, 1};
+  ASSERT_TRUE(dense::lu_factor<nb>(lu));
+  double left[9];
   double right[9] = {1, 0, 0, 0, 1, 0, 0, 0, 1};
-  dense::lu_solve_block(nb, lu, left);
-  dense::right_lu_solve_block(nb, lu, right);
+  inverse_from_lu<nb>(lu, left);
+  dense::right_lu_solve_block<nb>(lu, right);
   for (int i = 0; i < 9; ++i) EXPECT_NEAR(left[i], right[i], 1e-12);
 }
 
@@ -81,6 +168,40 @@ TEST(SpmvDispatch, FixedTemplateDirectCall) {
   a.spmv_fixed<5>(x.data(), y1.data());
   a.spmv_generic(x.data(), y2.data());
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(y1[i], y2[i]);
+}
+
+TEST(SpmvDispatch, BlockSizeAboveEightThrows) {
+  // Two 9x9 diagonal blocks: above dense::kMaxBlockSize, so the format
+  // check and both SpMV kernels refuse them instead of overrunning their
+  // per-row accumulators. The largest size, 8, still runs.
+  auto block_diagonal = [](int nb) {
+    sparse::Bcsr<double> a;
+    a.nb = nb;
+    a.nrows = 2;
+    a.ptr = {0, 1, 2};
+    a.col = {0, 1};
+    a.val.assign(2 * static_cast<std::size_t>(nb) * nb, 1.0);
+    return a;
+  };
+  const auto a9 = block_diagonal(dense::kMaxBlockSize + 1);
+  std::vector<double> x(static_cast<std::size_t>(a9.scalar_n()), 1.0);
+  std::vector<double> y(x.size());
+  simcache::NullTracer tracer;
+  EXPECT_THROW(a9.check(), Error);
+  EXPECT_THROW(a9.spmv(x.data(), y.data()), Error);
+  EXPECT_THROW(simcache::traced_spmv_bcsr(a9, x.data(), y.data(), tracer),
+               Error);
+
+  const auto a8 = block_diagonal(dense::kMaxBlockSize);
+  EXPECT_NO_THROW(a8.check());
+  std::vector<double> x8(static_cast<std::size_t>(a8.scalar_n()), 1.0);
+  std::vector<double> y8(x8.size()), t8(x8.size());
+  a8.spmv(x8.data(), y8.data());
+  simcache::traced_spmv_bcsr(a8, x8.data(), t8.data(), tracer);
+  for (std::size_t i = 0; i < y8.size(); ++i) {
+    EXPECT_EQ(y8[i], dense::kMaxBlockSize);
+    EXPECT_EQ(t8[i], y8[i]);
+  }
 }
 
 TEST(Conversion, CsrFloatRoundTripAccuracy) {

@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 #include <type_traits>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
+#include "exec/pool.hpp"
 #include "mesh/generator.hpp"
 #include "sparse/assembly.hpp"
 #include "sparse/csr.hpp"
@@ -418,6 +421,223 @@ TEST(Ilu, RefactorEqualsFreshFactorBitwise) {
   expect_refactor_matches_fresh<PointIlu<float>>(p1, p2);
   expect_refactor_matches_fresh<BlockIlu<double>>(b1, b2);
   expect_refactor_matches_fresh<BlockIlu<float>>(b1, b2);
+}
+
+// The block ILU's run-time block-size loops from before its kernels took
+// a compile-time block size: the numeric phase, the solve rows and the
+// dense loop bodies under them, kept as the bitwise reference.
+namespace runtime_nb {
+
+void gemm_sub(int nb, const double* a, const double* b, double* c) {
+  for (int i = 0; i < nb; ++i)
+    for (int k = 0; k < nb; ++k) {
+      const double aik = a[i * nb + k];
+      for (int j = 0; j < nb; ++j) c[i * nb + j] -= aik * b[k * nb + j];
+    }
+}
+
+bool lu_factor(int nb, double* a) {
+  for (int k = 0; k < nb; ++k) {
+    const double pivot = a[k * nb + k];
+    if (!(pivot != 0.0)) return false;
+    const double inv = 1.0 / pivot;
+    for (int i = k + 1; i < nb; ++i) {
+      const double lik = a[i * nb + k] * inv;
+      a[i * nb + k] = lik;
+      for (int j = k + 1; j < nb; ++j) a[i * nb + j] -= lik * a[k * nb + j];
+    }
+  }
+  return true;
+}
+
+void right_lu_solve_block(int nb, const double* lu, double* b) {
+  for (int r = 0; r < nb; ++r) {
+    double* row = b + r * nb;
+    for (int j = 0; j < nb; ++j) {
+      double s = row[j];
+      for (int i = 0; i < j; ++i) s -= row[i] * lu[i * nb + j];
+      row[j] = s / lu[j * nb + j];
+    }
+    for (int j = nb - 1; j >= 0; --j) {
+      double s = row[j];
+      for (int i = j + 1; i < nb; ++i) s -= row[i] * lu[i * nb + j];
+      row[j] = s;
+    }
+  }
+}
+
+template <class TA>
+void gemv_sub(int nb, const TA* a, const double* x, double* y) {
+  if (nb == simd::kDoubleLanes && simd::enabled()) {
+    const simd::Vd xv = simd::Vd::loadu(x);
+    for (int i = 0; i < nb; ++i)
+      y[i] -= (simd::Vd::loadu(a + i * nb) * xv).hsum();
+    return;
+  }
+  for (int i = 0; i < nb; ++i) {
+    double s = 0;
+    for (int j = 0; j < nb; ++j) s += static_cast<double>(a[i * nb + j]) * x[j];
+    y[i] -= s;
+  }
+}
+
+template <class TA>
+void lu_solve(int nb, const TA* lu, const double* b, double* x) {
+  for (int i = 0; i < nb; ++i) {
+    double s = b[i];
+    for (int j = 0; j < i; ++j) s -= static_cast<double>(lu[i * nb + j]) * x[j];
+    x[i] = s;
+  }
+  for (int i = nb - 1; i >= 0; --i) {
+    double s = x[i];
+    for (int j = i + 1; j < nb; ++j)
+      s -= static_cast<double>(lu[i * nb + j]) * x[j];
+    x[i] = s / static_cast<double>(lu[i * nb + i]);
+  }
+}
+
+// Gathers A through `map`, applies `edit` and eliminates into `val`;
+// returns the first singular block row, or -1.
+int factor(const Bcsr<double>& a, const IluPattern& pat, const GatherMap& map,
+           const DiagonalEdit& edit, std::vector<double>& val) {
+  const int nb = a.nb;
+  const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
+  val.resize(pat.nnz() * bsz);
+  map.gather(pat, a.ptr, a.col, a.val, bsz, val.data());
+  if (edit)
+    for (int k = 0; k < pat.n; ++k) edit(k, &val[pat.diag[k] * bsz]);
+  for (int i = 0; i < pat.n; ++i) {
+    for (int pos = pat.ptr[i]; pos < pat.diag[i]; ++pos) {
+      const int k = pat.col[pos];
+      double* blk_ik = &val[pos * bsz];
+      right_lu_solve_block(nb, &val[pat.diag[k] * bsz], blk_ik);
+      int r = pos + 1;
+      for (int u = pat.diag[k] + 1; u < pat.ptr[k + 1]; ++u) {
+        const int j = pat.col[u];
+        while (r < pat.ptr[i + 1] && pat.col[r] < j) ++r;
+        if (r == pat.ptr[i + 1]) break;
+        if (pat.col[r] == j) gemm_sub(nb, blk_ik, &val[u * bsz], &val[r * bsz]);
+      }
+    }
+    if (!lu_factor(nb, &val[pat.diag[i] * bsz])) return i;
+  }
+  return -1;
+}
+
+template <class S>
+void solve(int nb, const IluPattern& pat, const std::vector<S>& val,
+           const double* b, double* x) {
+  const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
+  for (int i = 0; i < pat.n; ++i) {
+    double* xi = x + i * nb;
+    std::copy_n(b + i * nb, nb, xi);
+    for (int p = pat.ptr[i]; p < pat.diag[i]; ++p)
+      gemv_sub(nb, &val[p * bsz], x + pat.col[p] * nb, xi);
+  }
+  for (int i = pat.n - 1; i >= 0; --i) {
+    double* xi = x + i * nb;
+    for (int p = pat.diag[i] + 1; p < pat.ptr[i + 1]; ++p)
+      gemv_sub(nb, &val[p * bsz], x + pat.col[p] * nb, xi);
+    double tmp[8];
+    lu_solve(nb, &val[pat.diag[i] * bsz], xi, tmp);
+    std::copy_n(tmp, nb, xi);
+  }
+}
+
+}  // namespace runtime_nb
+
+template <class T>
+bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0;
+}
+
+// Factors, refactors, solves and zeroed-diagonal refactors of BlockIlu<S>
+// at block size nb and fill `level`, each against the run-time-nb
+// reference.
+template <class S>
+void expect_block_kernels_match_reference(const Stencil& s, int nb,
+                                          int level) {
+  const auto a1 = build_bcsr(s, nb, synthetic_values(s, 0));
+  const auto a2 = build_bcsr(s, nb, synthetic_values(s, 1));
+  const auto [pat, map] = principal_submatrix(a1.ptr, a1.col, {}, level);
+  auto stored = [](const std::vector<double>& v) {
+    return std::vector<S>(v.begin(), v.end());
+  };
+  std::vector<double> ref;
+
+  BlockIlu<S> f(a1, level);
+  ASSERT_EQ(runtime_nb::factor(a1, pat, map, {}, ref), -1);
+  EXPECT_TRUE(same_bytes(f.values(), stored(ref))) << "construction";
+  ASSERT_TRUE(f.refactor(a2).ok);
+  ASSERT_EQ(runtime_nb::factor(a2, pat, map, {}, ref), -1);
+  const std::vector<S> ref_val = stored(ref);
+  EXPECT_TRUE(same_bytes(f.values(), ref_val)) << "refactor";
+
+  Rng rng(static_cast<std::uint64_t>(10 * nb + level));
+  std::vector<double> b(static_cast<std::size_t>(a1.scalar_n()));
+  for (auto& v : b) v = rng.uniform(-1, 1);
+  std::vector<double> x_ref(b.size()), x(b.size());
+  runtime_nb::solve(nb, pat, ref_val, b.data(), x_ref.data());
+  f.solve(b.data(), x.data());
+  EXPECT_TRUE(same_bytes(x, x_ref)) << "solve";
+  for (int threads : {1, 2, 4}) {
+    exec::ThreadScope scope(threads);
+    std::fill(x.begin(), x.end(), 0.0);
+    f.solve_levels(b.data(), x.data());
+    EXPECT_TRUE(same_bytes(x, x_ref)) << "solve_levels, threads " << threads;
+  }
+
+  // A zeroed diagonal block, first at (0, 0), then mid-matrix.
+  for (int zeroed : {0, pat.n / 2}) {
+    const DiagonalEdit edit = [&](int k, double* blk) {
+      if (k == zeroed) std::fill_n(blk, nb * nb, 0.0);
+    };
+    const int ref_bad = runtime_nb::factor(a2, pat, map, edit, ref);
+    const IluFactorStatus st = f.refactor(a2, edit);
+    EXPECT_EQ(st.ok, ref_bad < 0) << "zeroed " << zeroed;
+    EXPECT_EQ(st.bad_row, ref_bad) << "zeroed " << zeroed;
+    EXPECT_TRUE(same_bytes(f.values(), stored(ref))) << "zeroed " << zeroed;
+  }
+}
+
+// Rows t < half couple only to rows of the second half, and row half + t
+// to t, t + 1 and t + 7 (mod half). ILU(0)'s schedules then have levels
+// of `half` rows, which the pool splits when half exceeds its grain of
+// 128 rows; fill adds couplings inside the second half.
+Stencil bipartite_stencil(int half) {
+  std::vector<std::vector<int>> adj(2 * half);
+  for (int t = 0; t < half; ++t)
+    for (int d : {0, 1, 7}) {
+      adj[half + t].push_back((t + d) % half);
+      adj[(t + d) % half].push_back(half + t);
+    }
+  Stencil s;
+  s.n = 2 * half;
+  s.ptr = {0};
+  for (int i = 0; i < s.n; ++i) {
+    adj[i].push_back(i);
+    std::sort(adj[i].begin(), adj[i].end());
+    s.col.insert(s.col.end(), adj[i].begin(),
+                 std::unique(adj[i].begin(), adj[i].end()));
+    s.ptr.push_back(static_cast<int>(s.col.size()));
+  }
+  return s;
+}
+
+TEST(Ilu, BlockKernelsMatchRuntimeReferenceBitwise) {
+  for (const Stencil& s : {small_stencil(), bipartite_stencil(150)})
+    for (bool use_simd : {false, true}) {
+      simd::EnabledScope simd_scope(use_simd);
+      for (int nb = 1; nb <= 8; ++nb)
+        for (int level : {0, 1, 2}) {
+          SCOPED_TRACE("n " + std::to_string(s.n) + ", simd " +
+                       std::to_string(use_simd) + ", nb " +
+                       std::to_string(nb) + ", fill " + std::to_string(level));
+          expect_block_kernels_match_reference<double>(s, nb, level);
+          expect_block_kernels_match_reference<float>(s, nb, level);
+        }
+    }
 }
 
 TEST(Ilu, MissingDiagonalThrows) {
