@@ -22,9 +22,11 @@ Checks, in order:
      entry the (mesh_class, host_isa, precision) key plus a config
      object.
   4. Optionally (--knobs FILE, a `tuned_solve -dump-knobs` catalog)
-     every registered knob is documented: each knob's name must appear
-     in docs/TUNING.md (or --tuning-md FILE), so adding a knob without
-     documenting it fails CI.
+     the catalog and docs/TUNING.md (or --tuning-md FILE) agree both
+     ways: each registered knob has a row in the doc's knob tables (the
+     tables whose first header cell is `knob`), and each row names a
+     registered knob. Adding a knob without documenting it, or deleting
+     one and leaving its row, fails CI.
   5. No dead relative links in README.md, DESIGN.md, EXPERIMENTS.md,
      ROADMAP.md, or docs/*.md.
 
@@ -168,9 +170,27 @@ def check_tunedb(path, errors):
             errors.append(f"{path}: entry {k} missing config object")
 
 
+def knob_table_rows(doc_text):
+    """First-column names of the rows of every markdown table whose first
+    header cell is `knob`, backticks stripped."""
+    rows, in_table = [], False
+    for line in doc_text.splitlines():
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        first = line.split("|")[1].strip()
+        if first == "knob":
+            in_table = True
+        elif in_table and first.strip("-: "):
+            rows.append(first.strip("`"))
+    return rows
+
+
 def check_knob_docs(knobs_path, tuning_md, errors):
-    """Every knob in the dumped catalog must be named in the tuning doc;
-    an undocumented knob is a docs failure, not a silent drift."""
+    """The tuning doc's knob-table rows and the dumped catalog must name
+    the same knobs: an undocumented knob (a mention in prose is not a
+    row), or a row left behind by a deleted one, is a docs failure, not
+    a silent drift."""
     try:
         with open(knobs_path, encoding="utf-8") as f:
             catalog = json.load(f)
@@ -186,14 +206,21 @@ def check_knob_docs(knobs_path, tuning_md, errors):
     except OSError as e:
         errors.append(f"{tuning_md}: cannot read tuning doc ({e})")
         return
+    rows = knob_table_rows(doc_text)
+    registered = set()
     for k, knob in enumerate(catalog):
         name = knob.get("name") if isinstance(knob, dict) else None
         if not isinstance(name, str) or not name:
             errors.append(f"{knobs_path}: catalog record {k} has no name")
             continue
-        if name not in doc_text:
-            errors.append(f"{tuning_md}: registered knob {name!r} is not "
-                          "documented (knob catalog cross-check)")
+        registered.add(name)
+        if name not in rows:
+            errors.append(f"{tuning_md}: registered knob {name!r} has no "
+                          "knob-table row (knob catalog cross-check)")
+    for name in rows:
+        if name not in registered:
+            errors.append(f"{tuning_md}: knob table row {name!r} names no "
+                          "registered knob (knob catalog cross-check)")
 
 
 def check_trace(path, min_coverage, errors):

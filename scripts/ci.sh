@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full CI gate in one command:
 #   1. release build + complete test suite, then the same suite against
-#      the scalar SIMD fallback (F3D_SIMD=OFF). Every test carries a
-#      TIMEOUT property, so a wedged solve fails loudly here.
+#      the scalar SIMD fallback (F3D_SIMD=OFF). Both presets build with
+#      -Werror (F3D_WERROR=ON). Every test carries a TIMEOUT property, so
+#      a wedged solve fails loudly here.
 #   2. the gated benches, in order: thread scaling, SIMD + mixed-precision
 #      A/B, SDC injection campaign, fail-slow mitigation sweep, deadline
 #      oracle campaign, self-tuning A/B (also writes build/tune_db.json),
@@ -18,9 +19,10 @@
 #      committed BENCH_*.json must carry the f3d-bench-v1 envelope and
 #      pass its recomputed series.gates, the tuning DB must match
 #      f3d-tunedb-v1, every registered knob (dumped via tuned_solve
-#      -dump-knobs) must be documented in docs/TUNING.md, and the
-#      markdown must have no dead relative links; negative controls prove
-#      the knob cross-check and the gate checker can fail
+#      -dump-knobs) must have a row in docs/TUNING.md's knob tables and
+#      every row must name a registered knob, and the markdown must
+#      have no dead relative links; negative controls prove both
+#      directions of the knob cross-check and the gate checker can fail
 #   5. ASan+UBSan build + the resilience-, sdc-, failslow-, tune-, fleet-,
 #      simd-, obs-, guard-, linear- and cfd-labelled tests (fault injection,
 #      recovery, checkpoints, journals, budgets and cancellation, the SIMD
@@ -95,14 +97,22 @@ F3D_TRACE=1 F3D_TRACE_OUT=build/ci_trace.json ./build/examples/quickstart
 python3 scripts/check_docs.py --trace build/ci_trace.json --min-coverage 0.9 \
   --tunedb build/tune_db.json --knobs build/knobs.json
 
-# Negative control for the knob-catalog cross-check: strip one knob from
-# a copy of the tuning doc and demand the gate notices. A gate that
-# cannot fail is not a gate.
-echo "=== docs gate negative control (deliberately undocumented knob) ==="
+# Negative controls for the knob-catalog cross-check, one per direction:
+# strip one knob from a copy of the tuning doc, and add a table row for a
+# knob that is not registered to another, and demand the gate notices
+# each. A gate that cannot fail is not a gate.
+echo "=== docs gate negative controls (undocumented knob, unregistered row) ==="
 grep -v 'ptc\.cfl0' docs/TUNING.md > build/TUNING_missing.md
 if python3 scripts/check_docs.py --knobs build/knobs.json \
      --tuning-md build/TUNING_missing.md >/dev/null 2>&1; then
   echo "ERROR: check_docs.py accepted a tuning doc missing ptc.cfl0" >&2
+  exit 1
+fi
+awk '{ print } /^\| `ptc\.cfl0` \|/ { print "| `ptc.bogus` | double | [0, 1] | 0 | §2.4.1 |" }' \
+  docs/TUNING.md > build/TUNING_extra.md
+if python3 scripts/check_docs.py --knobs build/knobs.json \
+     --tuning-md build/TUNING_extra.md >/dev/null 2>&1; then
+  echo "ERROR: check_docs.py accepted a tuning doc row for ptc.bogus" >&2
   exit 1
 fi
 

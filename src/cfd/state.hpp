@@ -50,10 +50,12 @@ struct FlowConfig {
 
   [[nodiscard]] int nb() const { return num_components(model); }
 
-  /// Register the performance-only discretization knobs (field layout,
-  /// reconstruction-operand precision — Tables 1-2) into the flat tuning
-  /// space under `prefix`. Physics parameters (model, Mach, alpha, order)
-  /// are deliberately NOT knobs: tuning must not change the problem. The
+  /// Register the performance-only discretization knob (reconstruction-
+  /// operand precision, Table 2) into the flat tuning space under
+  /// `prefix`. `layout` is not a knob: EulerProblem accepts only the
+  /// interlaced layout, and the Table 1 and Fig 3 exhibits set it
+  /// directly. Physics parameters (model, Mach, alpha, order) are
+  /// deliberately NOT knobs: tuning must not change the problem. The
   /// registry borrows this struct: it must outlive the registry.
   void bind(tune::Registry& reg, const std::string& prefix = "flow.");
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <set>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -174,32 +173,6 @@ std::vector<std::vector<int>> overlap_expand(const mesh::Graph& g,
       if (in[v]) out.push_back(v);
   }
   return result;
-}
-
-CommStats comm_stats(const mesh::Graph& g, const Partition& p) {
-  const int n = static_cast<int>(g.ptr.size()) - 1;
-  CommStats cs;
-  cs.ghosts_in.assign(p.nparts, 0);
-  cs.neighbor_parts.assign(p.nparts, 0);
-  std::vector<std::set<int>> ghosts(p.nparts);
-  std::vector<std::set<int>> nbr_parts(p.nparts);
-  for (int v = 0; v < n; ++v) {
-    const int pv = p.part[v];
-    for (int e = g.ptr[v]; e < g.ptr[v + 1]; ++e) {
-      const int w = g.adj[e];
-      const int pw = p.part[w];
-      if (pw != pv) {
-        ghosts[pv].insert(w);
-        nbr_parts[pv].insert(pw);
-      }
-    }
-  }
-  for (int s = 0; s < p.nparts; ++s) {
-    cs.ghosts_in[s] = static_cast<int>(ghosts[s].size());
-    cs.neighbor_parts[s] = static_cast<int>(nbr_parts[s].size());
-    cs.total_ghosts += cs.ghosts_in[s];
-  }
-  return cs;
 }
 
 }  // namespace f3d::part

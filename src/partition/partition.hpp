@@ -55,17 +55,6 @@ PartitionQuality evaluate(const mesh::Graph& g, const Partition& p);
 std::vector<std::vector<int>> overlap_expand(const mesh::Graph& g,
                                              const Partition& p, int levels);
 
-/// Ghost-exchange statistics for the nearest-neighbor scatter: for each
-/// part, the number of remote vertices adjacent to its owned set (values
-/// it must receive each scatter) and the number of distinct neighbor
-/// parts (messages).
-struct CommStats {
-  std::vector<int> ghosts_in;       ///< per part
-  std::vector<int> neighbor_parts;  ///< per part
-  std::int64_t total_ghosts = 0;
-};
-CommStats comm_stats(const mesh::Graph& g, const Partition& p);
-
 /// What an incremental shrink recovery did to the decomposition.
 struct RepartitionReport {
   int moved_vertices = 0;    ///< vertices reassigned off the dead part

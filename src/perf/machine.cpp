@@ -8,7 +8,6 @@ MachineModel asci_red() {
   m.max_nodes = 3072;
   m.cpus_per_node = 2;
   m.cpu_mflops_peak = 333;      // 1 flop/cycle Pentium Pro
-  m.sparse_efficiency = 0.18;   // ~60 Mflop/s sustained sparse
   m.flux_efficiency = 0.26;
   m.mem_bw_mbs = 140;           // per-node sustainable
   m.net_latency_us = 15;
@@ -25,7 +24,6 @@ MachineModel blue_pacific() {
   m.max_nodes = 1464;
   m.cpus_per_node = 4;
   m.cpu_mflops_peak = 664;      // 2 flops/cycle PowerPC 604e
-  m.sparse_efficiency = 0.10;
   m.flux_efficiency = 0.15;
   m.mem_bw_mbs = 160;
   m.net_latency_us = 28;        // slower interconnect than Red
@@ -42,7 +40,6 @@ MachineModel cray_t3e() {
   m.max_nodes = 1024;
   m.cpus_per_node = 1;
   m.cpu_mflops_peak = 1200;     // 2 flops/cycle EV5 @ 600 MHz
-  m.sparse_efficiency = 0.07;
   m.flux_efficiency = 0.11;
   m.mem_bw_mbs = 600;           // streams-friendly local memory
   m.net_latency_us = 3;         // the torus: low latency, high bandwidth
@@ -59,7 +56,6 @@ MachineModel origin2000() {
   m.max_nodes = 128;
   m.cpus_per_node = 1;          // modeled per-CPU
   m.cpu_mflops_peak = 500;      // 2 flops/cycle R10000 @ 250 MHz
-  m.sparse_efficiency = 0.15;
   m.flux_efficiency = 0.22;
   m.mem_bw_mbs = 300;
   m.net_latency_us = 1;         // ccNUMA

@@ -13,7 +13,6 @@ struct MachineModel {
   int max_nodes = 0;
   int cpus_per_node = 1;
   double cpu_mflops_peak = 0;     ///< per CPU
-  double sparse_efficiency = 0;   ///< sustained/peak for sparse kernels
   double flux_efficiency = 0;     ///< sustained/peak for the flux kernel
                                   ///< (instruction-scheduling-bound)
   double mem_bw_mbs = 0;          ///< per node sustainable (STREAM-like)
@@ -28,10 +27,6 @@ struct MachineModel {
   /// synchronization point.
   double jitter = 0.02;
 
-  /// Sustained per-CPU rate for memory-bandwidth-bound sparse kernels.
-  [[nodiscard]] double sparse_mflops() const {
-    return cpu_mflops_peak * sparse_efficiency;
-  }
   /// Sustained per-CPU rate for the flux kernel.
   [[nodiscard]] double flux_mflops() const {
     return cpu_mflops_peak * flux_efficiency;

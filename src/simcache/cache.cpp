@@ -1,7 +1,5 @@
 #include "simcache/cache.hpp"
 
-#include "obs/obs.hpp"
-
 namespace f3d::simcache {
 
 namespace {
@@ -125,22 +123,6 @@ void MemoryTracer::flush() {
   l1_.flush();
   l2_.flush();
   tlb_.flush();
-}
-
-void MemoryTracer::publish_counters(const std::string& prefix) const {
-  auto& reg = obs::Registry::global();
-  reg.count(prefix + ".accesses", static_cast<long long>(l1_.accesses()));
-  reg.count(prefix + ".l1.misses", static_cast<long long>(l1_.misses()));
-  reg.count(prefix + ".l2.misses", static_cast<long long>(l2_.misses()));
-  reg.count(prefix + ".tlb.misses", static_cast<long long>(tlb_.misses()));
-  if (l1_.accesses() > 0)
-    reg.set_gauge(prefix + ".l1.miss_rate",
-                  static_cast<double>(l1_.misses()) /
-                      static_cast<double>(l1_.accesses()));
-  if (l2_.accesses() > 0)
-    reg.set_gauge(prefix + ".l2.miss_rate",
-                  static_cast<double>(l2_.misses()) /
-                      static_cast<double>(l2_.accesses()));
 }
 
 }  // namespace f3d::simcache

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <list>
 #include <set>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -104,11 +103,6 @@ public:
 
   void reset_counters();
   void flush();
-
-  /// Push the current hit/miss totals into the process-wide observability
-  /// registry as counters "<prefix>.l1.misses", "<prefix>.l2.misses",
-  /// "<prefix>.tlb.misses", "<prefix>.accesses" plus miss-rate gauges.
-  void publish_counters(const std::string& prefix) const;
 
 private:
   CacheModel l1_, l2_, tlb_;

@@ -145,37 +145,4 @@ Csr<double> build_point_csr(const Stencil& stencil, int nb,
   return m;
 }
 
-Csr<double> bcsr_to_point(const Bcsr<double>& b) {
-  const int nb = b.nb;
-  const int nv = b.nrows;
-  Csr<double> m;
-  m.n = nv * nb;
-  m.ptr.assign(m.n + 1, 0);
-  for (int v = 0; v < nv; ++v) {
-    const int len = (b.ptr[v + 1] - b.ptr[v]) * nb;
-    for (int c = 0; c < nb; ++c) m.ptr[v * nb + c + 1] = len;
-  }
-  for (int i = 0; i < m.n; ++i) m.ptr[i + 1] += m.ptr[i];
-  m.col.resize(m.ptr[m.n]);
-  m.val.resize(m.ptr[m.n]);
-  std::vector<int> cursor(m.ptr.begin(), m.ptr.end() - 1);
-  for (int v = 0; v < nv; ++v) {
-    for (int p = b.ptr[v]; p < b.ptr[v + 1]; ++p) {
-      const int w = b.col[p];
-      const double* blk = &b.val[static_cast<std::size_t>(p) * nb * nb];
-      for (int a = 0; a < nb; ++a) {
-        const int row = v * nb + a;
-        for (int c = 0; c < nb; ++c) {
-          const int q = cursor[row]++;
-          m.col[q] = w * nb + c;
-          m.val[q] = blk[static_cast<std::size_t>(a) * nb + c];
-        }
-      }
-    }
-  }
-  // Block columns ascending already => scalar columns ascending per row.
-  m.check();
-  return m;
-}
-
 }  // namespace f3d::sparse

@@ -52,8 +52,4 @@ Bcsr<double> build_bcsr(const Stencil& stencil, int nb, const BlockValueFn& fn);
 Csr<double> build_point_csr(const Stencil& stencil, int nb,
                             const BlockValueFn& fn, FieldLayout layout);
 
-/// Expand a Bcsr into the equivalent interlaced point CSR (used by the
-/// point-ILU path and by tests).
-Csr<double> bcsr_to_point(const Bcsr<double>& b);
-
 }  // namespace f3d::sparse

@@ -18,9 +18,9 @@ namespace detail {
 
 // The ONE implementation of the "arithmetic in double regardless of
 // storage type" contract: every sparse kernel (point CSR rows, Bcsr
-// block rows, generic fallback) funnels its inner product through these
-// helpers, so a float-storage path cannot drift from the double path by
-// re-implementing the promotion locally.
+// block rows, the cache simulator's traced copies) funnels its inner
+// product through these helpers, so a float-storage path cannot drift
+// from the double path by re-implementing the promotion locally.
 
 /// s = sum_k val[k] * x[col[k]], promoted per term, sequential order.
 template <class S>
@@ -185,97 +185,38 @@ struct Bcsr {
       }
   }
 
-  /// y = A x with x, y of length nrows*nb (interlaced field layout).
-  /// Dispatches to fully unrolled kernels for the block sizes the Euler
-  /// models use (4 and 5) — the register-reuse benefit of structural
-  /// blocking (paper §2.1.2) needs the compile-time block size.
+  /// y = A x with x, y of length nrows*nb (interlaced field layout). The
+  /// row body takes the block size at compile time: the register reuse of
+  /// structural blocking (paper §2.1.2) needs NB known to the compiler.
+  /// dense::with_block_kernels picks NB and reads the SIMD switch once,
+  /// and throws f3d::Error for nb outside [1, dense::kMaxBlockSize].
   void spmv(const double* x, double* y) const {
-    switch (nb) {
-      case 4:
-        spmv_fixed<4>(x, y);
-        return;
-      case 5:
-        spmv_fixed<5>(x, y);
-        return;
-      default:
-        spmv_generic(x, y);
-    }
-  }
-
-  template <int NB>
-  void spmv_fixed(const double* x, double* y) const {
-    if (simd::enabled())
-      spmv_fixed_impl<NB, true>(x, y);
-    else
-      spmv_fixed_impl<NB, false>(x, y);
-  }
-
-  template <int NB, bool kSimd>
-  void spmv_fixed_impl(const double* x, double* y) const {
-    const std::size_t bsz = static_cast<std::size_t>(NB) * NB;
-    const S* vals = val.data();
-    // Block rows are independent: row-parallel, bit-identical for any
-    // thread count.
-    exec::pool().parallel_for(
-        0, nrows,
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            double acc[NB] = {};
-            for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
-              const S* b = vals + static_cast<std::size_t>(p) * bsz;
-              const double* xj = &x[static_cast<std::size_t>(col[p]) * NB];
-              for (int r = 0; r < NB; ++r) {
-                const S* row = b + static_cast<std::size_t>(r) * NB;
-                acc[r] += kSimd
-                              ? detail::dense_dot_promote_simd(row, xj, NB)
-                              : detail::dense_dot_promote(row, xj, NB);
+    dense::with_block_kernels(nb, [&](auto kNb, auto kSimd) {
+      constexpr int NB = kNb;
+      const std::size_t bsz = static_cast<std::size_t>(NB) * NB;
+      const S* vals = val.data();
+      // Block rows are independent: row-parallel, bit-identical for any
+      // thread count.
+      exec::pool().parallel_for(
+          0, nrows,
+          [&](std::int64_t lo, std::int64_t hi) {
+            for (std::int64_t i = lo; i < hi; ++i) {
+              double acc[NB] = {};
+              for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
+                const S* b = vals + static_cast<std::size_t>(p) * bsz;
+                const double* xj = &x[static_cast<std::size_t>(col[p]) * NB];
+                for (int r = 0; r < NB; ++r) {
+                  const S* row = b + static_cast<std::size_t>(r) * NB;
+                  acc[r] += kSimd ? detail::dense_dot_promote_simd(row, xj, NB)
+                                  : detail::dense_dot_promote(row, xj, NB);
+                }
               }
+              double* yi = &y[static_cast<std::size_t>(i) * NB];
+              for (int r = 0; r < NB; ++r) yi[r] = acc[r];
             }
-            double* yi = &y[static_cast<std::size_t>(i) * NB];
-            for (int r = 0; r < NB; ++r) yi[r] = acc[r];
-          }
-        },
-        /*grain=*/256);
-  }
-
-  /// Fallback for any nb up to dense::kMaxBlockSize (f3d::Error above
-  /// it). Funnels through the same dot helpers as the fixed kernels
-  /// (including the SIMD dispatch) so the direct-call equivalence tests
-  /// hold bitwise in every configuration.
-  void spmv_generic(const double* x, double* y) const {
-    F3D_CHECK_MSG(nb <= dense::kMaxBlockSize,
-                  "block size " + std::to_string(nb) + " is above " +
-                      std::to_string(dense::kMaxBlockSize));
-    if (simd::enabled())
-      spmv_generic_impl<true>(x, y);
-    else
-      spmv_generic_impl<false>(x, y);
-  }
-
-  template <bool kSimd>
-  void spmv_generic_impl(const double* x, double* y) const {
-    const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
-    const S* vals = val.data();
-    exec::pool().parallel_for(
-        0, nrows,
-        [&](std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            double acc[dense::kMaxBlockSize] = {};
-            for (int p = ptr[i]; p < ptr[i + 1]; ++p) {
-              const S* b = vals + static_cast<std::size_t>(p) * bsz;
-              const double* xj = &x[static_cast<std::size_t>(col[p]) * nb];
-              for (int r = 0; r < nb; ++r) {
-                const S* row = b + static_cast<std::size_t>(r) * nb;
-                acc[r] += kSimd
-                              ? detail::dense_dot_promote_simd(row, xj, nb)
-                              : detail::dense_dot_promote(row, xj, nb);
-              }
-            }
-            double* yi = &y[static_cast<std::size_t>(i) * nb];
-            for (int r = 0; r < nb; ++r) yi[r] = acc[r];
-          }
-        },
-        /*grain=*/256);
+          },
+          /*grain=*/256);
+    });
   }
 
   void spmv(const std::vector<double>& x, std::vector<double>& y) const {

@@ -10,8 +10,6 @@
 
 #include <vector>
 
-#include "common/error.hpp"
-
 namespace f3d::sparse {
 
 enum class FieldLayout {
@@ -30,45 +28,5 @@ inline int field_index(FieldLayout layout, int num_vertices, int nb, int v,
 std::vector<double> convert_layout(const std::vector<double>& x,
                                    FieldLayout from, FieldLayout to,
                                    int num_vertices, int nb);
-
-/// Zero-copy SoA-blocked view over a multicomponent field: exposes the
-/// per-component strides the SIMD kernels need without reordering any
-/// bytes. Aliasing the caller's storage is the point — the hot paths
-/// must not pay a gather/copy just to get vector-friendly addressing
-/// (the SoaViewAliasesStorage property test pins this down).
-template <class T>
-struct SoaView {
-  T* data = nullptr;
-  int num_vertices = 0;
-  int nb = 0;
-  FieldLayout layout = FieldLayout::kInterlaced;
-
-  /// Address of component c at vertex v (same map as field_index).
-  [[nodiscard]] T* at(int v, int c) const {
-    return data + field_index(layout, num_vertices, nb, v, c);
-  }
-  /// Scalar distance between vertex v and v+1 at fixed component.
-  [[nodiscard]] std::ptrdiff_t vertex_stride() const {
-    return layout == FieldLayout::kInterlaced ? nb : 1;
-  }
-  /// Scalar distance between component c and c+1 at fixed vertex.
-  [[nodiscard]] std::ptrdiff_t component_stride() const {
-    return layout == FieldLayout::kInterlaced ? 1 : num_vertices;
-  }
-  /// Contiguous nb-component block at vertex v (interlaced layout only —
-  /// what Vd::loadu wants for the nb == 4 fast paths).
-  [[nodiscard]] T* block(int v) const {
-    F3D_ASSERT(layout == FieldLayout::kInterlaced);
-    return data + static_cast<std::ptrdiff_t>(v) * nb;
-  }
-};
-
-/// View over a vector's bytes; no copy, no ownership.
-template <class T>
-[[nodiscard]] inline SoaView<T> soa_view(std::vector<T>& x, FieldLayout layout,
-                                         int num_vertices, int nb) {
-  F3D_CHECK(static_cast<int>(x.size()) == num_vertices * nb);
-  return SoaView<T>{x.data(), num_vertices, nb, layout};
-}
 
 }  // namespace f3d::sparse

@@ -9,7 +9,6 @@
 #include "common/simd.hpp"
 #include "common/timer.hpp"
 #include "mesh/generator.hpp"
-#include "tune/bindings.hpp"
 
 namespace f3d::tune {
 
@@ -45,8 +44,6 @@ SolveLab::SolveLab(int num_vertices, unsigned mesh_seed) {
   flow_.bind(reg_);
   ordering_.bind(reg_);
   ptc_.bind(reg_);
-  bind_exec_threads(reg_);
-  bind_simd(reg_);
 }
 
 SolveLab::RunResult SolveLab::run_once(const LabFidelity& fid) {

@@ -12,8 +12,9 @@
 //  * bit-identity: the solve is run twice from the same initial state and
 //    the returned states must hash identically (CRC-32 over the raw
 //    bytes) with identical deterministic work-unit totals,
-//  * no exception escapes (an inadmissible config — e.g. a non-interlaced
-//    layout fed to EulerProblem — throws and is rejected, not fatal).
+//  * no exception escapes (a config whose solve throws — e.g. the
+//    NumericalError of an exhausted recovery ladder — is rejected, not
+//    fatal).
 //
 // Score = wall seconds of the second (timed) run; lower is better.
 // Scores are only comparable within one fidelity level — exactly how the
@@ -44,8 +45,8 @@ struct LabFidelity {
 class SolveLab {
 public:
   /// Builds the shuffled ("as-delivered") wing mesh of ~`num_vertices`
-  /// and binds every knob — flow, mesh ordering, ptc/gmres/schwarz,
-  /// exec threads, simd — into registry().
+  /// and binds every knob — flow, mesh ordering, ptc/gmres/schwarz —
+  /// into registry().
   explicit SolveLab(int num_vertices, unsigned mesh_seed = 1);
 
   [[nodiscard]] Registry& registry() { return reg_; }
@@ -59,9 +60,6 @@ public:
   [[nodiscard]] Evaluator evaluator();
 
   /// The knob subset the bench searches: the paper's high-leverage axes.
-  /// Excludes flow.layout (EulerProblem requires interlaced) and the
-  /// process-global exec/simd toggles (searched separately if at all, so
-  /// a tuning run does not perturb the host-wide execution state).
   [[nodiscard]] static std::vector<std::string> default_search_space();
 
   /// DB key for this lab's problem: (mesh class, host ISA, "double").

@@ -64,24 +64,14 @@ void Registry::add(Knob k) {
 
 void Registry::add_int(const std::string& name, int* target, int lo, int hi,
                        const std::string& doc) {
-  add_int_fn(
-      name, [target] { return *target; }, [target](int v) { *target = v; }, lo,
-      hi, doc);
-}
-
-void Registry::add_int_fn(const std::string& name, std::function<int()> get,
-                          std::function<void(int)> set, int lo, int hi,
-                          const std::string& doc) {
   Knob k;
   k.name = name;
   k.doc = doc;
   k.kind = KnobKind::kInt;
   k.min = lo;
   k.max = hi;
-  k.get = [g = std::move(get)] { return static_cast<double>(g()); };
-  k.set = [s = std::move(set)](double v) {
-    s(static_cast<int>(std::llround(v)));
-  };
+  k.get = [target] { return static_cast<double>(*target); };
+  k.set = [target](double v) { *target = static_cast<int>(std::llround(v)); };
   add(std::move(k));
 }
 
@@ -103,22 +93,14 @@ void Registry::add_double(const std::string& name, double* target, double lo,
 
 void Registry::add_bool(const std::string& name, bool* target,
                         const std::string& doc) {
-  add_bool_fn(
-      name, [target] { return *target; }, [target](bool v) { *target = v; },
-      doc);
-}
-
-void Registry::add_bool_fn(const std::string& name, std::function<bool()> get,
-                           std::function<void(bool)> set,
-                           const std::string& doc) {
   Knob k;
   k.name = name;
   k.doc = doc;
   k.kind = KnobKind::kBool;
   k.min = 0;
   k.max = 1;
-  k.get = [g = std::move(get)] { return g() ? 1.0 : 0.0; };
-  k.set = [s = std::move(set)](double v) { s(v != 0); };
+  k.get = [target] { return *target ? 1.0 : 0.0; };
+  k.set = [target](double v) { *target = v != 0; };
   add(std::move(k));
 }
 

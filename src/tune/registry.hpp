@@ -5,11 +5,12 @@
 // length and inexactness (§2.4.2), CFL continuation (§2.4.1, Fig 5),
 // partitioning (Fig 4). Those knobs live in typed structs scattered
 // across the stack (PtcOptions, SchwarzOptions, GmresOptions, FlowConfig,
-// mesh ordering, exec thread count, SIMD toggle); each struct gains a
-// `bind(Registry&)` that registers its fields as named, range-constrained
-// knobs, so solver code keeps its typed access while the search driver
-// (tune/search.hpp) and the tuning DB (tune/db.hpp) see one flat,
-// introspectable space.
+// mesh ordering); each struct gains a `bind(Registry&)` that registers
+// its fields as named, range-constrained knobs, so solver code keeps its
+// typed access while the search driver (tune/search.hpp) and the tuning
+// DB (tune/db.hpp) see one flat, introspectable space. Process-global
+// state (the exec pool size, the SIMD switch) is not a knob: a DB hit
+// must not rewrite the host-wide execution state.
 //
 // Contract: a knob is a name + kind + inclusive range (or enum choice
 // list) + a getter/setter pair into the bound struct, with the default
@@ -19,8 +20,8 @@
 // leaves the registry untouched, which is what makes a corrupt tuning-DB
 // entry safely rejectable at solver startup.
 //
-// Layering: tune sits above obs/common/exec and below mesh/cfd/solver
-// (which link it to implement their bind() methods).
+// Layering: tune sits above obs/common and below mesh/cfd/solver (which
+// link it to implement their bind() methods).
 
 #include <cstdint>
 #include <functional>
@@ -63,14 +64,9 @@ public:
   // ---- binder API (called by the bind() methods of the option structs).
   void add_int(const std::string& name, int* target, int lo, int hi,
                const std::string& doc);
-  void add_int_fn(const std::string& name, std::function<int()> get,
-                  std::function<void(int)> set, int lo, int hi,
-                  const std::string& doc);
   void add_double(const std::string& name, double* target, double lo,
                   double hi, const std::string& doc);
   void add_bool(const std::string& name, bool* target, const std::string& doc);
-  void add_bool_fn(const std::string& name, std::function<bool()> get,
-                   std::function<void(bool)> set, const std::string& doc);
   template <class E>
   void add_enum(const std::string& name, E* target,
                 std::vector<std::string> choices, const std::string& doc) {

@@ -1,16 +1,19 @@
 // Focused kernel tests: the dense block kernels that back block ILU and
 // SSOR (factor, solves, right-solve identity, block-size dispatch), the
-// compile-time-specialized SpMV dispatch and its block-size bound, and
-// scalar-storage conversions.
+// block SpMV against its run-time-nb reference and its block-size bound,
+// and scalar-storage conversions.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/densemat.hpp"
 #include "common/rng.hpp"
+#include "common/simd.hpp"
+#include "exec/pool.hpp"
 #include "mesh/generator.hpp"
 #include "simcache/traced_kernels.hpp"
 #include "sparse/assembly.hpp"
@@ -142,32 +145,68 @@ TEST(DenseKernels, RightSolveConsistentWithLeftSolveViaTranspose) {
 }
 
 TEST(SpmvDispatch, FixedKernelsMatchGenericForAllBlockSizes) {
-  auto m = mesh::generate_box_mesh(3, 3, 3);
+  // Bcsr::spmv runs one row body over the compile-time block size; the
+  // cache simulator's traced SpMV is the generic run-time-nb loop over the
+  // same dot helpers, in the same order. The two must agree bit for bit at
+  // every block size, SIMD setting and pool size (1100 block rows: five
+  // chunks of the kernel's 256-row grain). Float storage promotes each
+  // entry on load, so it equals the double kernel on the widened values.
+  auto m = mesh::generate_box_mesh(10, 9, 9);
   auto s = sparse::stencil_from_mesh(m);
-  for (int nb : {1, 2, 3, 4, 5, 6}) {
-    auto fn = sparse::synthetic_values(s, nb);
-    auto a = sparse::build_bcsr(s, nb, fn);
+  simcache::NullTracer tracer;
+  for (int nb = 1; nb <= dense::kMaxBlockSize; ++nb) {
+    const auto a = sparse::build_bcsr(s, nb, sparse::synthetic_values(s, nb));
+    const auto af = a.convert<float>();
+    const auto afd = af.convert<double>();
     Rng rng(nb);
     std::vector<double> x(static_cast<std::size_t>(a.scalar_n()));
     for (auto& v : x) v = rng.uniform(-1, 1);
-    std::vector<double> y1(x.size()), y2(x.size());
-    a.spmv(x.data(), y1.data());          // dispatched
-    a.spmv_generic(x.data(), y2.data());  // reference
-    for (std::size_t i = 0; i < x.size(); ++i)
-      ASSERT_DOUBLE_EQ(y1[i], y2[i]) << "nb=" << nb;
+    const std::size_t bytes = x.size() * sizeof(double);
+    for (bool on : {true, false}) {
+      simd::EnabledScope simd_scope(on);
+      std::vector<double> ref(x.size());
+      simcache::traced_spmv_bcsr(a, x.data(), ref.data(), tracer);
+      for (int threads : {1, 2, 4}) {
+        exec::ThreadScope pool_scope(threads);
+        std::vector<double> y(x.size()), yf(x.size()), yfd(x.size());
+        a.spmv(x.data(), y.data());
+        af.spmv(x.data(), yf.data());
+        afd.spmv(x.data(), yfd.data());
+        EXPECT_EQ(std::memcmp(y.data(), ref.data(), bytes), 0)
+            << "nb=" << nb << " simd=" << on << " threads=" << threads;
+        EXPECT_EQ(std::memcmp(yf.data(), yfd.data(), bytes), 0)
+            << "float storage, nb=" << nb << " simd=" << on
+            << " threads=" << threads;
+      }
+    }
   }
 }
 
 TEST(SpmvDispatch, FixedTemplateDirectCall) {
+  // The nb = 5 instantiation (the compressible block size) against a plain
+  // loop that shares no dot helper with the kernel. Integer entries and
+  // x = 1 make every row sum exact, so no summation order (SIMD lanes or
+  // scalar) can move a bit.
+  constexpr int nb = 5;
   auto m = mesh::generate_box_mesh(2, 2, 2);
   auto s = sparse::stencil_from_mesh(m);
-  auto fn = sparse::synthetic_values(s);
-  auto a = sparse::build_bcsr(s, 5, fn);
+  const auto a = sparse::build_bcsr(s, nb, [](int i, int j, int n, double* b) {
+    for (int k = 0; k < n * n; ++k) b[k] = (i + 2 * j + k) % 7 - 3;
+  });
   std::vector<double> x(static_cast<std::size_t>(a.scalar_n()), 1.0);
-  std::vector<double> y1(x.size()), y2(x.size());
-  a.spmv_fixed<5>(x.data(), y1.data());
-  a.spmv_generic(x.data(), y2.data());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_DOUBLE_EQ(y1[i], y2[i]);
+  std::vector<double> ref(x.size(), 0.0);
+  for (int i = 0; i < a.nrows; ++i)
+    for (int p = a.ptr[i]; p < a.ptr[i + 1]; ++p)
+      for (int r = 0; r < nb; ++r)
+        for (int c = 0; c < nb; ++c)
+          ref[static_cast<std::size_t>(i) * nb + r] +=
+              a.val[(static_cast<std::size_t>(p) * nb + r) * nb + c];
+  for (bool on : {true, false}) {
+    simd::EnabledScope simd_scope(on);
+    std::vector<double> y(x.size());
+    a.spmv(x.data(), y.data());
+    EXPECT_EQ(y, ref) << "simd=" << on;
+  }
 }
 
 TEST(SpmvDispatch, BlockSizeAboveEightThrows) {
@@ -251,9 +290,8 @@ TEST(SyntheticValues, DiagonallyDominant) {
   auto m = mesh::generate_box_mesh(3, 3, 3);
   auto s = sparse::stencil_from_mesh(m);
   auto fn = sparse::synthetic_values(s);
-  auto a = sparse::build_bcsr(s, 4, fn);
-  // Scalar-level weak dominance check on the expanded matrix.
-  auto p = sparse::bcsr_to_point(a);
+  // Scalar-level weak dominance check on the point matrix.
+  auto p = sparse::build_point_csr(s, 4, fn, sparse::FieldLayout::kInterlaced);
   for (int i = 0; i < p.n; ++i) {
     double diag = 0, off = 0;
     for (int q = p.ptr[i]; q < p.ptr[i + 1]; ++q) {

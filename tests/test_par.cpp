@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "common/error.hpp"
 #include "mesh/generator.hpp"
@@ -43,6 +45,45 @@ TEST(LoadModel, RedundantEdgeWorkGrowsWithParts) {
   const double redundant32 = l32.avg_edges * 32 - l32.total_edges;
   EXPECT_GT(redundant32, redundant4);
   EXPECT_GE(redundant4, 0);
+}
+
+TEST(LoadModel, GhostsAndNeighborsMatchManualCount) {
+  // Each part's ghosts (remote vertices adjacent to its owned set: the
+  // values a scatter receives) and neighbor parts (its messages),
+  // recounted by hand over all parts.
+  auto g = wing_graph();
+  auto p = part::kway_grow(g, 4);
+  auto load = measure_load(g, p);
+  double sum_ghosts = 0, max_ghosts = 0, max_neighbors = 0;
+  for (int s = 0; s < p.nparts; ++s) {
+    std::set<int> ghosts, neighbors;
+    for (int v = 0; v < p.num_vertices(); ++v) {
+      if (p.part[v] != s) continue;
+      for (int e = g.ptr[v]; e < g.ptr[v + 1]; ++e) {
+        const int w = g.adj[e];
+        if (p.part[w] == s) continue;
+        ghosts.insert(w);
+        neighbors.insert(p.part[w]);
+      }
+    }
+    sum_ghosts += static_cast<double>(ghosts.size());
+    max_ghosts = std::max(max_ghosts, static_cast<double>(ghosts.size()));
+    max_neighbors =
+        std::max(max_neighbors, static_cast<double>(neighbors.size()));
+  }
+  EXPECT_GT(max_ghosts, 0);
+  EXPECT_EQ(load.max_ghosts, max_ghosts);
+  EXPECT_DOUBLE_EQ(load.avg_ghosts, sum_ghosts / p.nparts);
+  EXPECT_EQ(load.max_neighbors, max_neighbors);
+}
+
+TEST(LoadModel, GhostTotalGrowsWithParts) {
+  // The paper (§2.3.1): with more subdomains a higher fraction of points
+  // must be communicated, so the total ghost count grows with P.
+  auto g = wing_graph();
+  auto l4 = measure_load(g, part::kway_grow(g, 4));
+  auto l16 = measure_load(g, part::kway_grow(g, 16));
+  EXPECT_GT(l16.avg_ghosts * 16, l4.avg_ghosts * 4);
 }
 
 TEST(LoadModel, SurfaceFitRoundTrips) {

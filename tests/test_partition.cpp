@@ -1,5 +1,5 @@
 // Tests for the partitioners: coverage, balance/connectivity contrasts
-// (the Figure 4 phenomenon), overlap expansion, and ghost statistics.
+// (the Figure 4 phenomenon) and overlap expansion.
 
 #include <gtest/gtest.h>
 
@@ -133,30 +133,6 @@ TEST(Overlap, Level1AddsExactlyBoundaryNeighbors) {
       EXPECT_TRUE(touches);
     }
   }
-}
-
-TEST(CommStats, GhostsMatchManualCount) {
-  auto g = wing_graph(6, 4, 4);
-  auto p = kway_grow(g, 4);
-  auto cs = comm_stats(g, p);
-  // Manual recount for part 0.
-  std::set<int> ghosts;
-  for (int v = 0; v < p.num_vertices(); ++v) {
-    if (p.part[v] != 0) continue;
-    for (int e = g.ptr[v]; e < g.ptr[v + 1]; ++e)
-      if (p.part[g.adj[e]] != 0) ghosts.insert(g.adj[e]);
-  }
-  EXPECT_EQ(cs.ghosts_in[0], static_cast<int>(ghosts.size()));
-  EXPECT_GT(cs.total_ghosts, 0);
-}
-
-TEST(CommStats, GhostFractionGrowsWithParts) {
-  // The paper (§2.3.1): with more subdomains a higher fraction of points
-  // must be communicated. Check total ghosts grow with the part count.
-  auto g = wing_graph();
-  auto c4 = comm_stats(g, kway_grow(g, 4));
-  auto c16 = comm_stats(g, kway_grow(g, 16));
-  EXPECT_GT(c16.total_ghosts, c4.total_ghosts);
 }
 
 }  // namespace

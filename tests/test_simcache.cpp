@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "mesh/generator.hpp"
 #include "mesh/ordering.hpp"
-#include "obs/obs.hpp"
 #include "simcache/cache.hpp"
 #include "simcache/traced_kernels.hpp"
 #include "sparse/assembly.hpp"
@@ -98,25 +97,6 @@ TEST(Tracer, TouchWalksLines) {
   EXPECT_EQ(t.l1().misses(), 8u);
   t.touch(buf, 32 * 8);
   EXPECT_EQ(t.l1().hits(), 8u);
-}
-
-TEST(Tracer, PublishCountersFillsGlobalRegistry) {
-  MemoryTracer t;
-  alignas(64) static double buf[512];
-  t.touch(buf, sizeof buf);
-  t.touch(buf, sizeof buf);
-
-  auto& reg = obs::Registry::global();
-  const long long before_acc = reg.counter("simcache.test.accesses");
-  const long long before_l1 = reg.counter("simcache.test.l1.misses");
-  t.publish_counters("simcache.test");
-  EXPECT_EQ(reg.counter("simcache.test.accesses") - before_acc,
-            static_cast<long long>(t.l1().accesses()));
-  EXPECT_EQ(reg.counter("simcache.test.l1.misses") - before_l1,
-            static_cast<long long>(t.l1().misses()));
-  const double rate = reg.gauge("simcache.test.l1.miss_rate");
-  EXPECT_GT(rate, 0.0);
-  EXPECT_LE(rate, 1.0);
 }
 
 // --- traced kernels ------------------------------------------------------

@@ -43,7 +43,9 @@ TEST(SimdWrapper, ReportsConsistentConfig) {
   EXPECT_NE(simd::isa_name(), nullptr);
   EXPECT_NE(simd::target_arch(), nullptr);
   // enabled() can never claim SIMD that was not compiled in.
-  if (!simd::compiled()) EXPECT_FALSE(simd::enabled());
+  if (!simd::compiled()) {
+    EXPECT_FALSE(simd::enabled());
+  }
 }
 
 TEST(SimdWrapper, EnabledScopeTogglesAndRestores) {

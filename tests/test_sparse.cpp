@@ -152,6 +152,15 @@ TEST(Formats, ConvertLayoutRoundTrips) {
   auto z = convert_layout(y, FieldLayout::kNonInterlaced,
                           FieldLayout::kInterlaced, n, nb);
   EXPECT_EQ(x, z);
+  // The index map under both: component c of vertex v sits at v*nb + c
+  // interlaced and at c*n + v non-interlaced.
+  for (int v = 0; v < n; ++v)
+    for (int c = 0; c < nb; ++c) {
+      EXPECT_EQ(field_index(FieldLayout::kInterlaced, n, nb, v, c), v * nb + c);
+      EXPECT_EQ(field_index(FieldLayout::kNonInterlaced, n, nb, v, c), c * n + v);
+      EXPECT_EQ(y[static_cast<std::size_t>(c) * n + v],
+                x[static_cast<std::size_t>(v) * nb + c]);
+    }
 }
 
 TEST(Formats, ConvertLayoutInvolutionPropertySweep) {
@@ -172,34 +181,12 @@ TEST(Formats, ConvertLayoutInvolutionPropertySweep) {
         EXPECT_EQ(x, z) << "n=" << n << " nb=" << nb;
         // nb == 1 (and n == 1): the two layouts coincide, so a single
         // conversion is already the identity.
-        if (nb == 1 || n == 1)
+        if (nb == 1 || n == 1) {
           EXPECT_EQ(x, y) << "n=" << n << " nb=" << nb;
+        }
       }
     }
   }
-}
-
-TEST(Formats, SoaViewAliasesSameBytes) {
-  // The SIMD fast paths address fields through SoaView; the view must
-  // alias the caller's storage (no copy) with the field_index map.
-  const int n = 6, nb = 4;
-  std::vector<double> x(static_cast<std::size_t>(n) * nb);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.5 * static_cast<double>(i);
-  for (auto layout : {FieldLayout::kInterlaced, FieldLayout::kNonInterlaced}) {
-    auto view = soa_view(x, layout, n, nb);
-    for (int v = 0; v < n; ++v)
-      for (int c = 0; c < nb; ++c)
-        EXPECT_EQ(view.at(v, c), &x[field_index(layout, n, nb, v, c)]);
-    // Strides are consistent with the address map.
-    EXPECT_EQ(view.at(1, 0) - view.at(0, 0), view.vertex_stride());
-    EXPECT_EQ(view.at(0, 1) - view.at(0, 0), view.component_stride());
-    // Writes through the view land in the vector's bytes.
-    *view.at(2, 3) = -99.0;
-    EXPECT_EQ(x[field_index(layout, n, nb, 2, 3)], -99.0);
-  }
-  // Interlaced blocks are the contiguous nb-runs Vd::loadu consumes.
-  auto vi = soa_view(x, FieldLayout::kInterlaced, n, nb);
-  for (int v = 0; v < n; ++v) EXPECT_EQ(vi.block(v), &x[v * nb]);
 }
 
 TEST(Formats, FloatConversionPreservesValuesApprox) {
@@ -319,7 +306,7 @@ TEST(Ilu, BlockIluMatchesPointIluOnBlockDiagonalPattern) {
   auto s = small_stencil();
   auto fn = synthetic_values(s);
   auto bm = build_bcsr(s, 1, fn);
-  auto pm = bcsr_to_point(bm);
+  auto pm = build_point_csr(s, 1, fn, FieldLayout::kInterlaced);
   const BlockIlu<double> fb(bm, 1);
   const PointIlu<double> fp(pm, 1);
 
@@ -413,10 +400,11 @@ void expect_refactor_matches_fresh(const Matrix& a1, const Matrix& a2) {
 
 TEST(Ilu, RefactorEqualsFreshFactorBitwise) {
   auto s = small_stencil();
-  const auto b1 = build_bcsr(s, 4, synthetic_values(s, 0));
-  const auto b2 = build_bcsr(s, 4, synthetic_values(s, 1));
+  const auto fn1 = synthetic_values(s, 0), fn2 = synthetic_values(s, 1);
+  const auto b1 = build_bcsr(s, 4, fn1), b2 = build_bcsr(s, 4, fn2);
   ASSERT_NE(b1.val, b2.val);
-  const auto p1 = bcsr_to_point(b1), p2 = bcsr_to_point(b2);
+  const auto p1 = build_point_csr(s, 4, fn1, FieldLayout::kInterlaced);
+  const auto p2 = build_point_csr(s, 4, fn2, FieldLayout::kInterlaced);
   expect_refactor_matches_fresh<PointIlu<double>>(p1, p2);
   expect_refactor_matches_fresh<PointIlu<float>>(p1, p2);
   expect_refactor_matches_fresh<BlockIlu<double>>(b1, b2);

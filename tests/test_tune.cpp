@@ -12,8 +12,9 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/simd.hpp"
+#include "exec/pool.hpp"
 #include "solver/newton.hpp"
-#include "tune/bindings.hpp"
 #include "tune/db.hpp"
 #include "tune/lab.hpp"
 #include "tune/registry.hpp"
@@ -159,10 +160,8 @@ TEST(TuneRegistry, SolverStructsBindTheDocumentedSpace) {
   solver::PtcOptions ptc;
   tune::Registry reg;
   ptc.bind(reg);
-  tune::bind_exec_threads(reg);
-  tune::bind_simd(reg);
-  // The ptc/gmres/schwarz + process-global space: 9 + 4 + 6 + 2 knobs.
-  EXPECT_EQ(reg.size(), 21);
+  // The ptc/gmres/schwarz space: 9 + 4 + 6 knobs.
+  EXPECT_EQ(reg.size(), 19);
   // Knob writes land in the struct and its nested structs.
   reg.set_number("gmres.restart", 44);
   reg.set_number("schwarz.overlap", 1);
@@ -437,6 +436,28 @@ TEST(TuneLab, DbKeyAndSearchSpaceAreRegistered) {
   EXPECT_FALSE(key.host_isa.empty());
   for (const auto& name : tune::SolveLab::default_search_space())
     EXPECT_NE(lab.registry().find(name), nullptr) << name;
+}
+
+TEST(TuneLab, DbHitLeavesThreadsAndSimdAlone) {
+  // The pool size and the SIMD switch are process state, not knobs: an
+  // entry recorded at one pool size must not rewrite either when it is
+  // applied under another setting.
+  tune::SolveLab lab(1500);
+  tune::Db db;
+  tune::DbEntry e;
+  e.key = lab.db_key();
+  {
+    exec::ThreadScope recorded(1);
+    e.config = lab.registry().to_json();
+  }
+  db.put(e);
+
+  exec::ThreadScope threads(4);
+  simd::EnabledScope simd_off(false);
+  std::string note;
+  ASSERT_TRUE(tune::apply(lab.registry(), db, e.key, &note)) << note;
+  EXPECT_EQ(exec::num_threads(), 4);
+  EXPECT_FALSE(simd::enabled());
 }
 
 TEST(TuneLab, PersistedEntryReproducesTunedConfigBitIdentically) {
