@@ -19,8 +19,8 @@
 #include "common/options.hpp"
 #include "common/table.hpp"
 #include "mesh/graph.hpp"
-#include "solver/coarse.hpp"
 #include "solver/krylov.hpp"
+#include "solver/precond.hpp"
 #include "sparse/assembly.hpp"
 
 namespace {
@@ -46,10 +46,12 @@ void sweep(const sparse::Bcsr<double>& a, const mesh::Graph& g,
   solver::SchwarzOptions so;
   so.type = solver::SchwarzType::kBlockJacobi;
   so.fill_level = 0;
+  solver::SchwarzOptions two_level = so;
+  two_level.coarse_space = true;
   for (int np : {4, 8, 16, 32, 64}) {
     auto p = part::kway_grow(g, np);
     solver::SchwarzPreconditioner one(a, p, so);
-    solver::TwoLevelSchwarzPreconditioner two(a, p, so);
+    solver::SchwarzPreconditioner two(a, p, two_level);
     t.add_row({Table::num(static_cast<long long>(np)),
                Table::num(static_cast<long long>(gmres_its(a, one))),
                Table::num(static_cast<long long>(gmres_its(a, two))),

@@ -23,7 +23,8 @@
 #      every row must name a registered knob, and the markdown must
 #      have no dead relative links; negative controls prove both
 #      directions of the knob cross-check and the gate checker can fail
-#   5. ASan+UBSan build + the resilience-, sdc-, failslow-, tune-, fleet-,
+#   5. ASan+UBSan build (-Werror, as are the TSan build and both release
+#      builds) + the resilience-, sdc-, failslow-, tune-, fleet-,
 #      simd-, obs-, guard-, linear- and cfd-labelled tests (fault injection,
 #      recovery, checkpoints, journals, budgets and cancellation, the SIMD
 #      pack loads, the strict JSON parser: where memory bugs would hide

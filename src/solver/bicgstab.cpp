@@ -33,13 +33,13 @@ KrylovResult bicgstab(const LinearOperator& a, const Preconditioner& m,
   res.initial_residual = rnorm;
   const double target = std::max(detail::kAtol, opts.rtol * rnorm);
 
+  guard::SolveGuard* const sguard = guard::active_guard();
   double rho_prev = 1, alpha = 1, omega = 1;
   while (res.iterations < opts.max_iters && rnorm > target) {
-    // Budget charge at the iteration boundary (see GmresOptions::guard):
-    // the deterministic trip point for bounded cancellation latency.
-    if (opts.guard != nullptr &&
-        opts.guard->charge(guard::kUnitsKrylovIter) !=
-            guard::TripReason::kNone) {
+    // Budget charge at the iteration boundary (see krylov.hpp): the
+    // deterministic trip point for bounded cancellation latency.
+    if (sguard != nullptr &&
+        sguard->charge(guard::kUnitsKrylovIter) != guard::TripReason::kNone) {
       res.guard_tripped = true;
       break;
     }

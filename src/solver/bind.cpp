@@ -63,7 +63,9 @@ void PtcOptions::bind(tune::Registry& reg) {
               "Schwarz subdomain count — the paper's processor-count "
               "algorithmic axis (more, smaller blocks => more Krylov "
               "iterations; Fig 4)");
-  reg.add_bool("ptc.use_coarse_space", &use_coarse_space,
+  // The coarse level is a Schwarz option; the knob keeps its ptc. name so
+  // tuning-DB entries and fleet specs stay valid.
+  reg.add_bool("ptc.use_coarse_space", &schwarz.coarse_space,
                "two-level Schwarz aggregation coarse space (the paper's "
                "coarse-grid-usage knob, §2.4.3)");
   reg.add_int("ptc.jacobian_refresh", &jacobian_refresh, 1, 10,

@@ -25,16 +25,17 @@ constexpr double kStagnationFactor = 0.9999;
 constexpr int kMaxStagnantRestarts = 2;
 
 // One GMRES cycle of up to `m` iterations. Returns iterations done and
-// updates x; sets `resid` to the estimated true residual norm.
+// updates x; sets `resid` to the estimated true residual norm and
+// `guard_tripped` when the active guard trips.
 // `entry_beta` (optional) receives the TRUE residual ||b - Ax|| computed
 // at cycle entry — the outer loop compares it against the previous
 // cycle's recurrence estimate for the SDC drift monitor.
 int gmres_cycle(const LinearOperator& a, const Preconditioner& prec,
                 const Vec& b, Vec& x, int m, double target, double* resid,
                 Orthogonalization orth, SolveCounters& ctr,
-                guard::SolveGuard* sguard, bool* guard_tripped,
-                double* entry_beta = nullptr) {
+                bool* guard_tripped, double* entry_beta = nullptr) {
   const int n = a.n;
+  guard::SolveGuard* const sguard = guard::active_guard();
   Vec r(n), w(n), z(n);
 
   const double beta = detail::true_residual(a, b, x, r, ctr);
@@ -190,8 +191,7 @@ KrylovResult gmres(const LinearOperator& a, const Preconditioner& m,
     double entry_beta = 0;
     bool guard_tripped = false;
     const int done = gmres_cycle(a, m, b, x, room, target, &resid, opts.orth,
-                                 res.counters, opts.guard, &guard_tripped,
-                                 &entry_beta);
+                                 res.counters, &guard_tripped, &entry_beta);
     // Krylov invariant monitor: the recurrence estimate the previous
     // cycle ended with (resid_before) and the true residual this cycle
     // just computed (entry_beta) agree to rounding unless something was

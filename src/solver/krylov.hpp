@@ -19,10 +19,6 @@
 #include "resilience/recovery.hpp"
 #include "solver/linear.hpp"
 
-namespace f3d::guard {
-class SolveGuard;
-}
-
 namespace f3d::tune {
 class Registry;
 }
@@ -41,7 +37,7 @@ enum class Orthogonalization {
 /// the `ptc.krylov` knob.
 enum class KrylovMethod { kGmres = 0, kBicgstab = 1 };
 
-/// Options of both methods. BiCGStab reads rtol, max_iters, guard and
+/// Options of both methods. BiCGStab reads rtol, max_iters and
 /// sdc_drift_tol; restart and orth are GMRES-only.
 struct GmresOptions {
   double rtol = 1e-3;       ///< relative residual tolerance
@@ -59,12 +55,6 @@ struct GmresOptions {
   // does anyway; BiCGStab pays one extra matvec every few iterations. Both
   // check once more at exit.
   double sdc_drift_tol = 0;
-
-  // Run-to-completion guard (f3d::guard). When set, every Krylov
-  // iteration charges guard::kUnitsKrylovIter; a budget/cancel trip ends
-  // the solve cleanly at the next iteration boundary with guard_tripped
-  // set (bounded, deterministic cancellation latency).
-  guard::SolveGuard* guard = nullptr;
 
   /// Register the §2.4.2 tuning parameters (restart length, inexactness
   /// tolerance, iteration cap, orthogonalization mechanism) into the flat
@@ -91,6 +81,9 @@ struct KrylovResult {
 /// Solve A x = b; x holds the initial guess on entry and the solution on
 /// exit. Right-preconditioned: residuals reported are true (unpreconditioned)
 /// residual estimates from the Arnoldi recurrence.
+/// Both methods charge guard::active_guard(), if any, kUnitsKrylovIter per
+/// iteration: a budget/cancel trip ends the solve cleanly at the next
+/// iteration boundary with guard_tripped set.
 KrylovResult gmres(const LinearOperator& a, const Preconditioner& m,
                    const std::vector<double>& b, std::vector<double>& x,
                    const GmresOptions& opts);

@@ -7,9 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "resilience/recovery.hpp"
-#include "sparse/csr.hpp"
-
 namespace f3d::solver {
 
 /// A square linear operator given by its action y = A x.
@@ -25,21 +22,6 @@ public:
   virtual void apply(const double* r, double* z) const = 0;
   [[nodiscard]] virtual int n() const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
-};
-
-/// A preconditioner whose numeric values can be rebuilt from a new matrix
-/// with unchanged sparsity (Jacobian refresh between Newton steps).
-class RefactorablePreconditioner : public Preconditioner {
-public:
-  /// Refactor from `a`; never throws on a numerical failure. A singular
-  /// factorization climbs up to `shift_attempts` rungs of an escalating
-  /// Manteuffel-style diagonal shift (x10 per rung, relative to the
-  /// diagonal scale) before it is reported as failed. With
-  /// `shift_attempts == 0` the refresh stops at the first failure. The
-  /// report says what was needed; it is not ok when a factorization
-  /// failed.
-  virtual resilience::FactorReport refactor(const sparse::Bcsr<double>& a,
-                                            int shift_attempts) = 0;
 };
 
 /// Identity (no preconditioning).

@@ -1,7 +1,5 @@
 #include "solver/newton.hpp"
 
-#include "solver/coarse.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -149,8 +147,8 @@ struct Solve {
   resilience::InjectorScope injector_scope;
   // Run-to-completion contract: the guard is always constructed (an
   // unbounded budget never trips, so the plain path is unchanged) and
-  // registered so exec chunk boundaries, Schwarz subdomain loops, and the
-  // cfd kernels can poll it.
+  // registered so the Krylov iterations charge it and exec chunk
+  // boundaries, Schwarz subdomain loops, and the cfd kernels can poll it.
   guard::SolveGuard sguard;
   guard::GuardScope guard_scope;
   guard::ProgressWatchdog stall_watchdog;
@@ -181,7 +179,7 @@ struct Solve {
   sparse::Bcsr<double> jac;
   sparse::Bcsr<float> jac_f;
   part::Partition partition;
-  std::unique_ptr<RefactorablePreconditioner> prec;
+  std::unique_ptr<SchwarzPreconditioner> prec;
 };
 
 Solve::Solve(NonlinearProblem& p, std::vector<double>& x0, const PtcOptions& o)
@@ -203,7 +201,6 @@ Solve::Solve(NonlinearProblem& p, std::vector<double>& x0, const PtcOptions& o)
   F3D_CHECK(static_cast<int>(x.size()) == n);
   F3D_CHECK(opts.num_subdomains >= 1);
   lad.linear.gmres = opts.gmres;
-  lad.linear.gmres.guard = &sguard;  // charge/trip at iteration boundaries
   if (sdc_on) lad.linear.gmres.sdc_drift_tol = kKrylovDriftTol;
   lad.linear.method = opts.krylov;
   lad.jacobian_refresh = opts.jacobian_refresh;
@@ -284,6 +281,15 @@ bool Solve::restore() {
   if (!ck) return false;
   F3D_CHECK_MSG(static_cast<int>(ck->x.size()) == n,
                 "checkpoint state size mismatch");
+  // The ranges a solve writes; r0 divides, and the ladder keeps cfl_relax
+  // in (0, 1].
+  F3D_CHECK_MSG(ck->step >= 0 && ck->step <= std::numeric_limits<int>::max() &&
+                    ck->function_evaluations >= 0 &&
+                    ck->total_linear_iterations >= 0 && ck->r0 > 0 &&
+                    std::isfinite(ck->r0) && ck->rnorm >= 0 &&
+                    std::isfinite(ck->rnorm) && ck->cfl_relax > 0 &&
+                    ck->cfl_relax <= 1,
+                "checkpoint step, counter or continuation scalar out of range");
   F3D_CHECK_MSG(ck->krylov == static_cast<int>(KrylovMethod::kGmres) ||
                     ck->krylov == static_cast<int>(KrylovMethod::kBicgstab),
                 "checkpoint names an unknown Krylov method");
@@ -570,12 +576,8 @@ bool Solve::refresh_preconditioner(int step, const std::vector<double>& diag) {
     // The first build factors in the constructor, which throws on a
     // singular factorization.
     try {
-      if (opts.use_coarse_space)
-        prec = std::make_unique<TwoLevelSchwarzPreconditioner>(jac, partition,
-                                                               opts.schwarz);
-      else
-        prec = std::make_unique<SchwarzPreconditioner>(jac, partition,
-                                                       opts.schwarz);
+      prec = std::make_unique<SchwarzPreconditioner>(jac, partition,
+                                                     opts.schwarz);
     } catch (const NumericalError& e) {
       if (!resilient) throw;
       record(step, RecoveryAction::kDetectSingularFactor, e.what());

@@ -89,7 +89,7 @@ public:
 ///                             is exhausted, swap GMRES -> BiCGStab
 ///                             (krylov_solve, krylov.cpp)
 ///   zero pivot             -> escalating diagonal shift in the refactor
-///                             (RefactorablePreconditioner, precond.cpp)
+///                             (SchwarzPreconditioner, precond.cpp)
 /// Each ladder's retry limits and factors are constants in its module.
 struct PtcRecoveryOptions {
   bool enabled = false;
@@ -159,9 +159,6 @@ struct PtcOptions {
   // Schwarz (§2.4.3).
   SchwarzOptions schwarz{};
   int num_subdomains = 1;
-  /// Add the aggregation coarse space (two-level Schwarz) — the paper's
-  /// "coarse grid usage" knob.
-  bool use_coarse_space = false;
   /// Partition supplied by the caller (e.g. from a specific partitioner
   /// for the Figure 4 experiment); if empty, kway_grow is used.
   part::Partition partition{};

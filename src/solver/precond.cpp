@@ -114,6 +114,31 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
       sd.ilu_d.emplace(a, opts_.fill_level, sd.vertices, edit);
     }
   }
+  if (opts_.coarse_space) {
+    part_of_ = partition.part;
+    F3D_NUMERIC_CHECK_MSG(build_coarse(a),
+                          "singular coarse operator (check pseudo-time shift)");
+  }
+}
+
+bool SchwarzPreconditioner::build_coarse(const sparse::Bcsr<double>& a) {
+  const int nc = coarse_dim();
+  std::vector<double> a0(static_cast<std::size_t>(nc) * nc, 0.0);
+  const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
+
+  // A0[(s,c),(t,d)] = sum over blocks (v in s, w in t) of block[c][d].
+  for (int v = 0; v < a.nrows; ++v) {
+    const int s = part_of_[v];
+    for (int p = a.ptr[v]; p < a.ptr[v + 1]; ++p) {
+      const int t = part_of_[a.col[p]];
+      const double* blk = &a.val[static_cast<std::size_t>(p) * bsz];
+      for (int c = 0; c < nb_; ++c)
+        for (int d = 0; d < nb_; ++d)
+          a0[static_cast<std::size_t>(s * nb_ + c) * nc + t * nb_ + d] +=
+              blk[static_cast<std::size_t>(c) * nb_ + d];
+    }
+  }
+  return coarse_lu_.factor(nc, a0.data());
 }
 
 bool SchwarzPreconditioner::factor_subdomain(Subdomain& sd,
@@ -193,7 +218,13 @@ resilience::FactorReport SchwarzPreconditioner::refactor(
     report.detail = err;
     // Without a ladder the refresh stops at the first failure, leaving the
     // remaining subdomains (and their fault-injection draws) untouched.
-    if (shift_attempts == 0) return report;
+    if (shift_attempts == 0) break;
+  }
+  // A dead coarse level degrades convergence but not correctness.
+  if (opts_.coarse_space && !build_coarse(a)) {
+    report.coarse_disabled = true;
+    if (!report.detail.empty()) report.detail += "; ";
+    report.detail += "singular coarse operator: correction disabled";
   }
   return report;
 }
@@ -229,6 +260,23 @@ void SchwarzPreconditioner::apply(const double* r, double* z) const {
             zl[static_cast<std::size_t>(k) * nb_ + c];
     }
   }
+  if (!coarse_active()) return;
+
+  // Coarse correction: z += R0^T A0^{-1} R0 r.
+  const int nc = coarse_dim();
+  std::vector<double> rc(nc, 0.0), zc(nc);
+  const int nv = static_cast<int>(part_of_.size());
+  for (int v = 0; v < nv; ++v) {
+    const int s = part_of_[v];
+    for (int c = 0; c < nb_; ++c)
+      rc[s * nb_ + c] += r[static_cast<std::size_t>(v) * nb_ + c];
+  }
+  coarse_lu_.solve(rc.data(), zc.data());
+  for (int v = 0; v < nv; ++v) {
+    const int s = part_of_[v];
+    for (int c = 0; c < nb_; ++c)
+      z[static_cast<std::size_t>(v) * nb_ + c] += zc[s * nb_ + c];
+  }
 }
 
 std::string SchwarzPreconditioner::name() const {
@@ -240,7 +288,8 @@ std::string SchwarzPreconditioner::name() const {
           ? "/ssor(" + std::to_string(opts_.sweeps) + ")"
           : "/ilu(" + std::to_string(opts_.fill_level) + ")";
   return base + sub + "+ov" + std::to_string(opts_.overlap) +
-         (opts_.single_precision ? "/float" : "/double");
+         (opts_.single_precision ? "/float" : "/double") +
+         (opts_.coarse_space ? "+coarse" : "");
 }
 
 std::size_t SchwarzPreconditioner::factor_bytes() const {

@@ -2,7 +2,8 @@
 // Domain-decomposition preconditioners — the paper's Schwarz layer
 // (§2.4.3): block Jacobi (zero overlap), additive Schwarz (ASM), and
 // restricted additive Schwarz (RASM, Cai-Sarkis), each with ILU(k)
-// subdomain solves and optional single-precision factor storage (§2.2).
+// subdomain solves, optional single-precision factor storage (§2.2) and
+// an optional coarse level (§2.4.3's "coarse grid usage").
 //
 // On this sequential substrate, "subdomains" play the role of the paper's
 // processors: the *algorithmic* effect of the subdomain count (more,
@@ -15,7 +16,9 @@
 #include <string>
 #include <vector>
 
+#include "common/denselu.hpp"
 #include "partition/partition.hpp"
+#include "resilience/recovery.hpp"
 #include "solver/linear.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ilu.hpp"
@@ -46,6 +49,7 @@ struct SchwarzOptions {
   bool single_precision = false;  ///< store factors in float (Table 2)
   SubdomainSolver subdomain_solver = SubdomainSolver::kIlu;
   int sweeps = 2;        ///< SSOR sweeps when subdomain_solver == kSsor
+  bool coarse_space = false;  ///< two-level: knob ptc.use_coarse_space
 
   /// Register the Schwarz knobs (type, overlap, fill, factor precision,
   /// subdomain solver, sweeps) into the flat tuning space under `prefix`.
@@ -54,26 +58,33 @@ struct SchwarzOptions {
 };
 
 /// Additive Schwarz over a vertex partition of a block (BAIJ) matrix.
-class SchwarzPreconditioner final : public RefactorablePreconditioner {
+/// With coarse_space it is two-level, M^{-1} = M_schwarz^{-1} +
+/// R0^T A0^{-1} R0: the aggregation (Nicolaides) coarse space, one
+/// unknown per subdomain and component, with A0 = R0 A R0^T a dense
+/// (P*nb)^2 system factored by pivoted LU.
+class SchwarzPreconditioner final : public Preconditioner {
 public:
   /// `a` is the assembled global block Jacobian (interlaced); `partition`
   /// assigns each block row (mesh vertex) to a subdomain. The adjacency
   /// graph used for overlap expansion is derived from `a`'s block
   /// sparsity. Performs symbolic setup and the first numeric
-  /// factorization; throws f3d::NumericalError if it is singular.
+  /// factorization (subdomains, then A0); throws f3d::NumericalError if
+  /// one is singular.
   SchwarzPreconditioner(const sparse::Bcsr<double>& a,
                         const part::Partition& partition,
                         const SchwarzOptions& opts);
 
   /// Refactor each subdomain in place from a new `a` with the same
   /// sparsity (an f3d::Error otherwise), gathering A[V, V]'s blocks
-  /// through the index map built at construction. A zero pivot / singular
-  /// block is retried with an escalating diagonal shift delta*I on the
-  /// failing subdomain's gathered values — the factorization then succeeds
-  /// on a slightly perturbed operator, degrading preconditioner quality
-  /// instead of aborting.
+  /// through the index map built at construction; never throws on a
+  /// numerical failure. A singular subdomain climbs up to `shift_attempts`
+  /// rungs of an escalating Manteuffel-style diagonal shift (x10 per rung,
+  /// relative to its diagonal scale) before it is reported as failed; with
+  /// `shift_attempts == 0` the loop stops at the first failure. A0 is
+  /// rebuilt last either way: a singular A0 disables the correction until
+  /// the next refresh and is reported as coarse_disabled, not as a failure.
   resilience::FactorReport refactor(const sparse::Bcsr<double>& a,
-                                    int shift_attempts) override;
+                                    int shift_attempts);
 
   void apply(const double* r, double* z) const override;
   [[nodiscard]] int n() const override { return n_; }
@@ -85,6 +96,12 @@ public:
   /// Total factor storage in bytes (float factors halve this — the
   /// memory-bandwidth lever of Table 2).
   [[nodiscard]] std::size_t factor_bytes() const;
+
+  /// False without a coarse level, or while a singular A0 disables it.
+  [[nodiscard]] bool coarse_active() const { return coarse_lu_.ok(); }
+  [[nodiscard]] int coarse_dim() const {
+    return opts_.coarse_space ? num_subdomains() * nb_ : 0;
+  }
 
 private:
   struct Subdomain {
@@ -109,11 +126,15 @@ private:
   bool factor_subdomain(Subdomain& sd, const sparse::Bcsr<double>& a,
                         const sparse::DiagonalEdit& edit, std::string& err);
   void ssor_solve(const Subdomain& sd, const double* b, double* z) const;
+  /// Assembles and factors A0; false when it is singular.
+  [[nodiscard]] bool build_coarse(const sparse::Bcsr<double>& a);
 
   int n_ = 0;
   int nb_ = 0;
   SchwarzOptions opts_;
   std::vector<Subdomain> subs_;
+  std::vector<int> part_of_;  ///< vertex -> subdomain (coarse level only)
+  dense::DenseLu coarse_lu_;
 };
 
 /// Block-sparsity adjacency graph of `a` (self-loops excluded).

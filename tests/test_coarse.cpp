@@ -11,8 +11,8 @@
 #include "common/rng.hpp"
 #include "mesh/generator.hpp"
 #include "mesh/graph.hpp"
-#include "solver/coarse.hpp"
 #include "solver/krylov.hpp"
+#include "solver/precond.hpp"
 #include "sparse/assembly.hpp"
 #include "sparse/vec.hpp"
 
@@ -125,8 +125,12 @@ TEST(Coarse, ApplyIsFinePlusCoarseCorrection) {
   so.type = SchwarzType::kBlockJacobi;
   so.fill_level = 0;
   SchwarzPreconditioner fine(sys.a, partition, so);
-  TwoLevelSchwarzPreconditioner two(sys.a, partition, so);
+  so.coarse_space = true;
+  SchwarzPreconditioner two(sys.a, partition, so);
+  EXPECT_EQ(fine.coarse_dim(), 0);
+  EXPECT_FALSE(fine.coarse_active());
   EXPECT_EQ(two.coarse_dim(), 4 * 2);
+  EXPECT_EQ(two.name(), fine.name() + "+coarse");
 
   Vec zf(sys.b.size()), zt(sys.b.size());
   fine.apply(sys.b.data(), zf.data());
@@ -144,7 +148,8 @@ TEST(Coarse, ImprovesConditioningAtManySubdomains) {
   so.fill_level = 0;
   auto partition = part::kway_grow(sys.g, 24);
   SchwarzPreconditioner fine(sys.a, partition, so);
-  TwoLevelSchwarzPreconditioner two(sys.a, partition, so);
+  so.coarse_space = true;
+  SchwarzPreconditioner two(sys.a, partition, so);
   const int its_fine = gmres_its(sys, fine);
   const int its_two = gmres_its(sys, two);
   EXPECT_LE(its_two, its_fine);
@@ -157,17 +162,19 @@ TEST(Coarse, FlattensIterationGrowth) {
   SchwarzOptions so;
   so.type = SchwarzType::kBlockJacobi;
   so.fill_level = 0;
+  SchwarzOptions two_level = so;
+  two_level.coarse_space = true;
 
   int one_small = 0, one_large = 0, two_small = 0, two_large = 0;
   {
     auto p = part::kway_grow(sys.g, 4);
     one_small = gmres_its(sys, SchwarzPreconditioner(sys.a, p, so));
-    two_small = gmres_its(sys, TwoLevelSchwarzPreconditioner(sys.a, p, so));
+    two_small = gmres_its(sys, SchwarzPreconditioner(sys.a, p, two_level));
   }
   {
     auto p = part::kway_grow(sys.g, 32);
     one_large = gmres_its(sys, SchwarzPreconditioner(sys.a, p, so));
-    two_large = gmres_its(sys, TwoLevelSchwarzPreconditioner(sys.a, p, so));
+    two_large = gmres_its(sys, SchwarzPreconditioner(sys.a, p, two_level));
   }
   const int one_growth = one_large - one_small;
   const int two_growth = two_large - two_small;
@@ -181,7 +188,8 @@ TEST(Coarse, RefactorTracksNewValues) {
   SchwarzOptions so;
   so.fill_level = 0;
   so.type = SchwarzType::kBlockJacobi;
-  TwoLevelSchwarzPreconditioner prec(sys.a, partition, so);
+  so.coarse_space = true;
+  SchwarzPreconditioner prec(sys.a, partition, so);
   Vec z1(sys.b.size());
   prec.apply(sys.b.data(), z1.data());
 

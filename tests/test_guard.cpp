@@ -22,6 +22,7 @@
 #include "partition/partition.hpp"
 #include "perf/machine.hpp"
 #include "resilience/faults.hpp"
+#include "solver/krylov.hpp"
 #include "solver/newton.hpp"
 
 namespace {
@@ -152,6 +153,43 @@ TEST(SolveGuard, ScopeRestoresThePreviousGuard) {
   }
   EXPECT_EQ(guard::active_guard(), nullptr);
   EXPECT_NO_THROW(guard::poll_cancellation());  // no guard: no-op
+}
+
+// Both Krylov methods charge the thread's active guard one unit per
+// iteration and stop at the trip; with no guard active nothing is charged.
+TEST(SolveGuard, KrylovChargesTheActiveGuard) {
+  constexpr int n = 64;  // shifted 1-D Laplacian
+  solver::LinearOperator op;
+  op.n = n;
+  op.apply = [](const double* x, double* y) {
+    for (int i = 0; i < n; ++i)
+      y[i] = 2.5 * x[i] - (i > 0 ? x[i - 1] : 0.0) -
+             (i + 1 < n ? x[i + 1] : 0.0);
+  };
+  const solver::IdentityPreconditioner m(n);
+  const std::vector<double> b(n, 1.0);
+  solver::GmresOptions opts;
+  opts.rtol = 1e-14;
+  guard::SolveBudget budget;
+  budget.max_work_units = 5;
+  for (const bool bicgstab : {false, true}) {
+    SCOPED_TRACE(bicgstab ? "bicgstab" : "gmres");
+    const auto solve = [&] {
+      std::vector<double> x(n, 0.0);
+      return bicgstab ? solver::bicgstab(op, m, b, x, opts)
+                      : solver::gmres(op, m, b, x, opts);
+    };
+    guard::SolveGuard g(budget);
+    EXPECT_FALSE(solve().guard_tripped);
+    EXPECT_EQ(g.work_units(), 0);
+
+    guard::GuardScope scope(&g);
+    const solver::KrylovResult res = solve();
+    EXPECT_TRUE(res.guard_tripped);
+    EXPECT_EQ(g.tripped(), TripReason::kWorkExhausted);
+    EXPECT_EQ(g.work_units(), 5);
+    EXPECT_EQ(res.iterations, 4);
+  }
 }
 
 // --- progress watchdog ----------------------------------------------------

@@ -177,7 +177,7 @@ TEST(Integration, CoarseSpaceInPtcConverges) {
   auto x = prob.initial_state();
   auto o = base_opts();
   o.num_subdomains = 8;
-  o.use_coarse_space = true;
+  o.schwarz.coarse_space = true;
   o.schwarz.type = solver::SchwarzType::kBlockJacobi;
   o.schwarz.fill_level = 0;
   auto res = solver::ptc_solve(prob, x, o);

@@ -23,7 +23,8 @@
 // The nothrow form (std::stable_sort's temporary buffer) is replaced too:
 // the replaced delete frees whatever it gets, so every form it can
 // receive must come from the same malloc, or a sanitizer build reports an
-// alloc-dealloc mismatch.
+// alloc-dealloc mismatch. The deletes are noinline: inlined into a caller
+// whose new GCC cannot see as ours, a free() trips -Wmismatched-new-delete.
 namespace {
 std::atomic<long long> g_allocs{0};
 }  // namespace
@@ -37,9 +38,16 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n > 0 ? n : 1);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace {
 

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +30,6 @@
 #include "resilience/checkpoint.hpp"
 #include "resilience/faults.hpp"
 #include "resilience/recovery.hpp"
-#include "solver/coarse.hpp"
 #include "solver/krylov.hpp"
 #include "solver/newton.hpp"
 #include "solver/precond.hpp"
@@ -356,12 +356,11 @@ CoarseCase make_coarse_case() {
 
 TEST(CoarseLadder, SingularCoarseOperatorDisablesTheCorrection) {
   const auto c = make_coarse_case();
-  const SchwarzOptions so;
-  EXPECT_THROW(
-      { TwoLevelSchwarzPreconditioner p(c.cancelling, c.partition, so); },
-      f3d::NumericalError);
+  const SchwarzOptions so{.coarse_space = true};
+  EXPECT_THROW({ SchwarzPreconditioner p(c.cancelling, c.partition, so); },
+               f3d::NumericalError);
 
-  TwoLevelSchwarzPreconditioner prec(c.good, c.partition, so);
+  SchwarzPreconditioner prec(c.good, c.partition, so);
   ASSERT_TRUE(prec.coarse_active());
   for (int shift_attempts : {0, 8}) {
     const FactorReport report = prec.refactor(c.cancelling, shift_attempts);
@@ -379,6 +378,24 @@ TEST(CoarseLadder, SingularCoarseOperatorDisablesTheCorrection) {
     EXPECT_FALSE(back.coarse_disabled);
     EXPECT_TRUE(prec.coarse_active());
   }
+
+  // A refresh without a ladder that stops at a singular subdomain still
+  // rebuilds the coarse level: zeroing vertex nv / 2's diagonal block
+  // fails subdomain 1 at its first row and leaves A0 singular.
+  sparse::Bcsr<double> broken = c.cancelling;
+  const int nb = broken.nb;
+  std::fill_n(broken.find_block(broken.nrows / 2, broken.nrows / 2), nb * nb,
+              0.0);
+  const FactorReport report = prec.refactor(broken, 0);
+  EXPECT_FALSE(report.ok);
+  EXPECT_TRUE(report.coarse_disabled);
+  EXPECT_FALSE(prec.coarse_active());
+  EXPECT_NE(report.detail.find("singular diagonal block"), std::string::npos)
+      << report.detail;
+  EXPECT_NE(report.detail.find("singular coarse operator"), std::string::npos)
+      << report.detail;
+  EXPECT_TRUE(prec.refactor(c.good, 0).ok);
+  EXPECT_TRUE(prec.coarse_active());
 }
 
 // --- Krylov solvers under injected faults --------------------------------
@@ -1307,6 +1324,72 @@ TEST(Checkpoint, ResumeRejectsOutOfRangeKrylovFields) {
   }
   std::vector<double> x = x0;
   const auto res = resume_with(0, 40, x);
+  EXPECT_EQ(res.recovery_log.count(RecoveryAction::kResume), 1);
+  EXPECT_TRUE(res.converged);
+  std::remove(path.c_str());
+  std::remove((path + ".prev").c_str());
+}
+
+// A resume checks the continuation scalars too, against the ranges a
+// solve writes: step in [0, INT_MAX], counters >= 0, a finite r0 > 0, a
+// finite rnorm >= 0, and cfl_relax in (0, 1]. A rejected checkpoint
+// throws before the caller's state is touched.
+TEST(Checkpoint, ResumeRejectsOutOfRangeScalars) {
+  const std::string path = temp_path("f3d_ck_scalars.bin");
+  std::remove(path.c_str());
+  std::remove((path + ".prev").c_str());
+  PtcOptions opts = campaign_options();
+  opts.recovery.enabled = true;
+  opts.recovery.checkpoint_path = path;
+  PtcOptions killed = opts;
+  killed.max_steps = 2;
+  ASSERT_FALSE(run_wing(nullptr, killed).converged);
+  const auto written = load_checkpoint(path);
+  ASSERT_TRUE(written.has_value());
+
+  auto m = mesh::generate_wing_mesh(
+      mesh::WingMeshConfig{.nx = 6, .ny = 3, .nz = 3});
+  cfd::FlowConfig cfg;
+  cfg.model = cfd::Model::kIncompressible;
+  cfg.order = 1;
+  cfd::EulerDiscretization disc(m, cfg);
+  cfd::EulerProblem prob(disc, -1.0);
+  opts.recovery.resume = true;
+  const std::vector<double> x0 = prob.initial_state();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* what;
+    void (*edit)(PtcCheckpoint&);
+  } rejected[] = {
+      {"step -5", [](PtcCheckpoint& ck) { ck.step = -5; }},
+      {"step 2^40", [](PtcCheckpoint& ck) { ck.step = std::int64_t{1} << 40; }},
+      {"r0 0", [](PtcCheckpoint& ck) { ck.r0 = 0; }},
+      {"r0 -1", [](PtcCheckpoint& ck) { ck.r0 = -1; }},
+      {"r0 NaN", [](PtcCheckpoint& ck) { ck.r0 = kNan; }},
+      {"r0 inf", [](PtcCheckpoint& ck) { ck.r0 = kInf; }},
+      {"rnorm NaN", [](PtcCheckpoint& ck) { ck.rnorm = kNan; }},
+      {"rnorm inf", [](PtcCheckpoint& ck) { ck.rnorm = kInf; }},
+      {"rnorm -1", [](PtcCheckpoint& ck) { ck.rnorm = -1; }},
+      {"cfl_relax 0", [](PtcCheckpoint& ck) { ck.cfl_relax = 0; }},
+      {"cfl_relax NaN", [](PtcCheckpoint& ck) { ck.cfl_relax = kNan; }},
+      {"cfl_relax 2", [](PtcCheckpoint& ck) { ck.cfl_relax = 2; }},
+      {"function_evaluations -1",
+       [](PtcCheckpoint& ck) { ck.function_evaluations = -1; }},
+      {"total_linear_iterations -1",
+       [](PtcCheckpoint& ck) { ck.total_linear_iterations = -1; }},
+  };
+  for (const auto& c : rejected) {
+    PtcCheckpoint ck = *written;
+    c.edit(ck);
+    ASSERT_TRUE(save_checkpoint(path, ck));
+    std::vector<double> x = x0;
+    EXPECT_THROW(ptc_solve(prob, x, opts), Error) << c.what;
+    EXPECT_EQ(x, x0) << c.what;
+  }
+  ASSERT_TRUE(save_checkpoint(path, *written));
+  std::vector<double> x = x0;
+  const auto res = ptc_solve(prob, x, opts);
   EXPECT_EQ(res.recovery_log.count(RecoveryAction::kResume), 1);
   EXPECT_TRUE(res.converged);
   std::remove(path.c_str());
