@@ -31,7 +31,10 @@
 #      behind error handling; the sparse, Krylov, Schwarz, SSOR and
 #      ILU/Schwarz edge-case tests (test_sparse, test_solver, test_solver2,
 #      test_coarse, test_edgecases), whose factors gather A through index
-#      maps and are refactored in place in reused buffers; the dense block
+#      maps or have it assembled straight into their storage, and are
+#      refactored in place in reused buffers; the default-configuration
+#      ψNKS solves end to end (test_integration: the second-order solve
+#      with VTK dump, the renumbering-invariant force); the dense block
 #      kernels and SpMV dispatch (test_kernels), including the rejection
 #      of a block size above the kernels' row buffers; and the cfd
 #      kernels' index-heavy loops over edges and stencil rows)

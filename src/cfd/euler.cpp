@@ -443,7 +443,6 @@ sparse::Bcsr<double> EulerDiscretization::allocate_jacobian() const {
   jac.nrows = stencil_.n;
   jac.ptr = stencil_.ptr;
   jac.col = stencil_.col;
-  jac.val.assign(stencil_.nnz() * static_cast<std::size_t>(nb()) * nb(), 0.0);
   return jac;
 }
 
@@ -453,9 +452,9 @@ void EulerDiscretization::jacobian(const FlowField& q,
   const int ncomp = nb();
   const std::size_t bsz = static_cast<std::size_t>(ncomp) * ncomp;
   F3D_CHECK(jac.nrows == stencil_.n && jac.nb == ncomp);
-  std::fill(jac.val.begin(), jac.val.end(), 0.0);
+  jac.val.assign(jac.nblocks() * bsz, 0.0);
 
-  // Index of block (i, j) in the stencil, via binary search per row.
+  // Index of block (i, j) in jac's sparsity, via binary search per row.
   auto block_at = [&](int i, int j) -> double* {
     const int lo = jac.ptr[i], hi = jac.ptr[i + 1];
     auto it = std::lower_bound(jac.col.begin() + lo, jac.col.begin() + hi, j);

@@ -91,11 +91,16 @@ public:
   /// Jacobian; the limiter walks its rows.
   [[nodiscard]] const sparse::Stencil& stencil() const { return stencil_; }
 
-  /// Allocate the block Jacobian with the right sparsity (values zero).
+  /// The block Jacobian's sparsity, the stencil, with `val` empty:
+  /// jacobian() sizes it.
   [[nodiscard]] sparse::Bcsr<double> allocate_jacobian() const;
 
-  /// Fill the analytic first-order Jacobian dr/dq at state q into `jac`
-  /// (allocated by allocate_jacobian). Always interlaced block layout.
+  /// Fill the analytic first-order Jacobian dr/dq at state q into `jac`,
+  /// whose block sparsity must contain the stencil (allocate_jacobian's,
+  /// or an ILU factor's with its fill): sizes `val` to jac.nblocks() nb^2
+  /// entries, refilling it in place when it already has that size, and
+  /// leaves the blocks outside the stencil +0.0. Always interlaced block
+  /// layout.
   void jacobian(const FlowField& q, sparse::Bcsr<double>& jac) const;
 
   /// Green-Gauss gradients in the SoA-blocked layout:

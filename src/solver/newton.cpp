@@ -141,6 +141,9 @@ struct Solve {
   const bool resilient;   ///< recovery ladder on; else failures throw
   const bool sdc_on;      ///< SDC guards on
   const bool mat_single;  ///< Krylov products read a float-storage copy
+  /// Nothing but the one ILU factor reads A: it is assembled straight
+  /// into the factor and never stored.
+  const bool in_place;
   // Registered for the duration of the solve so the instrumented sites
   // deep in the stack (ILU factorization, Krylov inner loops) see the
   // injector without threading it through every signature.
@@ -175,7 +178,8 @@ struct Solve {
   // Jacobian + Schwarz preconditioner, built lazily on the first step.
   // jac_f is the float-storage copy the Krylov products read in
   // mixed-precision mode (refreshed with jac); the preconditioner keeps
-  // factoring from the double assembly.
+  // factoring from the double assembly. In place, jac holds A's sparsity
+  // and no values.
   sparse::Bcsr<double> jac;
   sparse::Bcsr<float> jac_f;
   part::Partition partition;
@@ -192,6 +196,8 @@ Solve::Solve(NonlinearProblem& p, std::vector<double>& x0, const PtcOptions& o)
       resilient(o.recovery.enabled),
       sdc_on(o.sdc.enabled),
       mat_single(o.matrix_single_precision && !o.matrix_free),
+      in_place(o.matrix_free && SchwarzPreconditioner::assembles_in_place(
+                                    o.schwarz, o.num_subdomains)),
       injector_scope(o.fault_injector),
       sguard(o.guard.budget),
       guard_scope(&sguard),
@@ -529,55 +535,77 @@ StepOutcome Solve::attempt_step(int step, double cfl, PtcStepRecord& rec) {
 }
 
 // Assembles the analytic first-order Jacobian plus the pseudo-time
-// diagonal and builds or refactors the preconditioner from it. The plain
-// path aborts on a singular factorization and on a disabled coarse level;
-// the resilient path climbs the shift ladder, logs its rungs, and returns
-// false on a singular factorization the ladder could not absorb.
+// diagonal and builds or refactors the preconditioner from it: into jac,
+// or, in place, into the factor's own storage. The plain path aborts on a
+// singular factorization and on a disabled coarse level; the resilient
+// path climbs the shift ladder, logs its rungs, and returns false on a
+// singular factorization the ladder could not absorb.
 bool Solve::refresh_preconditioner(int step, const std::vector<double>& diag) {
   charge(guard::kUnitsJacobian);
-  {
-    F3D_OBS_SPAN("jacobian");
-    problem.jacobian(x, jac);
-  }
-  for (int v = 0; v < nv; ++v) {
-    double* blk = jac.find_block(v, v);
-    F3D_CHECK(blk != nullptr);
-    for (int c = 0; c < nb; ++c) blk[c * nb + c] += diag[v];
-  }
-  if (mat_single) jac_f = jac.convert<float>();
-  // ABFT checksums are a function of the values just assembled: rebuild
-  // here, and only here — any flip landing after this point is exactly
-  // what verify_spmv exists to catch. The guard checksums the matrix the
-  // operator actually multiplies with (rebuild widens the bound to
-  // FLT_EPSILON for the float copy).
-  if (sdc_on && !opts.matrix_free) {
+  // In place, the factor calls this once per build or refresh and once
+  // more per shift-ladder rung, as A is gone: a rung's assembly re-applies
+  // this refresh's flip to the same values and charges nothing.
+  long long flipped = -1;
+  bool assembled = false;
+  const sparse::BlockAssembler assemble = [&](sparse::Bcsr<double>& m) {
+    {
+      F3D_OBS_SPAN("jacobian");
+      problem.jacobian(x, m);
+    }
+    for (int v = 0; v < nv; ++v) {
+      double* blk = m.find_block(v, v);
+      F3D_CHECK(blk != nullptr);
+      for (int c = 0; c < nb; ++c) blk[c * nb + c] += diag[v];
+    }
+    if (assembled) {
+      if (flipped >= 0)
+        m.val[flipped] = resilience::flip_bit(
+            m.val[flipped], resilience::active_injector()->bit_flip().bit);
+      return;
+    }
+    assembled = true;
+    if (mat_single) jac_f = m.convert<float>();
+    // ABFT checksums are a function of the values just assembled: rebuild
+    // here, and only here — any flip landing after this point is exactly
+    // what verify_spmv exists to catch. The guard checksums the matrix the
+    // operator actually multiplies with (rebuild widens the bound to
+    // FLT_EPSILON for the float copy).
+    if (sdc_on && !opts.matrix_free) {
+      if (mat_single)
+        sparse::rebuild(abft_guard, jac_f);
+      else
+        sparse::rebuild(abft_guard, m);
+    }
+    // SDC site: a silent flip in the assembled operator (after the checksum
+    // rebuild, so ABFT is the guard on the hook; with matrix_free on, the
+    // flip only degrades the preconditioner — a measured escape path).
+    // Strikes the storage the Krylov products read, or in place the
+    // factor's values before the kFactorPivot draw.
     if (mat_single)
-      sparse::rebuild(abft_guard, jac_f);
+      resilience::maybe_flip(resilience::FlipTarget::kMatrix, jac_f.val.data(),
+                             static_cast<long long>(jac_f.val.size()));
     else
-      sparse::rebuild(abft_guard, jac);
-  }
-  // SDC site: a silent flip in the assembled operator (after the checksum
-  // rebuild, so ABFT is the guard on the hook; with matrix_free on, the
-  // flip only degrades the preconditioner — a measured escape path).
-  // Strikes the storage the Krylov products read.
-  if (mat_single)
-    resilience::maybe_flip(resilience::FlipTarget::kMatrix, jac_f.val.data(),
-                           static_cast<long long>(jac_f.val.size()));
-  else
-    resilience::maybe_flip(resilience::FlipTarget::kMatrix, jac.val.data(),
-                           static_cast<long long>(jac.val.size()));
+      flipped = resilience::maybe_flip(resilience::FlipTarget::kMatrix,
+                                       m.val.data(),
+                                       static_cast<long long>(m.val.size()));
+    charge(guard::kUnitsFactor);
+  };
+  if (!in_place) assemble(jac);
 
-  charge(guard::kUnitsFactor);
   F3D_OBS_SPAN("factor");
+  const int shift_attempts = resilient ? kPivotShiftAttempts : 0;
   resilience::FactorReport report;
   if (prec) {
-    report = prec->refactor(jac, resilient ? kPivotShiftAttempts : 0);
+    report = in_place ? prec->refactor(assemble, shift_attempts)
+                      : prec->refactor(jac, shift_attempts);
   } else {
     // The first build factors in the constructor, which throws on a
     // singular factorization.
     try {
-      prec = std::make_unique<SchwarzPreconditioner>(jac, partition,
-                                                     opts.schwarz);
+      prec = in_place ? std::make_unique<SchwarzPreconditioner>(
+                            jac, opts.schwarz, assemble)
+                      : std::make_unique<SchwarzPreconditioner>(
+                            jac, partition, opts.schwarz);
     } catch (const NumericalError& e) {
       if (!resilient) throw;
       record(step, RecoveryAction::kDetectSingularFactor, e.what());

@@ -46,6 +46,12 @@ public:
                         std::vector<double>& r) = 0;
 
   /// Analytic first-order Jacobian for preconditioning.
+  /// allocate_jacobian() returns its block sparsity (the stencil) with
+  /// `val` empty. jacobian() fills any `jac` whose sparsity contains the
+  /// stencil: it sizes jac.val to jac.nblocks() * nb()^2 (in place when it
+  /// already has that size), writes the stencil's blocks and leaves the
+  /// others +0.0. So the driver can assemble straight into an ILU factor's
+  /// pattern, fill included, where nothing else reads A.
   [[nodiscard]] virtual sparse::Bcsr<double> allocate_jacobian() const = 0;
   virtual void jacobian(const std::vector<double>& x,
                         sparse::Bcsr<double>& jac) = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <string>
 #include <tuple>
 
@@ -19,21 +20,88 @@ namespace {
 // scale of the failing subdomain.
 constexpr double kPivotShift0 = 1e-8;
 
-// The one place a build or refresh changes a subdomain's gathered values,
-// before elimination, for either subdomain solver: a fired kFactorPivot
-// draw zeroes block (0, 0) (a corrupted Jacobian block arriving at the
+// The one place a build or refresh changes a subdomain's values, before
+// elimination, for either subdomain solver: a fired kFactorPivot draw
+// zeroes block (0, 0) (a corrupted Jacobian block arriving at the
 // factorization), and a ladder rung adds its shift to every scalar
-// diagonal entry, once. Empty when neither applies, so a fault-free
-// factorization reads A's values untouched.
+// diagonal entry, once.
+void edit_diagonal_block(int nb, bool zeroed, double shift, int k,
+                         double* blk) {
+  if (zeroed && k == 0)
+    std::fill_n(blk, static_cast<std::size_t>(nb) * nb, 0.0);
+  if (shift != 0)
+    for (int c = 0; c < nb; ++c)
+      blk[static_cast<std::size_t>(c) * nb + c] += shift;
+}
+
+// That edit for a gathered subdomain. Empty when neither applies, so a
+// fault-free factorization reads A's values untouched.
 sparse::DiagonalEdit diagonal_edit(int nb, bool zeroed, double shift) {
   if (!zeroed && shift == 0) return {};
   return [=](int k, double* blk) {
-    if (zeroed && k == 0)
-      std::fill_n(blk, static_cast<std::size_t>(nb) * nb, 0.0);
-    if (shift != 0)
-      for (int c = 0; c < nb; ++c)
-        blk[static_cast<std::size_t>(c) * nb + c] += shift;
+    edit_diagonal_block(nb, zeroed, shift, k, blk);
   };
+}
+
+// `assemble`, then the kFactorPivot draw into `zeroed`: assembled in
+// place, the draw still follows the assembly, as it follows A's when A is
+// assembled first.
+sparse::BlockAssembler then_draw_pivot(const sparse::BlockAssembler& assemble,
+                                       bool& zeroed) {
+  return [&assemble, &zeroed](sparse::Bcsr<double>& m) {
+    assemble(m);
+    zeroed = resilience::fault_fires(resilience::FaultSite::kFactorPivot);
+  };
+}
+
+// Diagonal scale of a failing subdomain, so the ladder's shift is
+// relative: the largest |diagonal entry| of A's blocks (v, v), v in
+// `vertices`, where a zeroed block (0, 0) adds nothing; 1 when that is 0
+// or not finite.
+double diagonal_scale(const sparse::Bcsr<double>& a,
+                      const std::vector<int>& vertices, bool zeroed) {
+  const int nb = a.nb;
+  double scale = 0;
+  for (std::size_t k = zeroed ? 1 : 0; k < vertices.size(); ++k) {
+    const double* blk = a.find_block(vertices[k], vertices[k]);
+    if (blk == nullptr) continue;
+    for (int c = 0; c < nb; ++c)
+      scale = std::max(scale,
+                       std::abs(blk[static_cast<std::size_t>(c) * nb + c]));
+  }
+  if (scale == 0 || !std::isfinite(scale)) scale = 1.0;
+  return scale;
+}
+
+// The rungs of the shift ladder for a subdomain whose first factorization
+// failed: rung k refactors from A's values with kPivotShift0 * 10^k
+// relative to the diagonal scale added once. `retry(shift, added)`
+// refactors with relative shift `shift` and sets `added` to the absolute
+// shift it added. Returns whether a rung factored.
+template <class Retry>
+bool climb_shift_ladder(int shift_attempts, const Retry& retry,
+                        resilience::FactorReport& report) {
+  double shift = kPivotShift0;
+  for (int attempt = 0; attempt < shift_attempts; ++attempt, shift *= 10) {
+    double added = 0;
+    const bool ok = retry(shift, added);
+    ++report.shift_attempts;
+    report.shift_used = std::max(report.shift_used, added);
+    if (ok) return true;
+  }
+  return false;
+}
+
+std::string ilu_failure(int bad_row) {
+  return "singular diagonal block in block ILU at local row " +
+         std::to_string(bad_row);
+}
+
+void check_options(const SchwarzOptions& opts) {
+  F3D_CHECK(opts.overlap >= 0 && opts.fill_level >= 0);
+  if (opts.type == SchwarzType::kBlockJacobi) {
+    F3D_CHECK_MSG(opts.overlap == 0, "block Jacobi has no overlap");
+  }
 }
 
 // `sweeps` symmetric block Gauss-Seidel iterations on the local system
@@ -78,10 +146,10 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
                                              const SchwarzOptions& opts)
     : n_(a.scalar_n()), nb_(a.nb), opts_(opts) {
   F3D_CHECK(partition.num_vertices() == a.nrows);
-  F3D_CHECK(opts.overlap >= 0 && opts.fill_level >= 0);
-  if (opts_.type == SchwarzType::kBlockJacobi) {
-    F3D_CHECK_MSG(opts_.overlap == 0, "block Jacobi has no overlap");
-  }
+  for (const int id : partition.part)
+    F3D_CHECK_MSG(id >= 0 && id < partition.nparts,
+                  "partition id outside [0, nparts)");
+  check_options(opts_);
 
   const auto g = graph_from_bcsr(a);
   auto regions = part::overlap_expand(g, partition, opts_.overlap);
@@ -119,6 +187,31 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
     F3D_NUMERIC_CHECK_MSG(build_coarse(a),
                           "singular coarse operator (check pseudo-time shift)");
   }
+}
+
+SchwarzPreconditioner::SchwarzPreconditioner(
+    const sparse::Bcsr<double>& pattern, const SchwarzOptions& opts,
+    const sparse::BlockAssembler& assemble)
+    : n_(pattern.scalar_n()), nb_(pattern.nb), opts_(opts) {
+  F3D_CHECK_MSG(assembles_in_place(opts_, 1),
+                "only one double ILU subdomain with no coarse level is "
+                "assembled in place");
+  check_options(opts_);
+  Subdomain& sd = subs_.emplace_back();
+  sd.vertices.resize(pattern.nrows);
+  std::iota(sd.vertices.begin(), sd.vertices.end(), 0);
+  sd.owned.assign(sd.vertices.size(), 1);
+  bool zeroed = false;
+  sd.ilu_d.emplace(pattern, opts_.fill_level, then_draw_pivot(assemble, zeroed),
+                   [&](int k, double* blk) {
+                     edit_diagonal_block(nb_, zeroed, 0, k, blk);
+                   });
+}
+
+bool SchwarzPreconditioner::assembles_in_place(const SchwarzOptions& opts,
+                                               int nparts) {
+  return nparts == 1 && opts.subdomain_solver == SubdomainSolver::kIlu &&
+         !opts.single_precision && !opts.coarse_space;
 }
 
 bool SchwarzPreconditioner::build_coarse(const sparse::Bcsr<double>& a) {
@@ -166,9 +259,7 @@ bool SchwarzPreconditioner::factor_subdomain(Subdomain& sd,
   }
   const sparse::IluFactorStatus status =
       sd.ilu_f ? sd.ilu_f->refactor(a, edit) : sd.ilu_d->refactor(a, edit);
-  if (!status.ok)
-    err = "singular diagonal block in block ILU at local row " +
-          std::to_string(status.bad_row);
+  if (!status.ok) err = ilu_failure(status.bad_row);
   return status.ok;
 }
 
@@ -188,32 +279,16 @@ resilience::FactorReport SchwarzPreconditioner::refactor(
         resilience::fault_fires(resilience::FaultSite::kFactorPivot);
     std::string err;
     if (factor_subdomain(sd, a, diagonal_edit(nb_, zeroed, 0), err)) continue;
-
-    // Diagonal scale of the failing subdomain's gathered values, so the
-    // shift is relative; a zeroed block (0, 0) adds nothing to it.
-    double scale = 0;
-    for (std::size_t k = zeroed ? 1 : 0; k < sd.vertices.size(); ++k) {
-      const double* blk = a.find_block(sd.vertices[k], sd.vertices[k]);
-      if (blk == nullptr) continue;
-      for (int c = 0; c < nb_; ++c)
-        scale = std::max(scale,
-                         std::abs(blk[static_cast<std::size_t>(c) * nb_ + c]));
-    }
-    if (scale == 0 || !std::isfinite(scale)) scale = 1.0;
-
-    // Rung k refactors from A with its target shift added once.
-    bool ok = false;
-    double shift = kPivotShift0;
-    for (int attempt = 0; attempt < shift_attempts; ++attempt, shift *= 10) {
-      const double target = shift * scale;
-      ++report.shift_attempts;
-      report.shift_used = std::max(report.shift_used, target);
-      if (factor_subdomain(sd, a, diagonal_edit(nb_, zeroed, target), err)) {
-        ok = true;
-        break;
-      }
-    }
-    if (ok) continue;
+    const double scale = diagonal_scale(a, sd.vertices, zeroed);
+    if (climb_shift_ladder(
+            shift_attempts,
+            [&](double shift, double& added) {
+              added = shift * scale;
+              return factor_subdomain(sd, a, diagonal_edit(nb_, zeroed, added),
+                                      err);
+            },
+            report))
+      continue;
     report.ok = false;
     report.detail = err;
     // Without a ladder the refresh stops at the first failure, leaving the
@@ -226,6 +301,45 @@ resilience::FactorReport SchwarzPreconditioner::refactor(
     if (!report.detail.empty()) report.detail += "; ";
     report.detail += "singular coarse operator: correction disabled";
   }
+  return report;
+}
+
+resilience::FactorReport SchwarzPreconditioner::refactor(
+    const sparse::BlockAssembler& assemble, int shift_attempts) {
+  F3D_CHECK_MSG(subs_.size() == 1 && subs_[0].ilu_d,
+                "not a preconditioner assembled in place");
+  Subdomain& sd = subs_[0];
+  // The edit reads the draw and the rung's shift, which are known only
+  // once `assemble` has run.
+  bool zeroed = false;
+  double added = 0;
+  const sparse::DiagonalEdit edit = [&](int k, double* blk) {
+    edit_diagonal_block(nb_, zeroed, added, k, blk);
+  };
+  sparse::IluFactorStatus status =
+      sd.ilu_d->refactor(then_draw_pivot(assemble, zeroed), edit);
+  resilience::FactorReport report;
+  if (status.ok) return report;
+  // The scale is read from the first rung's assembly: the same values the
+  // failed try had before its edit.
+  double scale = -1;
+  if (climb_shift_ladder(
+          shift_attempts,
+          [&](double shift, double& rung_added) {
+            status = sd.ilu_d->refactor(
+                [&](sparse::Bcsr<double>& m) {
+                  assemble(m);
+                  if (scale < 0) scale = diagonal_scale(m, sd.vertices, zeroed);
+                  added = shift * scale;
+                },
+                edit);
+            rung_added = added;
+            return status.ok;
+          },
+          report))
+    return report;
+  report.ok = false;
+  report.detail = ilu_failure(status.bad_row);
   return report;
 }
 

@@ -74,6 +74,21 @@ public:
                         const part::Partition& partition,
                         const SchwarzOptions& opts);
 
+  /// Assembles A straight into the factor, so A is never stored: one
+  /// subdomain over all of `pattern`'s block rows (A's sparsity; its
+  /// values are not read) whose double ILU factor takes A's values from
+  /// `assemble`. `opts` must pass assembles_in_place(opts, 1). Like the
+  /// constructor above it draws kFactorPivot once, after the assembly, and
+  /// throws f3d::NumericalError on a singular factorization.
+  SchwarzPreconditioner(const sparse::Bcsr<double>& pattern,
+                        const SchwarzOptions& opts,
+                        const sparse::BlockAssembler& assemble);
+
+  /// Whether the subdomains of `nparts` parts can be assembled in place:
+  /// one subdomain, an ILU solver with double storage, no coarse level.
+  [[nodiscard]] static bool assembles_in_place(const SchwarzOptions& opts,
+                                               int nparts);
+
   /// Refactor each subdomain in place from a new `a` with the same
   /// sparsity (an f3d::Error otherwise), gathering A[V, V]'s blocks
   /// through the index map built at construction; never throws on a
@@ -84,6 +99,12 @@ public:
   /// rebuilt last either way: a singular A0 disables the correction until
   /// the next refresh and is reported as coarse_disabled, not as a failure.
   resilience::FactorReport refactor(const sparse::Bcsr<double>& a,
+                                    int shift_attempts);
+  /// refactor() of a preconditioner assembled in place, with the same
+  /// ladder. A is gone, so every rung calls `assemble` again and reads the
+  /// diagonal scale from the blocks it assembled: `assemble` runs 1 + rungs
+  /// times, and the kFactorPivot draw follows the first run.
+  resilience::FactorReport refactor(const sparse::BlockAssembler& assemble,
                                     int shift_attempts);
 
   void apply(const double* r, double* z) const override;
@@ -108,8 +129,8 @@ private:
     std::vector<int> vertices;  ///< ascending vertex ids (owned + overlap)
     std::vector<char> owned;    ///< parallel to vertices
     /// ILU factors of A[vertices, vertices], built once and refactored in
-    /// place straight from A: ilu_d with double storage, ilu_f with float
-    /// storage (single_precision).
+    /// place straight from A (or assembled in place): ilu_d with double
+    /// storage, ilu_f with float storage (single_precision).
     std::optional<sparse::BlockIlu<double>> ilu_d;
     std::optional<sparse::BlockIlu<float>> ilu_f;
     /// SSOR reads off-diagonal blocks on every apply, so it keeps a copy

@@ -15,20 +15,23 @@
 
 namespace f3d::sparse {
 
-std::pair<IluPattern, GatherMap> principal_submatrix(
-    const std::vector<int>& aptr, const std::vector<int>& acol,
-    std::vector<int> rows, int level) {
+namespace {
+
+// The symbolic phase of principal_submatrix. Empty `rows` become all of
+// A's; `src`, when given, receives the gather map's source indices.
+IluPattern symbolic(const std::vector<int>& aptr, const std::vector<int>& acol,
+                    std::vector<int>& rows, int level, std::vector<int>* src) {
   F3D_CHECK(level >= 0);
-  GatherMap map{{}, {}, static_cast<int>(aptr.size()) - 1, acol.size()};
+  const int a_rows = static_cast<int>(aptr.size()) - 1;
   if (rows.empty()) {
-    rows.resize(map.a_rows);
+    rows.resize(a_rows);
     std::iota(rows.begin(), rows.end(), 0);
   }
   // local[j]: V's number for A's row/column j, or -1 outside V. V's
   // numbering is monotone in A's, so each row's columns stay ascending.
-  std::vector<int> local(map.a_rows, -1);
+  std::vector<int> local(a_rows, -1);
   for (std::size_t k = 0; k < rows.size(); ++k) {
-    F3D_CHECK_MSG(rows[k] >= 0 && rows[k] < map.a_rows &&
+    F3D_CHECK_MSG(rows[k] >= 0 && rows[k] < a_rows &&
                       (k == 0 || rows[k - 1] < rows[k]),
                   "submatrix rows must be ascending rows of A");
     local[rows[k]] = static_cast<int>(k);
@@ -71,9 +74,27 @@ std::pair<IluPattern, GatherMap> principal_submatrix(
       if (j == i) pat.diag[i] = static_cast<int>(pat.col.size());
       if (j > i) urow[i].push_back({j, entry.first});
       pat.col.push_back(j);
-      map.src.push_back(entry.second);
+      if (src != nullptr) src->push_back(entry.second);
     }
   }
+  return pat;
+}
+
+// The pattern over all of A with no gather map: a factor assembled in
+// place.
+IluPattern fill_pattern(const std::vector<int>& aptr,
+                        const std::vector<int>& acol, int level) {
+  std::vector<int> rows;
+  return symbolic(aptr, acol, rows, level, nullptr);
+}
+
+}  // namespace
+
+std::pair<IluPattern, GatherMap> principal_submatrix(
+    const std::vector<int>& aptr, const std::vector<int>& acol,
+    std::vector<int> rows, int level) {
+  GatherMap map{{}, {}, static_cast<int>(aptr.size()) - 1, acol.size()};
+  IluPattern pat = symbolic(aptr, acol, rows, level, &map.src);
   map.rows = std::move(rows);
   return {std::move(pat), std::move(map)};
 }
@@ -210,16 +231,18 @@ int eliminate_block(const IluPattern& pat, double* val) {
   return -1;
 }
 
-// Block variant of factor_point: `val` holds nb*nb doubles per pattern
-// entry, and `edit` (if set) changes the gathered diagonal blocks before
-// elimination; returns the first block row with a singular diagonal block.
-int factor_block(const Bcsr<double>& a, const IluPattern& pat,
-                 const GatherMap& map, int nb, const DiagonalEdit& edit,
-                 double* val) {
+// Block variant of factor_point: `fill()` writes every value and returns
+// the array, nb*nb doubles per pattern entry (gathered from A, or
+// assembled in place), and `edit` (if set) changes the diagonal blocks
+// before elimination; returns the first block row with a singular
+// diagonal block.
+template <class Fill>
+int factor_block(const IluPattern& pat, int nb, const Fill& fill,
+                 const DiagonalEdit& edit) {
   F3D_OBS_SPAN("ilu.factor");
   obs::Registry::global().count("sparse.ilu.factorizations");
   const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
-  map.gather(pat, a.ptr, a.col, a.val, bsz, val);
+  double* const val = fill();
   if (edit)
     for (int k = 0; k < pat.n; ++k)
       edit(k, &val[static_cast<std::size_t>(pat.diag[k]) * bsz]);
@@ -372,11 +395,65 @@ BlockIlu<S>::BlockIlu(const Bcsr<double>& a, int level, std::vector<int> rows,
 }
 
 template <class S>
+BlockIlu<S>::BlockIlu(const Bcsr<double>& pattern, int level,
+                      const BlockAssembler& assemble, const DiagonalEdit& edit)
+  requires std::same_as<S, double>
+    : nb_(pattern.nb),
+      pat_(fill_pattern(pattern.ptr, pattern.col, level)),
+      fwd_(lower_levels(pat_)),
+      bwd_(upper_levels(pat_)) {
+  F3D_CHECK(nb_ >= 1 && nb_ <= dense::kMaxBlockSize);
+  const IluFactorStatus st = refactor(assemble, edit);
+  F3D_NUMERIC_CHECK_MSG(st.ok, "singular diagonal block in block ILU at row " +
+                                   std::to_string(st.bad_row));
+}
+
+template <class S>
 IluFactorStatus BlockIlu<S>::refactor(const Bcsr<double>& a,
                                       const DiagonalEdit& edit) {
+  F3D_CHECK_MSG(map_.has_value(),
+                "a factor assembled in place has no gather map");
+  const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
   return refactor_into(val_, [&](double* v) {
-    return factor_block(a, pat_, map_, nb_, edit, v);
+    return factor_block(pat_, nb_, [&] {
+      map_->gather(pat_, a.ptr, a.col, a.val, bsz, v);
+      return v;
+    }, edit);
   });
+}
+
+template <class S>
+IluFactorStatus BlockIlu<S>::refactor(const BlockAssembler& assemble,
+                                      const DiagonalEdit& edit)
+  requires std::same_as<S, double>
+{
+  F3D_CHECK_MSG(!map_.has_value(),
+                "a gathering factor takes A's values through its map");
+  const std::size_t nnz = pat_.nnz();
+  const int bad_row = factor_block(pat_, nb_, [&] {
+    // The pattern and values move into the matrix and back, so the
+    // factor's storage is the only copy of A.
+    Bcsr<double> m{.nb = nb_, .nrows = pat_.n, .ptr = std::move(pat_.ptr),
+                   .col = std::move(pat_.col), .val = std::move(val_)};
+    const auto take_back = [&] {
+      pat_.ptr = std::move(m.ptr);
+      pat_.col = std::move(m.col);
+      val_ = std::move(m.val);
+    };
+    try {
+      assemble(m);
+    } catch (...) {
+      take_back();
+      throw;
+    }
+    take_back();
+    F3D_CHECK_MSG(pat_.ptr.size() == static_cast<std::size_t>(pat_.n) + 1 &&
+                      pat_.col.size() == nnz &&
+                      val_.size() == nnz * nb_ * nb_,
+                  "the assembler must fill the factor's pattern in place");
+    return val_.data();
+  }, edit);
+  return {bad_row < 0, bad_row};
 }
 
 template <class S>

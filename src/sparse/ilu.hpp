@@ -6,6 +6,9 @@
 // The symbolic phase is shared: level-of-fill on the (block) sparsity
 // graph, also of a principal submatrix A[V, V] (a Schwarz subdomain),
 // whose factor reads A's values through a gather map with no copy of A.
+// A block factor of all of A can instead be assembled in place: the
+// caller writes A's values straight into the factor's own storage, so A
+// is never stored and no gather map is kept.
 // The numeric phase always computes in double; the factors may be
 // *stored* in float for the paper's single-precision-preconditioner
 // experiment (§2.2, Table 2) — the triangular solves then read float
@@ -13,7 +16,9 @@
 // bandwidth-bound solve at no observed cost in convergence.
 
 #include <cstddef>
+#include <concepts>
 #include <functional>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -90,6 +95,12 @@ struct IluFactorStatus {
 /// elimination: how a caller changes what it factors without copying A.
 using DiagonalEdit = std::function<void(int k, double* block)>;
 
+/// Writes A's values into `m`, a matrix over a factor's own pattern (A's
+/// sparsity plus the level-k fill): sizes m.val to m.nblocks() * nb * nb,
+/// writes every entry (zero outside A's sparsity) and leaves m's sparsity
+/// as it is. How a factor gets A's values when nothing stores A.
+using BlockAssembler = std::function<void(Bcsr<double>& m)>;
+
 /// Point ILU(k) factors of one sparsity pattern, stored in S (double or
 /// float). A factor owns its pattern, its level schedules and its gather
 /// map. The constructor builds them from A's sparsity and does the first
@@ -141,8 +152,23 @@ class BlockIlu {
 public:
   BlockIlu(const Bcsr<double>& a, int level, std::vector<int> rows = {},
            const DiagonalEdit& edit = {});
+  /// A factor of all of `pattern`'s block rows (its values are not read)
+  /// assembled in place: it keeps no gather map, and each numeric phase
+  /// takes its values from `assemble`. Throws like the constructor above.
+  BlockIlu(const Bcsr<double>& pattern, int level,
+           const BlockAssembler& assemble, const DiagonalEdit& edit = {})
+    requires std::same_as<S, double>;
+
+  /// Gathers A's values through the map (a factor assembled in place has
+  /// none: f3d::Error).
   [[nodiscard]] IluFactorStatus refactor(const Bcsr<double>& a,
                                          const DiagonalEdit& edit = {});
+  /// Refactors a factor assembled in place: lends its pattern and values
+  /// to `assemble` as one matrix and takes them back, also when `assemble`
+  /// throws; then applies `edit` and eliminates in place.
+  [[nodiscard]] IluFactorStatus refactor(const BlockAssembler& assemble,
+                                         const DiagonalEdit& edit = {})
+    requires std::same_as<S, double>;
 
   void solve(const double* b, double* x) const;
   void solve(const std::vector<double>& b, std::vector<double>& x) const {
@@ -159,7 +185,7 @@ public:
 private:
   int nb_;
   IluPattern pat_;
-  GatherMap map_;
+  std::optional<GatherMap> map_;  ///< none when assembled in place
   TriSchedule fwd_;
   TriSchedule bwd_;
   std::vector<S> val_;  ///< nb*nb per pattern entry

@@ -13,7 +13,9 @@
 
 #include "cfd/euler.hpp"
 #include "common/rng.hpp"
+#include "exec/pool.hpp"
 #include "mesh/generator.hpp"
+#include "sparse/ilu.hpp"
 
 namespace {
 
@@ -412,6 +414,58 @@ TEST(EulerDisc, JacobianApproximatesResidualDerivative) {
     }
     EXPECT_LT(std::sqrt(num), 0.05 * std::sqrt(den))
         << "model " << static_cast<int>(base_cfg.model);
+  }
+}
+
+TEST(EulerDisc, JacobianFillsAnyPatternHoldingTheStencil) {
+  // The contract an ILU factor assembled in place relies on:
+  // allocate_jacobian() gives the stencil with no values, and jacobian()
+  // into a pattern with ILU(1) fill writes the stencil's blocks bit for bit
+  // as into the stencil alone, +0.0 everywhere else, refilling in place.
+  auto m = mesh::generate_wing_mesh(mesh::WingMeshConfig{.nx = 6, .ny = 4, .nz = 4});
+  for (auto cfg : {incompressible_cfg(1), compressible_cfg(1)}) {
+    EulerDiscretization disc(m, cfg);
+    auto q = disc.make_freestream_field();
+    Rng rng(3);
+    for (int v = 0; v < q.num_vertices(); ++v)
+      for (int c = 0; c < q.nb(); ++c)
+        q.set(v, c, q.get(v, c) * (1 + 0.02 * rng.uniform(-1, 1)));
+    const auto stencil = disc.allocate_jacobian();
+    EXPECT_TRUE(stencil.val.empty());
+    const auto [pat, map] =
+        sparse::principal_submatrix(stencil.ptr, stencil.col, {}, 1);
+    ASSERT_GT(pat.nnz(), stencil.nblocks());
+    const std::size_t bsz = static_cast<std::size_t>(stencil.nb) * stencil.nb;
+    for (const int nt : {1, 4}) {
+      exec::ThreadScope scope(nt);
+      auto jac = stencil;
+      disc.jacobian(q, jac);
+      sparse::Bcsr<double> wide{.nb = stencil.nb, .nrows = pat.n,
+                                .ptr = pat.ptr, .col = pat.col, .val = {}};
+      disc.jacobian(q, wide);
+      ASSERT_EQ(wide.val.size(), pat.nnz() * bsz);
+      int stencil_diffs = 0, bad_fills = 0;
+      for (std::size_t k = 0; k < pat.nnz(); ++k) {
+        const double* got = &wide.val[k * bsz];
+        if (map.src[k] >= 0) {
+          const double* want = &jac.val[static_cast<std::size_t>(map.src[k]) * bsz];
+          stencil_diffs += std::memcmp(got, want, bsz * sizeof(double)) != 0;
+        } else {
+          for (std::size_t e = 0; e < bsz; ++e)
+            bad_fills += got[e] != 0.0 || std::signbit(got[e]);
+        }
+      }
+      EXPECT_EQ(stencil_diffs, 0) << "threads " << nt;
+      EXPECT_EQ(bad_fills, 0) << "threads " << nt;
+
+      const std::vector<double> first = wide.val;
+      const double* storage = wide.val.data();
+      disc.jacobian(q, wide);
+      EXPECT_EQ(wide.val.data(), storage);
+      EXPECT_EQ(std::memcmp(wide.val.data(), first.data(),
+                            first.size() * sizeof(double)),
+                0);
+    }
   }
 }
 

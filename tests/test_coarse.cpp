@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/denselu.hpp"
@@ -180,6 +181,37 @@ TEST(Coarse, FlattensIterationGrowth) {
   const int two_growth = two_large - two_small;
   EXPECT_LE(two_growth, one_growth);
   EXPECT_LE(two_large, one_large);
+}
+
+TEST(Coarse, PartitionIdsOutsideThePartsAreRejected) {
+  // A chain of 8 vertices split into 2 parts whose last id is out of
+  // range: the coarse level would index its A0 rows past the end, and the
+  // one level would leave that vertex's rows of z at zero.
+  sparse::Stencil s;
+  s.n = 8;
+  s.ptr = {0};
+  for (int i = 0; i < s.n; ++i) {
+    for (int j = std::max(0, i - 1); j <= std::min(s.n - 1, i + 1); ++j)
+      s.col.push_back(j);
+    s.ptr.push_back(static_cast<int>(s.col.size()));
+  }
+  const auto a = sparse::build_bcsr(s, 2, sparse::synthetic_values(s));
+  SchwarzOptions so;
+  so.type = SchwarzType::kRasm;
+  so.overlap = 1;
+  so.fill_level = 0;
+  for (const bool coarse : {false, true}) {
+    so.coarse_space = coarse;
+    part::Partition p;
+    p.nparts = 2;
+    for (const int bad : {p.nparts, -1}) {
+      p.part = {0, 0, 0, 0, 1, 1, 1, bad};
+      EXPECT_THROW({ SchwarzPreconditioner prec(a, p, so); }, Error)
+          << "coarse " << coarse << ", id " << bad;
+    }
+    p.part.back() = 1;
+    EXPECT_NO_THROW({ SchwarzPreconditioner prec(a, p, so); });
+  }
 }
 
 TEST(Coarse, RefactorTracksNewValues) {

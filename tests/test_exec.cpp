@@ -405,7 +405,9 @@ std::vector<char> read_bytes(const std::string& path) {
 }
 
 TEST(Determinism, PtcCheckpointsByteIdenticalAt124Threads) {
-  auto run = [&](int nt, const std::string& ck_path,
+  // 4 subdomains factor gathered from an assembled A; 1 subdomain (the
+  // matrix-free default) assembles A straight into its factor.
+  auto run = [&](int nt, int subdomains, const std::string& ck_path,
                  std::vector<double>* x_out) {
     std::remove(ck_path.c_str());
     exec::ThreadScope scope(nt);
@@ -421,7 +423,7 @@ TEST(Determinism, PtcCheckpointsByteIdenticalAt124Threads) {
     opts.max_steps = 6;
     opts.rtol = 1e-10;
     opts.cfl0 = 10.0;
-    opts.num_subdomains = 4;
+    opts.num_subdomains = subdomains;
     opts.schwarz.overlap = 1;
     opts.schwarz.fill_level = 1;
     opts.recovery.enabled = true;
@@ -429,30 +431,38 @@ TEST(Determinism, PtcCheckpointsByteIdenticalAt124Threads) {
     auto res = solver::ptc_solve(prob, x, opts);
     EXPECT_GT(res.steps, 0);
     *x_out = x;
+    return std::vector<long long>{res.steps, res.total_linear_iterations,
+                                  res.function_evaluations, res.work_units};
   };
 
   // One shared path: the checkpoint's recovery log records the path it
   // was written to, so different filenames would differ by construction.
-  std::vector<double> x1, x2, x4;
   const std::string ck = temp_path("f3d_exec_ck.bin");
-  run(1, ck, &x1);
-  const auto b1 = read_bytes(ck);
-  run(2, ck, &x2);
-  const auto b2 = read_bytes(ck);
-  run(4, ck, &x4);
-  const auto b4 = read_bytes(ck);
+  for (const int subdomains : {4, 1}) {
+    std::vector<double> x1, x2, x4;
+    const auto c1 = run(1, subdomains, ck, &x1);
+    const auto b1 = read_bytes(ck);
+    const auto c2 = run(2, subdomains, ck, &x2);
+    const auto b2 = read_bytes(ck);
+    const auto c4 = run(4, subdomains, ck, &x4);
+    const auto b4 = read_bytes(ck);
 
-  // Final states bit-identical...
-  ASSERT_EQ(x1.size(), x2.size());
-  ASSERT_EQ(x1.size(), x4.size());
-  EXPECT_EQ(std::memcmp(x1.data(), x2.data(), x1.size() * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(x1.data(), x4.data(), x1.size() * sizeof(double)), 0);
+    // Counts and final states bit-identical...
+    EXPECT_EQ(c1, c2) << subdomains << " subdomains";
+    EXPECT_EQ(c1, c4) << subdomains << " subdomains";
+    ASSERT_EQ(x1.size(), x2.size());
+    ASSERT_EQ(x1.size(), x4.size());
+    EXPECT_EQ(std::memcmp(x1.data(), x2.data(), x1.size() * sizeof(double)), 0)
+        << subdomains << " subdomains";
+    EXPECT_EQ(std::memcmp(x1.data(), x4.data(), x1.size() * sizeof(double)), 0)
+        << subdomains << " subdomains";
 
-  // ...and the checkpoint files byte-identical (the resilience layer's
-  // replay guarantee survives threading).
-  ASSERT_FALSE(b1.empty());
-  EXPECT_EQ(b1, b2);
-  EXPECT_EQ(b1, b4);
+    // ...and the checkpoint files byte-identical (the resilience layer's
+    // replay guarantee survives threading).
+    ASSERT_FALSE(b1.empty());
+    EXPECT_EQ(b1, b2) << subdomains << " subdomains";
+    EXPECT_EQ(b1, b4) << subdomains << " subdomains";
+  }
   std::remove(ck.c_str());
 }
 

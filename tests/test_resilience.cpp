@@ -14,6 +14,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -913,6 +914,79 @@ TEST(PtcRecovery, InadmissibleStepIsDetectedAndRecomputed) {
                  "reassemble and re-run attempt 1"}}));
   ASSERT_EQ(x.size(), x_clean.size());
   EXPECT_EQ(std::memcmp(x.data(), x_clean.data(), x.size() * sizeof(double)), 0);
+}
+
+// Counts the Jacobian assemblies the driver asks for.
+class AssemblyCountingProblem : public ForwardingProblem {
+public:
+  using ForwardingProblem::ForwardingProblem;
+
+  void jacobian(const std::vector<double>& x,
+                sparse::Bcsr<double>& jac) override {
+    ++assemblies;
+    inner_.jacobian(x, jac);
+  }
+  int assemblies = 0;
+};
+
+// One subdomain, matrix-free: A is assembled straight into the factor.
+// kFactorPivot fires on draw 0, the first build, and on draw 3, step 2's
+// refresh: the build's singular factor fails the attempt and the next one
+// builds again; the refresh climbs the shift ladder, re-assembling once
+// per rung.
+TEST(PtcRecovery, InPlaceFactorRecoversPivotFaults) {
+  auto m = mesh::generate_wing_mesh(
+      mesh::WingMeshConfig{.nx = 6, .ny = 3, .nz = 3});
+  cfd::FlowConfig cfg;
+  cfg.model = cfd::Model::kIncompressible;
+  cfg.order = 1;
+  cfd::EulerDiscretization disc(m, cfg);
+  cfd::EulerProblem inner(disc, -1.0);
+  AssemblyCountingProblem prob(inner);
+  auto x = inner.initial_state();
+  FaultInjector inj(1);
+  FaultPlan plan;
+  plan.fire_every = 3;
+  plan.max_fires = 2;
+  inj.arm(FaultSite::kFactorPivot, plan);
+  PtcOptions o = campaign_options();
+  o.num_subdomains = 1;
+  o.recovery.enabled = true;
+  o.fault_injector = &inj;
+  const auto res = ptc_solve(prob, x, o);
+
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(inj.fires(FaultSite::kFactorPivot), 2);
+  std::vector<std::tuple<int, RecoveryAction, std::string>> events;
+  for (const auto& e : res.recovery_log.events())
+    events.emplace_back(e.step, e.action, e.detail);
+  ASSERT_EQ(events.size(), 6u);
+  EXPECT_EQ(std::get<0>(events[0]), 0);
+  EXPECT_EQ(std::get<1>(events[0]), RecoveryAction::kDetectSingularFactor);
+  EXPECT_NE(std::get<2>(events[0]).find(
+                "singular diagonal block in block ILU at row 0"),
+            std::string::npos);
+  EXPECT_EQ(events[1], std::make_tuple(0, RecoveryAction::kStepRejected,
+                                       std::string("attempt 1")));
+  EXPECT_EQ(events[2], std::make_tuple(0, RecoveryAction::kCflBacktrack,
+                                       std::string("cfl_relax=0.250000")));
+  EXPECT_EQ(events[3], std::make_tuple(0, RecoveryAction::kPrecRefresh,
+                                       std::string("forced by step rejection")));
+  // Draw 1 rebuilt step 0 and draw 2 refreshed step 1.
+  EXPECT_EQ(events[4],
+            std::make_tuple(2, RecoveryAction::kDetectSingularFactor,
+                            std::string("zero pivot in preconditioner "
+                                        "refresh")));
+  const auto& [shift_step, shift_action, shift_detail] = events[5];
+  EXPECT_EQ(shift_step, 2);
+  EXPECT_EQ(shift_action, RecoveryAction::kPivotShift);
+  const auto after = shift_detail.find(" after ");
+  ASSERT_NE(after, std::string::npos) << shift_detail;
+  const int rungs = std::stoi(shift_detail.substr(after + 7));
+  EXPECT_GE(rungs, 1);
+  // One assembly per build or refresh, each with one draw, plus one per
+  // rung: A is gone, so a rung assembles it again.
+  EXPECT_EQ(prob.assemblies, inj.draws(FaultSite::kFactorPivot) + rungs);
 }
 
 // The headline campaign: 4 fault classes x 5 seeds. With recovery enabled

@@ -1,16 +1,22 @@
 // Tests for the second wave of solver features: BiCGSTAB, the SSOR
-// subdomain solve, the matrix-free toggle, Morton ordering, and the 3C
-// miss classification of the cache simulator.
+// subdomain solve, the ILU factor assembled in place, the matrix-free
+// toggle, Morton ordering, and the 3C miss classification of the cache
+// simulator.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <string>
 
+#include "cfd/euler.hpp"
 #include "common/rng.hpp"
 #include "mesh/generator.hpp"
 #include "mesh/ordering.hpp"
+#include "resilience/faults.hpp"
 #include "simcache/cache.hpp"
 #include "solver/krylov.hpp"
 #include "solver/precond.hpp"
@@ -155,6 +161,135 @@ TEST(Ssor, NameReflectsConfiguration) {
   so.sweeps = 3;
   SchwarzPreconditioner prec(sys.a, partition, so);
   EXPECT_NE(prec.name().find("ssor(3)"), std::string::npos);
+}
+
+// --- A assembled straight into the factor -----------------------------------
+
+void expect_same_bytes(const std::vector<double>& a,
+                       const std::vector<double>& b, const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0)
+      << what;
+}
+
+TEST(InPlace, FactorMatchesTheGatheredFactorBitwise) {
+  const auto m = mesh::generate_wing_mesh(
+      mesh::WingMeshConfig{.nx = 6, .ny = 3, .nz = 3});
+  for (const auto model : {cfd::Model::kIncompressible, cfd::Model::kCompressible}) {
+    cfd::FlowConfig cfg;
+    cfg.model = model;
+    cfg.order = 1;
+    cfd::EulerDiscretization disc(m, cfg);
+    auto q = disc.make_freestream_field();
+    const auto q0 = q.data();
+    std::vector<double> sr;
+    disc.spectral_radius(q, sr);
+    // J + D at state q, the operator the driver factors; `calls` counts
+    // the assemblies.
+    int calls = 0;
+    const sparse::BlockAssembler assemble = [&](sparse::Bcsr<double>& a) {
+      ++calls;
+      disc.jacobian(q, a);
+      for (int v = 0; v < a.nrows; ++v) {
+        double* blk = a.find_block(v, v);
+        for (int c = 0; c < a.nb; ++c) blk[c * a.nb + c] += sr[v] / 10;
+      }
+    };
+    const auto pattern = disc.allocate_jacobian();
+    const auto assembled = [&] {
+      auto a = pattern;
+      assemble(a);
+      return a;
+    };
+    const part::Partition one{1, std::vector<int>(pattern.nrows, 0)};
+    const int n = pattern.scalar_n();
+    Vec r(n);
+    for (int i = 0; i < n; ++i) r[i] = std::sin(0.37 * i);
+
+    for (const int fill : {0, 1}) {
+      const std::string tag = "model " + std::to_string(static_cast<int>(model)) +
+                              ", ILU(" + std::to_string(fill) + ")";
+      {
+        // The factor alone: its values after the build and after a
+        // refactor with a diagonal edit.
+        q.data() = q0;
+        const auto a = assembled();
+        sparse::BlockIlu<double> gathered(a, fill);
+        calls = 0;
+        sparse::BlockIlu<double> in_place(pattern, fill, assemble);
+        EXPECT_EQ(calls, 1);
+        expect_same_bytes(gathered.values(), in_place.values(), tag + " build");
+        const sparse::DiagonalEdit edit = [](int k, double* blk) {
+          if (k % 3 == 1) blk[0] *= 2;
+        };
+        ASSERT_TRUE(gathered.refactor(a, edit).ok);
+        ASSERT_TRUE(in_place.refactor(assemble, edit).ok);
+        expect_same_bytes(gathered.values(), in_place.values(),
+                          tag + " refactor");
+        EXPECT_THROW((void)in_place.refactor(a), Error);
+      }
+
+      // The preconditioner: the build, a refresh at a new state, and a
+      // refresh whose kFactorPivot draw (the third) fires and climbs the
+      // shift ladder.
+      SchwarzOptions so;
+      so.fill_level = fill;
+      struct Trace {
+        std::vector<Vec> z;
+        std::vector<resilience::FactorReport> reports;
+        std::vector<int> calls;
+      };
+      const auto run = [&](bool in_place) {
+        resilience::FaultInjector inj(1);
+        resilience::FaultPlan plan;
+        plan.fire_every = 1000;
+        plan.skip_first = 2;
+        inj.arm(resilience::FaultSite::kFactorPivot, plan);
+        resilience::InjectorScope scope(&inj);
+        Trace t;
+        q.data() = q0;
+        calls = 0;
+        auto prec = in_place
+                        ? std::make_unique<SchwarzPreconditioner>(pattern, so,
+                                                                  assemble)
+                        : std::make_unique<SchwarzPreconditioner>(assembled(),
+                                                                  one, so);
+        for (int refresh = 0; refresh < 3; ++refresh) {
+          if (refresh > 0) {
+            for (std::size_t k = 0; k < q0.size(); ++k)
+              q.data()[k] = q0[k] * (1 + 0.01 * refresh * std::cos(0.1 * k));
+            calls = 0;
+            t.reports.push_back(in_place ? prec->refactor(assemble, 8)
+                                         : prec->refactor(assembled(), 8));
+          }
+          t.calls.push_back(calls);
+          Vec z(n);
+          prec->apply(r.data(), z.data());
+          t.z.push_back(z);
+        }
+        EXPECT_EQ(inj.fires(resilience::FaultSite::kFactorPivot), 1);
+        return t;
+      };
+      const Trace gathered = run(false), in_place = run(true);
+      for (int k = 0; k < 3; ++k)
+        expect_same_bytes(gathered.z[k], in_place.z[k],
+                          tag + " apply " + std::to_string(k));
+      for (int k = 0; k < 2; ++k) {
+        const auto& g = gathered.reports[k];
+        const auto& p = in_place.reports[k];
+        EXPECT_EQ(g.ok, p.ok) << tag;
+        EXPECT_EQ(g.shift_attempts, p.shift_attempts) << tag;
+        EXPECT_EQ(std::memcmp(&g.shift_used, &p.shift_used, sizeof(double)), 0)
+            << tag;
+        EXPECT_EQ(g.detail, p.detail) << tag;
+      }
+      const auto& laddered = in_place.reports[1];
+      EXPECT_TRUE(laddered.ok) << tag;
+      EXPECT_GE(laddered.shift_attempts, 1) << tag;
+      EXPECT_EQ(in_place.calls, (std::vector<int>{1, 1, 1 + laddered.shift_attempts}))
+          << tag;
+    }
+  }
 }
 
 // --- Morton ordering --------------------------------------------------------
