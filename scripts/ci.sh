@@ -3,7 +3,10 @@
 #   1. release build + complete test suite, then the same suite against
 #      the scalar SIMD fallback (F3D_SIMD=OFF). Both presets build with
 #      -Werror (F3D_WERROR=ON). Every test carries a TIMEOUT property, so
-#      a wedged solve fails loudly here.
+#      a wedged solve fails loudly here. Between the two, a seeded fault
+#      storm's output must name no source location (file.cpp:line): a
+#      recovery log, and the checkpoint that embeds it, must not depend
+#      on where the tree was built or on line numbers in the sources
 #   2. the gated benches, in order: thread scaling, SIMD + mixed-precision
 #      A/B, SDC injection campaign, fail-slow mitigation sweep, deadline
 #      oracle campaign, self-tuning A/B (also writes build/tune_db.json),
@@ -60,6 +63,13 @@ echo "=== release build + full test suite ==="
 cmake --preset release
 cmake --build --preset release -j "$JOBS"
 ctest --preset release -j "$JOBS"
+
+echo "=== recovery log names no source location (fault_storm) ==="
+storm_log="$(./build/examples/fault_storm -seed 42 -storm 3)"
+if grep -E '\.[ch]pp:[0-9]' <<<"$storm_log"; then
+  echo "ERROR: fault_storm output names a source location" >&2
+  exit 1
+fi
 
 # Scalar-fallback lane: the same suite must pass with the explicit SIMD
 # kernels compiled out (F3D_SIMD=OFF) — the portable configuration every

@@ -18,12 +18,6 @@ bool BuddyStore::alive(int rank) const {
   return alive_[static_cast<std::size_t>(rank)] != 0;
 }
 
-int BuddyStore::alive_count() const {
-  int n = 0;
-  for (auto a : alive_) n += a != 0 ? 1 : 0;
-  return n;
-}
-
 int BuddyStore::buddy_of(int rank) const {
   F3D_CHECK(rank >= 0 && rank < ranks_);
   for (int step = 1; step < ranks_; ++step) {

@@ -24,7 +24,6 @@ public:
 
   [[nodiscard]] int ranks() const { return ranks_; }
   [[nodiscard]] bool alive(int rank) const;
-  [[nodiscard]] int alive_count() const;
 
   /// Next alive rank after `rank` on the ring (the mirror target);
   /// -1 when no other rank is alive.

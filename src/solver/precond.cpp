@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 #include <string>
-#include <tuple>
 
 #include "common/densemat.hpp"
 #include "common/error.hpp"
@@ -20,81 +19,35 @@ namespace {
 // scale of the failing subdomain.
 constexpr double kPivotShift0 = 1e-8;
 
-// The one place a build or refresh changes a subdomain's values, before
-// elimination, for either subdomain solver: a fired kFactorPivot draw
-// zeroes block (0, 0) (a corrupted Jacobian block arriving at the
-// factorization), and a ladder rung adds its shift to every scalar
-// diagonal entry, once.
-void edit_diagonal_block(int nb, bool zeroed, double shift, int k,
-                         double* blk) {
-  if (zeroed && k == 0)
-    std::fill_n(blk, static_cast<std::size_t>(nb) * nb, 0.0);
-  if (shift != 0)
-    for (int c = 0; c < nb; ++c)
-      blk[static_cast<std::size_t>(c) * nb + c] += shift;
-}
-
-// That edit for a gathered subdomain. Empty when neither applies, so a
-// fault-free factorization reads A's values untouched.
-sparse::DiagonalEdit diagonal_edit(int nb, bool zeroed, double shift) {
-  if (!zeroed && shift == 0) return {};
-  return [=](int k, double* blk) {
-    edit_diagonal_block(nb, zeroed, shift, k, blk);
-  };
-}
-
-// `assemble`, then the kFactorPivot draw into `zeroed`: assembled in
-// place, the draw still follows the assembly, as it follows A's when A is
-// assembled first.
-sparse::BlockAssembler then_draw_pivot(const sparse::BlockAssembler& assemble,
-                                       bool& zeroed) {
-  return [&assemble, &zeroed](sparse::Bcsr<double>& m) {
-    assemble(m);
-    zeroed = resilience::fault_fires(resilience::FaultSite::kFactorPivot);
-  };
+// The one place a build or refresh changes a subdomain's filled values,
+// before its factorization, for either subdomain solver: a fired
+// kFactorPivot draw zeroes block (0, 0) (a corrupted Jacobian block
+// arriving at the factorization), and a ladder rung adds its shift to
+// every scalar diagonal entry, once. With neither, the fill is untouched.
+void edit_diagonal(sparse::Bcsr<double>& m, bool zeroed, double shift) {
+  const int nb = m.nb;
+  if (zeroed) std::fill_n(m.find_block(0, 0), nb * nb, 0.0);
+  if (shift == 0) return;
+  for (int k = 0; k < m.nrows; ++k) {
+    double* blk = m.find_block(k, k);
+    for (int c = 0; c < nb; ++c) blk[c * nb + c] += shift;
+  }
 }
 
 // Diagonal scale of a failing subdomain, so the ladder's shift is
-// relative: the largest |diagonal entry| of A's blocks (v, v), v in
-// `vertices`, where a zeroed block (0, 0) adds nothing; 1 when that is 0
-// or not finite.
-double diagonal_scale(const sparse::Bcsr<double>& a,
-                      const std::vector<int>& vertices, bool zeroed) {
-  const int nb = a.nb;
+// relative: the largest |diagonal entry| of its filled blocks (k, k),
+// where a zeroed block (0, 0) adds nothing; 1 when that is 0 or not
+// finite.
+double diagonal_scale(const sparse::Bcsr<double>& m, bool zeroed) {
+  const int nb = m.nb;
   double scale = 0;
-  for (std::size_t k = zeroed ? 1 : 0; k < vertices.size(); ++k) {
-    const double* blk = a.find_block(vertices[k], vertices[k]);
-    if (blk == nullptr) continue;
+  for (int k = zeroed ? 1 : 0; k < m.nrows; ++k) {
+    const double* blk = m.find_block(k, k);
     for (int c = 0; c < nb; ++c)
-      scale = std::max(scale,
-                       std::abs(blk[static_cast<std::size_t>(c) * nb + c]));
+      scale = std::max(scale, std::abs(blk[c * nb + c]));
   }
   if (scale == 0 || !std::isfinite(scale)) scale = 1.0;
   return scale;
-}
-
-// The rungs of the shift ladder for a subdomain whose first factorization
-// failed: rung k refactors from A's values with kPivotShift0 * 10^k
-// relative to the diagonal scale added once. `retry(shift, added)`
-// refactors with relative shift `shift` and sets `added` to the absolute
-// shift it added. Returns whether a rung factored.
-template <class Retry>
-bool climb_shift_ladder(int shift_attempts, const Retry& retry,
-                        resilience::FactorReport& report) {
-  double shift = kPivotShift0;
-  for (int attempt = 0; attempt < shift_attempts; ++attempt, shift *= 10) {
-    double added = 0;
-    const bool ok = retry(shift, added);
-    ++report.shift_attempts;
-    report.shift_used = std::max(report.shift_used, added);
-    if (ok) return true;
-  }
-  return false;
-}
-
-std::string ilu_failure(int bad_row) {
-  return "singular diagonal block in block ILU at local row " +
-         std::to_string(bad_row);
 }
 
 void check_options(const SchwarzOptions& opts) {
@@ -105,29 +58,34 @@ void check_options(const SchwarzOptions& opts) {
 }
 
 // `sweeps` symmetric block Gauss-Seidel iterations on the local system
-// (pattern `local`, values `val` with factored diagonal blocks), starting
-// from z = 0. Each half-sweep: z_i = D_ii^{-1} (b_i - sum_{j!=i} A_ij z_j)
-// with the latest z values (forward then backward order).
+// `m` (its diagonal blocks factored), starting from z = 0. Each
+// half-sweep: z_i = D_ii^{-1} (b_i - sum_{j!=i} A_ij z_j) with the latest z
+// values (forward then backward order).
 template <int NB, bool kSimd>
-void ssor_sweeps(const sparse::IluPattern& local, const double* val,
-                 int sweeps, const double* b, double* z) {
+void ssor_sweeps(const sparse::Bcsr<double>& m, int sweeps, const double* b,
+                 double* z) {
   constexpr std::size_t bsz = static_cast<std::size_t>(NB) * NB;
-  std::fill(z, z + static_cast<std::size_t>(local.n) * NB, 0.0);
+  const double* val = m.val.data();
+  std::fill(z, z + static_cast<std::size_t>(m.nrows) * NB, 0.0);
   auto relax_row = [&](int i) {
     double zi[NB];
     std::copy_n(b + static_cast<std::size_t>(i) * NB, NB, zi);
-    for (int p = local.ptr[i]; p < local.ptr[i + 1]; ++p) {
-      const int j = local.col[p];
-      if (j == i) continue;
+    const double* dii = nullptr;
+    for (int p = m.ptr[i]; p < m.ptr[i + 1]; ++p) {
+      const int j = m.col[p];
+      if (j == i) {
+        dii = val + p * bsz;
+        continue;
+      }
       dense::gemv_sub<NB, kSimd>(val + p * bsz,
                                  z + static_cast<std::size_t>(j) * NB, zi);
     }
-    dense::lu_solve<NB>(val + local.diag[i] * bsz, zi, zi);
+    dense::lu_solve<NB>(dii, zi, zi);
     std::copy_n(zi, NB, z + static_cast<std::size_t>(i) * NB);
   };
   for (int sweep = 0; sweep < sweeps; ++sweep) {
-    for (int i = 0; i < local.n; ++i) relax_row(i);
-    for (int i = local.n - 1; i >= 0; --i) relax_row(i);
+    for (int i = 0; i < m.nrows; ++i) relax_row(i);
+    for (int i = m.nrows - 1; i >= 0; --i) relax_row(i);
   }
 }
 
@@ -153,7 +111,9 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
 
   const auto g = graph_from_bcsr(a);
   auto regions = part::overlap_expand(g, partition, opts_.overlap);
+  const bool ssor = opts_.subdomain_solver == SubdomainSolver::kSsor;
 
+  // The symbolic phase of every subdomain, then one numeric pass.
   subs_.resize(partition.nparts);
   for (int s = 0; s < partition.nparts; ++s) {
     auto& sd = subs_[s];
@@ -162,30 +122,29 @@ SchwarzPreconditioner::SchwarzPreconditioner(const sparse::Bcsr<double>& a,
     sd.owned.resize(sd.vertices.size());
     for (std::size_t k = 0; k < sd.vertices.size(); ++k)
       sd.owned[k] = partition.part[sd.vertices[k]] == s ? 1 : 0;
-
-    // First factorization of A[vertices, vertices], right after this
-    // subdomain's kFactorPivot draw (one per subdomain, in subdomain
-    // order). The ILU factor is built here once; refreshes refactor it in
-    // place.
-    const auto edit = diagonal_edit(
-        nb_, resilience::fault_fires(resilience::FaultSite::kFactorPivot), 0);
-    if (opts_.subdomain_solver == SubdomainSolver::kSsor) {
-      F3D_CHECK(nb_ <= dense::kMaxBlockSize);
-      std::tie(sd.local, sd.local_map) =
-          sparse::principal_submatrix(a.ptr, a.col, sd.vertices, 0);
-      sd.local_val.resize(sd.local.nnz() * nb_ * nb_);
-      std::string err;
-      F3D_NUMERIC_CHECK_MSG(factor_subdomain(sd, a, edit, err), err);
-    } else if (opts_.single_precision) {
-      sd.ilu_f.emplace(a, opts_.fill_level, sd.vertices, edit);
-    } else {
-      sd.ilu_d.emplace(a, opts_.fill_level, sd.vertices, edit);
-    }
+    // SSOR keeps A[V, V]'s own sparsity; ILU adds its fill.
+    auto [pat, map] = sparse::principal_submatrix(
+        a.ptr, a.col, sd.vertices, ssor ? 0 : opts_.fill_level);
+    sd.map = std::move(map);
+    if (ssor)
+      sd.ssor = {.nb = nb_, .nrows = pat.n, .ptr = std::move(pat.ptr),
+                 .col = std::move(pat.col), .val = {}};
+    else if (opts_.single_precision)
+      sd.ilu_f.emplace(std::move(pat), nb_);
+    else
+      sd.ilu_d.emplace(std::move(pat), nb_);
   }
+  // The first build climbs no ladder: it stops at the first failure.
+  const resilience::FactorReport report = factor_subdomains(
+      [&a](const Subdomain& sd, sparse::Bcsr<double>& m) {
+        sd.map.gather(a, m);
+      },
+      0);
+  if (!report.ok) throw NumericalError(report.detail);
   if (opts_.coarse_space) {
     part_of_ = partition.part;
-    F3D_NUMERIC_CHECK_MSG(build_coarse(a),
-                          "singular coarse operator (check pseudo-time shift)");
+    if (!build_coarse(a))
+      throw NumericalError("singular coarse operator (check pseudo-time shift)");
   }
 }
 
@@ -201,11 +160,12 @@ SchwarzPreconditioner::SchwarzPreconditioner(
   sd.vertices.resize(pattern.nrows);
   std::iota(sd.vertices.begin(), sd.vertices.end(), 0);
   sd.owned.assign(sd.vertices.size(), 1);
-  bool zeroed = false;
-  sd.ilu_d.emplace(pattern, opts_.fill_level, then_draw_pivot(assemble, zeroed),
-                   [&](int k, double* blk) {
-                     edit_diagonal_block(nb_, zeroed, 0, k, blk);
-                   });
+  sd.ilu_d.emplace(
+      sparse::fill_pattern(pattern.ptr, pattern.col, opts_.fill_level), nb_);
+  const resilience::FactorReport report = factor_subdomains(
+      [&assemble](const Subdomain&, sparse::Bcsr<double>& m) { assemble(m); },
+      0);
+  if (!report.ok) throw NumericalError(report.detail);
 }
 
 bool SchwarzPreconditioner::assembles_in_place(const SchwarzOptions& opts,
@@ -234,67 +194,73 @@ bool SchwarzPreconditioner::build_coarse(const sparse::Bcsr<double>& a) {
   return coarse_lu_.factor(nc, a0.data());
 }
 
-bool SchwarzPreconditioner::factor_subdomain(Subdomain& sd,
-                                             const sparse::Bcsr<double>& a,
-                                             const sparse::DiagonalEdit& edit,
-                                             std::string& err) {
-  if (opts_.subdomain_solver == SubdomainSolver::kSsor) {
-    // SSOR factors only the diagonal blocks, in place in its copy; the
-    // off-diagonal ones stay as A's for its sweeps.
-    const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
-    sd.local_map.gather(sd.local, a.ptr, a.col, a.val, bsz,
-                        sd.local_val.data());
-    const int bad_row = dense::with_block_size(nb_, [&](auto kNb) {
-      for (int k = 0; k < sd.local.n; ++k) {
-        double* blk = &sd.local_val[sd.local.diag[k] * bsz];
-        if (edit) edit(k, blk);
-        if (!dense::lu_factor<kNb>(blk)) return k;
-      }
-      return -1;
-    });
-    if (bad_row >= 0)
-      err = "singular diagonal block in SSOR at local row " +
-            std::to_string(bad_row);
-    return bad_row < 0;
+resilience::FactorReport SchwarzPreconditioner::factor_subdomains(
+    const Fill& fill, int shift_attempts) {
+  const bool ssor = opts_.subdomain_solver == SubdomainSolver::kSsor;
+  resilience::FactorReport report;
+  for (auto& sd : subs_) {
+    bool drawn = false, zeroed = false;
+    double scale = 0;
+    // One pass with the rung's relative `shift` (0: none); returns the
+    // first singular diagonal block row, or -1.
+    const auto factor = [&](double shift) {
+      const sparse::BlockAssembler fill_edit = [&](sparse::Bcsr<double>& m) {
+        fill(sd, m);
+        if (!drawn) {
+          drawn = true;
+          zeroed = resilience::fault_fires(resilience::FaultSite::kFactorPivot);
+        }
+        // Read from the first rung's fill before its edit: the values the
+        // failed pass had.
+        if (shift != 0 && scale == 0) scale = diagonal_scale(m, zeroed);
+        edit_diagonal(m, zeroed, shift * scale);
+      };
+      if (sd.ilu_d) return sd.ilu_d->refactor(fill_edit).bad_row;
+      if (sd.ilu_f) return sd.ilu_f->refactor(fill_edit).bad_row;
+      // SSOR factors only the diagonal blocks, in place in its copy; the
+      // off-diagonal ones stay as A's for its sweeps.
+      fill_edit(sd.ssor);
+      return dense::with_block_size(nb_, [&](auto kNb) {
+        for (int k = 0; k < sd.ssor.nrows; ++k)
+          if (!dense::lu_factor<kNb>(sd.ssor.find_block(k, k))) return k;
+        return -1;
+      });
+    };
+    int bad_row = factor(0);
+    double shift = kPivotShift0;
+    for (int rung = 0; bad_row >= 0 && rung < shift_attempts;
+         ++rung, shift *= 10) {
+      bad_row = factor(shift);
+      ++report.shift_attempts;
+      report.shift_used = std::max(report.shift_used, shift * scale);
+    }
+    if (bad_row < 0) continue;
+    report.ok = false;
+    report.detail = std::string("singular diagonal block in ") +
+                    (ssor ? "SSOR" : "block ILU") + " at local row " +
+                    std::to_string(bad_row);
+    // Without a ladder the loop stops at the first failure, leaving the
+    // remaining subdomains (and their fault-injection draws) untouched.
+    if (shift_attempts == 0) break;
   }
-  const sparse::IluFactorStatus status =
-      sd.ilu_f ? sd.ilu_f->refactor(a, edit) : sd.ilu_d->refactor(a, edit);
-  if (!status.ok) err = ilu_failure(status.bad_row);
-  return status.ok;
+  return report;
 }
 
 void SchwarzPreconditioner::ssor_solve(const Subdomain& sd, const double* b,
                                        double* z) const {
   dense::with_block_kernels(nb_, [&](auto kNb, auto kSimd) {
-    ssor_sweeps<kNb, kSimd>(sd.local, sd.local_val.data(), opts_.sweeps, b, z);
+    ssor_sweeps<kNb, kSimd>(sd.ssor, opts_.sweeps, b, z);
   });
 }
 
 resilience::FactorReport SchwarzPreconditioner::refactor(
     const sparse::Bcsr<double>& a, int shift_attempts) {
   F3D_CHECK(a.scalar_n() == n_ && a.nb == nb_);
-  resilience::FactorReport report;
-  for (auto& sd : subs_) {
-    const bool zeroed =
-        resilience::fault_fires(resilience::FaultSite::kFactorPivot);
-    std::string err;
-    if (factor_subdomain(sd, a, diagonal_edit(nb_, zeroed, 0), err)) continue;
-    const double scale = diagonal_scale(a, sd.vertices, zeroed);
-    if (climb_shift_ladder(
-            shift_attempts,
-            [&](double shift, double& added) {
-              added = shift * scale;
-              return factor_subdomain(sd, a, diagonal_edit(nb_, zeroed, added),
-                                      err);
-            },
-            report))
-      continue;
-    report.ok = false;
-    report.detail = err;
-    // Without a ladder the refresh stops at the first failure, leaving the
-    // remaining subdomains (and their fault-injection draws) untouched.
-    if (shift_attempts == 0) break;
-  }
+  resilience::FactorReport report = factor_subdomains(
+      [&a](const Subdomain& sd, sparse::Bcsr<double>& m) {
+        sd.map.gather(a, m);
+      },
+      shift_attempts);
   // A dead coarse level degrades convergence but not correctness.
   if (opts_.coarse_space && !build_coarse(a)) {
     report.coarse_disabled = true;
@@ -306,41 +272,12 @@ resilience::FactorReport SchwarzPreconditioner::refactor(
 
 resilience::FactorReport SchwarzPreconditioner::refactor(
     const sparse::BlockAssembler& assemble, int shift_attempts) {
-  F3D_CHECK_MSG(subs_.size() == 1 && subs_[0].ilu_d,
-                "not a preconditioner assembled in place");
-  Subdomain& sd = subs_[0];
-  // The edit reads the draw and the rung's shift, which are known only
-  // once `assemble` has run.
-  bool zeroed = false;
-  double added = 0;
-  const sparse::DiagonalEdit edit = [&](int k, double* blk) {
-    edit_diagonal_block(nb_, zeroed, added, k, blk);
-  };
-  sparse::IluFactorStatus status =
-      sd.ilu_d->refactor(then_draw_pivot(assemble, zeroed), edit);
-  resilience::FactorReport report;
-  if (status.ok) return report;
-  // The scale is read from the first rung's assembly: the same values the
-  // failed try had before its edit.
-  double scale = -1;
-  if (climb_shift_ladder(
-          shift_attempts,
-          [&](double shift, double& rung_added) {
-            status = sd.ilu_d->refactor(
-                [&](sparse::Bcsr<double>& m) {
-                  assemble(m);
-                  if (scale < 0) scale = diagonal_scale(m, sd.vertices, zeroed);
-                  added = shift * scale;
-                },
-                edit);
-            rung_added = added;
-            return status.ok;
-          },
-          report))
-    return report;
-  report.ok = false;
-  report.detail = ilu_failure(status.bad_row);
-  return report;
+  F3D_CHECK_MSG(assembles_in_place(opts_, num_subdomains()),
+                "only one double ILU subdomain with no coarse level is "
+                "assembled in place");
+  return factor_subdomains(
+      [&assemble](const Subdomain&, sparse::Bcsr<double>& m) { assemble(m); },
+      shift_attempts);
 }
 
 void SchwarzPreconditioner::apply(const double* r, double* z) const {

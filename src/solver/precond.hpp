@@ -11,6 +11,7 @@
 // hardware cost of applying the preconditioner in parallel is modeled
 // separately by f3d::par.
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -67,9 +68,9 @@ public:
   /// `a` is the assembled global block Jacobian (interlaced); `partition`
   /// assigns each block row (mesh vertex) to a subdomain. The adjacency
   /// graph used for overlap expansion is derived from `a`'s block
-  /// sparsity. Performs symbolic setup and the first numeric
-  /// factorization (subdomains, then A0); throws f3d::NumericalError if
-  /// one is singular.
+  /// sparsity. Builds every subdomain's pattern and gather map, then runs
+  /// the numeric loop of refactor() with no ladder, and builds A0; throws
+  /// f3d::NumericalError with the failure's detail if one is singular.
   SchwarzPreconditioner(const sparse::Bcsr<double>& a,
                         const part::Partition& partition,
                         const SchwarzOptions& opts);
@@ -77,9 +78,8 @@ public:
   /// Assembles A straight into the factor, so A is never stored: one
   /// subdomain over all of `pattern`'s block rows (A's sparsity; its
   /// values are not read) whose double ILU factor takes A's values from
-  /// `assemble`. `opts` must pass assembles_in_place(opts, 1). Like the
-  /// constructor above it draws kFactorPivot once, after the assembly, and
-  /// throws f3d::NumericalError on a singular factorization.
+  /// `assemble`. `opts` must pass assembles_in_place(opts, 1). Builds like
+  /// the constructor above, with `assemble` as the fill.
   SchwarzPreconditioner(const sparse::Bcsr<double>& pattern,
                         const SchwarzOptions& opts,
                         const sparse::BlockAssembler& assemble);
@@ -91,19 +91,19 @@ public:
 
   /// Refactor each subdomain in place from a new `a` with the same
   /// sparsity (an f3d::Error otherwise), gathering A[V, V]'s blocks
-  /// through the index map built at construction; never throws on a
-  /// numerical failure. A singular subdomain climbs up to `shift_attempts`
-  /// rungs of an escalating Manteuffel-style diagonal shift (x10 per rung,
-  /// relative to its diagonal scale) before it is reported as failed; with
-  /// `shift_attempts == 0` the loop stops at the first failure. A0 is
-  /// rebuilt last either way: a singular A0 disables the correction until
-  /// the next refresh and is reported as coarse_disabled, not as a failure.
+  /// through the subdomain's map; never throws on a numerical failure.
+  /// Each subdomain is filled, draws kFactorPivot once, and is factored;
+  /// a singular one climbs up to `shift_attempts` rungs of an escalating
+  /// Manteuffel-style diagonal shift (x10 per rung, relative to its
+  /// diagonal scale), each filling again, before it is reported as
+  /// failed; with `shift_attempts == 0` the loop stops at the first
+  /// failure. A0 is rebuilt last either way: a singular A0 disables the
+  /// correction until the next refresh and is reported as
+  /// coarse_disabled, not as a failure.
   resilience::FactorReport refactor(const sparse::Bcsr<double>& a,
                                     int shift_attempts);
-  /// refactor() of a preconditioner assembled in place, with the same
-  /// ladder. A is gone, so every rung calls `assemble` again and reads the
-  /// diagonal scale from the blocks it assembled: `assemble` runs 1 + rungs
-  /// times, and the kFactorPivot draw follows the first run.
+  /// refactor() of a preconditioner assembled in place, with `assemble`
+  /// as the fill: it runs 1 + rungs times.
   resilience::FactorReport refactor(const sparse::BlockAssembler& assemble,
                                     int shift_attempts);
 
@@ -128,24 +128,27 @@ private:
   struct Subdomain {
     std::vector<int> vertices;  ///< ascending vertex ids (owned + overlap)
     std::vector<char> owned;    ///< parallel to vertices
+    /// Gathers A[vertices, vertices] into the solver's pattern; empty when
+    /// A is assembled in place.
+    sparse::GatherMap map;
     /// ILU factors of A[vertices, vertices], built once and refactored in
-    /// place straight from A (or assembled in place): ilu_d with double
-    /// storage, ilu_f with float storage (single_precision).
+    /// place: ilu_d with double storage, ilu_f with float storage
+    /// (single_precision).
     std::optional<sparse::BlockIlu<double>> ilu_d;
     std::optional<sparse::BlockIlu<float>> ilu_f;
     /// SSOR reads off-diagonal blocks on every apply, so it keeps a copy
-    /// of A[vertices, vertices], gathered through local_map, with its
-    /// diagonal blocks factored in place.
-    sparse::IluPattern local;
-    sparse::GatherMap local_map;
-    std::vector<double> local_val;
+    /// of A[vertices, vertices] with its diagonal blocks factored in place.
+    sparse::Bcsr<double> ssor;
   };
+  /// Writes a subdomain's values over its solver's pattern: a gather
+  /// through its map, or an assembler that writes A straight into it.
+  using Fill = std::function<void(const Subdomain&, sparse::Bcsr<double>&)>;
 
-  /// Non-throwing numeric refactorization of one subdomain from `a`, with
-  /// `edit` applied to the gathered diagonal blocks; `err` gets the
-  /// failure reason.
-  bool factor_subdomain(Subdomain& sd, const sparse::Bcsr<double>& a,
-                        const sparse::DiagonalEdit& edit, std::string& err);
+  /// The one numeric loop of every build and refresh: per subdomain, fill,
+  /// then its kFactorPivot draw (after the first fill), the diagonal edit
+  /// and the factorization, with the shift ladder on a failure.
+  resilience::FactorReport factor_subdomains(const Fill& fill,
+                                             int shift_attempts);
   void ssor_solve(const Subdomain& sd, const double* b, double* z) const;
   /// Assembles and factors A0; false when it is singular.
   [[nodiscard]] bool build_coarse(const sparse::Bcsr<double>& a);

@@ -80,14 +80,6 @@ IluPattern symbolic(const std::vector<int>& aptr, const std::vector<int>& acol,
   return pat;
 }
 
-// The pattern over all of A with no gather map: a factor assembled in
-// place.
-IluPattern fill_pattern(const std::vector<int>& aptr,
-                        const std::vector<int>& acol, int level) {
-  std::vector<int> rows;
-  return symbolic(aptr, acol, rows, level, nullptr);
-}
-
 }  // namespace
 
 std::pair<IluPattern, GatherMap> principal_submatrix(
@@ -97,6 +89,12 @@ std::pair<IluPattern, GatherMap> principal_submatrix(
   IluPattern pat = symbolic(aptr, acol, rows, level, &map.src);
   map.rows = std::move(rows);
   return {std::move(pat), std::move(map)};
+}
+
+IluPattern fill_pattern(const std::vector<int>& aptr,
+                        const std::vector<int>& acol, int level) {
+  std::vector<int> rows;
+  return symbolic(aptr, acol, rows, level, nullptr);
 }
 
 namespace {
@@ -144,26 +142,27 @@ TriSchedule upper_levels(const IluPattern& pat) {
   return build_levels(n, level);
 }
 
-void GatherMap::gather(const IluPattern& pat, const std::vector<int>& aptr,
+void GatherMap::gather(const std::vector<int>& ptr, const std::vector<int>& col,
+                       const std::vector<int>& aptr,
                        const std::vector<int>& acol,
                        const std::vector<double>& aval, std::size_t bsz,
                        double* out) const {
   const char* const mismatch =
       "A's sparsity is not the one the map was built from";
-  F3D_CHECK_MSG(aptr.size() == static_cast<std::size_t>(a_rows) + 1 &&
+  F3D_CHECK_MSG(rows.size() + 1 == ptr.size() && src.size() == col.size() &&
+                    aptr.size() == static_cast<std::size_t>(a_rows) + 1 &&
                     acol.size() == a_nnz && aval.size() == a_nnz * bsz,
                 mismatch);
-  for (int i = 0; i < pat.n; ++i) {
+  for (std::size_t i = 0; i < rows.size(); ++i) {
     const int row_begin = aptr[rows[i]], row_end = aptr[rows[i] + 1];
-    for (int q = pat.ptr[i]; q < pat.ptr[i + 1]; ++q) {
+    for (int q = ptr[i]; q < ptr[i + 1]; ++q) {
       const int p = src[q];
       if (p < 0) {
         std::fill_n(out + q * bsz, bsz, 0.0);
         continue;
       }
-      F3D_CHECK_MSG(
-          p >= row_begin && p < row_end && acol[p] == rows[pat.col[q]],
-          mismatch);
+      F3D_CHECK_MSG(p >= row_begin && p < row_end && acol[p] == rows[col[q]],
+                    mismatch);
       std::copy_n(&aval[static_cast<std::size_t>(p) * bsz], bsz, out + q * bsz);
     }
   }
@@ -178,7 +177,7 @@ int factor_point(const Csr<double>& a, const IluPattern& pat,
                  const GatherMap& map, double* val) {
   F3D_OBS_SPAN("ilu.factor");
   obs::Registry::global().count("sparse.ilu.factorizations");
-  map.gather(pat, a.ptr, a.col, a.val, 1, val);
+  map.gather(pat.ptr, pat.col, a.ptr, a.col, a.val, 1, val);
   const int n = pat.n;
   for (int i = 0; i < n; ++i) {
     for (int pos = pat.ptr[i]; pos < pat.diag[i]; ++pos) {
@@ -201,7 +200,7 @@ int factor_point(const Csr<double>& a, const IluPattern& pat,
   return -1;
 }
 
-// The elimination of a block factor whose gathered values are in `val`,
+// The elimination of a block factor whose filled values are in `val`,
 // NB*NB doubles per pattern entry, in place; returns the first block row
 // with a singular diagonal block, or -1.
 template <int NB>
@@ -229,42 +228,6 @@ int eliminate_block(const IluPattern& pat, double* val) {
       return i;
   }
   return -1;
-}
-
-// Block variant of factor_point: `fill()` writes every value and returns
-// the array, nb*nb doubles per pattern entry (gathered from A, or
-// assembled in place), and `edit` (if set) changes the diagonal blocks
-// before elimination; returns the first block row with a singular
-// diagonal block.
-template <class Fill>
-int factor_block(const IluPattern& pat, int nb, const Fill& fill,
-                 const DiagonalEdit& edit) {
-  F3D_OBS_SPAN("ilu.factor");
-  obs::Registry::global().count("sparse.ilu.factorizations");
-  const std::size_t bsz = static_cast<std::size_t>(nb) * nb;
-  double* const val = fill();
-  if (edit)
-    for (int k = 0; k < pat.n; ++k)
-      edit(k, &val[static_cast<std::size_t>(pat.diag[k]) * bsz]);
-  return dense::with_block_size(
-      nb, [&](auto kNb) { return eliminate_block<kNb>(pat, val); });
-}
-
-// Runs a numeric phase `factor(double* out) -> bad row` into the factor's
-// values. Double storage is written in place; float storage is computed in
-// a double scratch buffer and narrowed into the existing values (store
-// narrow, accumulate wide).
-template <class S, class Factor>
-IluFactorStatus refactor_into(std::vector<S>& val, const Factor& factor) {
-  if constexpr (std::is_same_v<S, double>) {
-    const int bad_row = factor(val.data());
-    return {bad_row < 0, bad_row};
-  } else {
-    std::vector<double> wide(val.size());
-    const int bad_row = factor(wide.data());
-    std::copy(wide.begin(), wide.end(), val.begin());
-    return {bad_row < 0, bad_row};
-  }
 }
 
 // One triangular-solve row update: s0 minus the row's partial dot with x,
@@ -330,8 +293,6 @@ void block_backward_row(const IluPattern& pat, const S* val, int i,
 template <class S>
 PointIlu<S>::PointIlu(const Csr<double>& a, int level) {
   std::tie(pat_, map_) = principal_submatrix(a.ptr, a.col, {}, level);
-  fwd_ = lower_levels(pat_);
-  bwd_ = upper_levels(pat_);
   val_.resize(pat_.nnz());
   const IluFactorStatus st = refactor(a);
   F3D_NUMERIC_CHECK_MSG(st.ok,
@@ -340,119 +301,82 @@ PointIlu<S>::PointIlu(const Csr<double>& a, int level) {
 
 template <class S>
 IluFactorStatus PointIlu<S>::refactor(const Csr<double>& a) {
-  return refactor_into(
-      val_, [&](double* v) { return factor_point(a, pat_, map_, v); });
-}
-
-// Both solves funnel every row through these two updates with the same
-// use_simd value, which is what keeps them bit-identical in every
-// configuration.
-template <class S>
-void PointIlu<S>::forward_row(bool use_simd, int i, const double* b,
-                              double* x) const {
-  const int p0 = pat_.ptr[i];
-  x[i] = tri_row_reduce(use_simd, val_.data() + p0, pat_.col.data() + p0,
-                        pat_.diag[i] - p0, x, b[i]);
-}
-
-template <class S>
-void PointIlu<S>::backward_row(bool use_simd, int i, double* x) const {
-  const int p0 = pat_.diag[i] + 1;
-  const double s =
-      tri_row_reduce(use_simd, val_.data() + p0, pat_.col.data() + p0,
-                     pat_.ptr[i + 1] - p0, x, x[i]);
-  x[i] = s / static_cast<double>(val_[pat_.diag[i]]);
+  const int bad_row = factor_point(a, pat_, map_, val_.data());
+  return {bad_row < 0, bad_row};
 }
 
 template <class S>
 void PointIlu<S>::solve(const double* b, double* x) const {
   const bool use_simd = simd::enabled();
-  for (int i = 0; i < pat_.n; ++i) forward_row(use_simd, i, b, x);
-  for (int i = pat_.n - 1; i >= 0; --i) backward_row(use_simd, i, x);
+  for (int i = 0; i < pat_.n; ++i) {
+    const int p0 = pat_.ptr[i];
+    x[i] = tri_row_reduce(use_simd, val_.data() + p0, pat_.col.data() + p0,
+                          pat_.diag[i] - p0, x, b[i]);
+  }
+  for (int i = pat_.n - 1; i >= 0; --i) {
+    const int p0 = pat_.diag[i] + 1;
+    const double s =
+        tri_row_reduce(use_simd, val_.data() + p0, pat_.col.data() + p0,
+                       pat_.ptr[i + 1] - p0, x, x[i]);
+    x[i] = s / static_cast<double>(val_[pat_.diag[i]]);
+  }
 }
 
 template <class S>
-void PointIlu<S>::solve_levels(const double* b, double* x) const {
-  const bool use_simd = simd::enabled();
-  for_each_row_by_level(fwd_,
-                        [&](int i) { forward_row(use_simd, i, b, x); });
-  for_each_row_by_level(bwd_, [&](int i) { backward_row(use_simd, i, x); });
-}
-
-template <class S>
-BlockIlu<S>::BlockIlu(const Bcsr<double>& a, int level, std::vector<int> rows,
-                      const DiagonalEdit& edit)
-    : nb_(a.nb) {
-  F3D_CHECK(nb_ <= dense::kMaxBlockSize);
-  std::tie(pat_, map_) =
-      principal_submatrix(a.ptr, a.col, std::move(rows), level);
-  fwd_ = lower_levels(pat_);
-  bwd_ = upper_levels(pat_);
-  val_.resize(pat_.nnz() * static_cast<std::size_t>(nb_) * nb_);
-  const IluFactorStatus st = refactor(a, edit);
-  F3D_NUMERIC_CHECK_MSG(st.ok, "singular diagonal block in block ILU at row " +
-                                   std::to_string(st.bad_row));
-}
-
-template <class S>
-BlockIlu<S>::BlockIlu(const Bcsr<double>& pattern, int level,
-                      const BlockAssembler& assemble, const DiagonalEdit& edit)
-  requires std::same_as<S, double>
-    : nb_(pattern.nb),
-      pat_(fill_pattern(pattern.ptr, pattern.col, level)),
+BlockIlu<S>::BlockIlu(IluPattern pat, int nb)
+    : nb_(nb),
+      pat_(std::move(pat)),
       fwd_(lower_levels(pat_)),
       bwd_(upper_levels(pat_)) {
   F3D_CHECK(nb_ >= 1 && nb_ <= dense::kMaxBlockSize);
-  const IluFactorStatus st = refactor(assemble, edit);
+}
+
+template <class S>
+BlockIlu<S>::BlockIlu(std::pair<IluPattern, GatherMap> pm, int nb)
+    : BlockIlu(std::move(pm.first), nb) {
+  map_ = std::move(pm.second);
+}
+
+template <class S>
+BlockIlu<S>::BlockIlu(const Bcsr<double>& a, int level)
+    : BlockIlu(principal_submatrix(a.ptr, a.col, {}, level), a.nb) {
+  const IluFactorStatus st = refactor(a);
   F3D_NUMERIC_CHECK_MSG(st.ok, "singular diagonal block in block ILU at row " +
                                    std::to_string(st.bad_row));
 }
 
 template <class S>
-IluFactorStatus BlockIlu<S>::refactor(const Bcsr<double>& a,
-                                      const DiagonalEdit& edit) {
-  F3D_CHECK_MSG(map_.has_value(),
-                "a factor assembled in place has no gather map");
-  const std::size_t bsz = static_cast<std::size_t>(nb_) * nb_;
-  return refactor_into(val_, [&](double* v) {
-    return factor_block(pat_, nb_, [&] {
-      map_->gather(pat_, a.ptr, a.col, a.val, bsz, v);
-      return v;
-    }, edit);
-  });
-}
-
-template <class S>
-IluFactorStatus BlockIlu<S>::refactor(const BlockAssembler& assemble,
-                                      const DiagonalEdit& edit)
-  requires std::same_as<S, double>
-{
-  F3D_CHECK_MSG(!map_.has_value(),
-                "a gathering factor takes A's values through its map");
-  const std::size_t nnz = pat_.nnz();
-  const int bad_row = factor_block(pat_, nb_, [&] {
-    // The pattern and values move into the matrix and back, so the
-    // factor's storage is the only copy of A.
-    Bcsr<double> m{.nb = nb_, .nrows = pat_.n, .ptr = std::move(pat_.ptr),
-                   .col = std::move(pat_.col), .val = std::move(val_)};
-    const auto take_back = [&] {
-      pat_.ptr = std::move(m.ptr);
-      pat_.col = std::move(m.col);
-      val_ = std::move(m.val);
-    };
-    try {
-      assemble(m);
-    } catch (...) {
-      take_back();
-      throw;
-    }
+IluFactorStatus BlockIlu<S>::refactor(const BlockAssembler& fill) {
+  F3D_OBS_SPAN("ilu.factor");
+  obs::Registry::global().count("sparse.ilu.factorizations");
+  // The pattern and the values move into the matrix and back, so with
+  // double storage the factor's array is the only copy of what `fill`
+  // writes; float storage eliminates in a double scratch array.
+  std::vector<double> scratch;
+  std::vector<double>* wide = &scratch;
+  if constexpr (std::is_same_v<S, double>) wide = &val_;
+  Bcsr<double> m{.nb = nb_, .nrows = pat_.n, .ptr = std::move(pat_.ptr),
+                 .col = std::move(pat_.col), .val = std::move(*wide)};
+  const auto take_back = [&] {
+    pat_.ptr = std::move(m.ptr);
+    pat_.col = std::move(m.col);
+    *wide = std::move(m.val);
+  };
+  try {
+    fill(m);
+  } catch (...) {
     take_back();
-    F3D_CHECK_MSG(pat_.ptr.size() == static_cast<std::size_t>(pat_.n) + 1 &&
-                      pat_.col.size() == nnz &&
-                      val_.size() == nnz * nb_ * nb_,
-                  "the assembler must fill the factor's pattern in place");
-    return val_.data();
-  }, edit);
+    throw;
+  }
+  take_back();
+  const std::size_t nnz = pat_.nnz();
+  F3D_CHECK_MSG(pat_.ptr.size() == static_cast<std::size_t>(pat_.n) + 1 &&
+                    pat_.col.size() == nnz && wide->size() == nnz * nb_ * nb_,
+                "the fill must write the factor's pattern in place");
+  const int bad_row = dense::with_block_size(
+      nb_, [&](auto kNb) { return eliminate_block<kNb>(pat_, wide->data()); });
+  if constexpr (!std::is_same_v<S, double>)
+    val_.assign(scratch.begin(), scratch.end());
   return {bad_row < 0, bad_row};
 }
 
@@ -480,7 +404,6 @@ void BlockIlu<S>::solve_levels(const double* b, double* x) const {
 
 // Explicit instantiations for the two storage precisions.
 template class PointIlu<double>;
-template class PointIlu<float>;
 template class BlockIlu<double>;
 template class BlockIlu<float>;
 

@@ -261,25 +261,6 @@ TEST(LevelSchedule, ValidOnShuffledWingsAndFillLevels) {
   }
 }
 
-TEST(LevelSchedule, PointSolveMatchesSerialBitwise) {
-  auto m = mesh::generate_wing_mesh_with_size(2000);
-  mesh::shuffle_mesh(m, 5);
-  const auto a = graph_matrix(m);
-  const sparse::PointIlu<double> ilu(a, 1);
-  std::vector<double> b(a.n), x_serial(a.n), x_par(a.n);
-  for (int i = 0; i < a.n; ++i) b[i] = std::sin(0.1 * i) + 2.0;
-  ilu.solve(b.data(), x_serial.data());
-  for (int nt : {1, 2, 4}) {
-    exec::ThreadScope scope(nt);
-    std::fill(x_par.begin(), x_par.end(), 0.0);
-    ilu.solve_levels(b.data(), x_par.data());
-    EXPECT_EQ(std::memcmp(x_serial.data(), x_par.data(),
-                          x_serial.size() * sizeof(double)),
-              0)
-        << "nt=" << nt;
-  }
-}
-
 TEST(LevelSchedule, BlockSolveMatchesSerialBitwise) {
   auto m = mesh::generate_wing_mesh_with_size(800);
   mesh::shuffle_mesh(m, 9);

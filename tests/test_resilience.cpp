@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -272,59 +273,125 @@ TEST(SchwarzLadder, ShiftAbsorbsSingularDiagonalBlock) {
   for (double v : z) EXPECT_TRUE(std::isfinite(v));
 }
 
+// Multiplies A's block (v0, v0), v0 = region[0], by 10 so that it holds
+// the region's largest diagonal entry, and returns the shift ladder's
+// scale once a kFactorPivot fault zeroes that block: max |A(v, v)_cc| over
+// the region except v0.
+double scale_without_zeroed_block(sparse::Bcsr<double>& a,
+                                  const std::vector<int>& region) {
+  const int nb = a.nb;
+  double* b0 = a.find_block(region[0], region[0]);
+  for (int k = 0; k < nb * nb; ++k) b0[k] *= 10;
+  const auto diagonal_max = [&](int v) {
+    const double* blk = a.find_block(v, v);
+    double m = 0;
+    for (int c = 0; c < nb; ++c) m = std::max(m, std::abs(blk[c * nb + c]));
+    return m;
+  };
+  double scale = 0;
+  for (std::size_t k = 1; k < region.size(); ++k)
+    scale = std::max(scale, diagonal_max(region[k]));
+  EXPECT_GT(diagonal_max(region[0]), scale);
+  return scale;
+}
+
 TEST(SchwarzLadder, FactorPivotZeroesOneSubdomain) {
   // One kFactorPivot draw per subdomain per build and per refresh, in
   // subdomain order; the fired draw zeroes block (0, 0) of that subdomain
-  // only, and one rung of the shift ladder absorbs it.
+  // only, and one rung of the shift ladder absorbs it, with the first
+  // rung's shift relative to the subdomain's diagonal without that block.
   auto m = mesh::generate_box_mesh(4, 4, 4);
   auto s = sparse::stencil_from_mesh(m);
-  const auto a = sparse::build_bcsr(s, 2, sparse::synthetic_values(s));
+  auto a = sparse::build_bcsr(s, 2, sparse::synthetic_values(s));
   const auto partition = part::kway_grow(graph_from_bcsr(a), 4);
   SchwarzOptions so;
   so.type = SchwarzType::kRasm;
   so.overlap = 1;
-  const SchwarzPreconditioner clean(a, partition, so);
+  const double scale = scale_without_zeroed_block(
+      a, part::overlap_expand(graph_from_bcsr(a), partition, so.overlap)[2]);
+  for (const auto solver : {SubdomainSolver::kIlu, SubdomainSolver::kSsor}) {
+    SCOPED_TRACE(solver == SubdomainSolver::kIlu ? "ILU" : "SSOR");
+    so.subdomain_solver = solver;
+    const SchwarzPreconditioner clean(a, partition, so);
+
+    FaultInjector inj(3);
+    FaultPlan third_of_refresh;
+    third_of_refresh.fire_every = 1;
+    third_of_refresh.skip_first = 4 + 2;
+    third_of_refresh.max_fires = 1;
+    inj.arm(FaultSite::kFactorPivot, third_of_refresh);
+    InjectorScope scope(&inj);
+    SchwarzPreconditioner prec(a, partition, so);
+    EXPECT_EQ(inj.draws(FaultSite::kFactorPivot), 4);
+    const FactorReport report = prec.refactor(a, 8);
+    EXPECT_EQ(inj.draws(FaultSite::kFactorPivot), 8);
+    EXPECT_EQ(inj.fires(FaultSite::kFactorPivot), 1);
+    EXPECT_TRUE(report.ok);
+    EXPECT_EQ(report.shift_attempts, 1);
+    EXPECT_EQ(report.shift_used, 1e-8 * scale);
+
+    Vec r(a.scalar_n(), 1.0), z(r.size()), z_clean(r.size());
+    prec.apply(r.data(), z.data());
+    clean.apply(r.data(), z_clean.data());
+    bool faulted_differs = false;
+    for (int v = 0; v < a.nrows; ++v) {
+      const std::size_t at = static_cast<std::size_t>(v) * a.nb;
+      const bool same =
+          std::memcmp(&z[at], &z_clean[at], a.nb * sizeof(double)) == 0;
+      if (partition.part[v] != 2)
+        EXPECT_TRUE(same) << "vertex " << v;
+      else
+        faulted_differs = faulted_differs || !same;
+    }
+    EXPECT_TRUE(faulted_differs);
+
+    // Without a ladder the refresh stops at the failing subdomain.
+    FaultInjector stop(3);
+    FaultPlan third;
+    third.fire_every = 1;
+    third.skip_first = 2;
+    third.max_fires = 1;
+    stop.arm(FaultSite::kFactorPivot, third);
+    InjectorScope stop_scope(&stop);
+    EXPECT_FALSE(prec.refactor(a, 0).ok);
+    EXPECT_EQ(stop.draws(FaultSite::kFactorPivot), 3);
+  }
+}
+
+TEST(SchwarzLadder, InPlaceRungFillsAgainWithTheSameShift) {
+  // One subdomain assembled in place: the refresh's draw fires, the rung
+  // calls the assembler again, and its shift is relative to the filled
+  // diagonal without the zeroed block, as for a gathered subdomain.
+  auto m = mesh::generate_box_mesh(4, 4, 4);
+  auto s = sparse::stencil_from_mesh(m);
+  auto a = sparse::build_bcsr(s, 2, sparse::synthetic_values(s));
+  std::vector<int> all(a.nrows);
+  std::iota(all.begin(), all.end(), 0);
+  const double scale = scale_without_zeroed_block(a, all);
+  const SchwarzOptions so;
+  const auto map =
+      sparse::principal_submatrix(a.ptr, a.col, {}, so.fill_level).second;
+  int fills = 0;
+  const sparse::BlockAssembler assemble = [&](sparse::Bcsr<double>& mat) {
+    ++fills;
+    map.gather(a, mat);
+  };
 
   FaultInjector inj(3);
-  FaultPlan third_of_refresh;
-  third_of_refresh.fire_every = 1;
-  third_of_refresh.skip_first = 4 + 2;
-  third_of_refresh.max_fires = 1;
-  inj.arm(FaultSite::kFactorPivot, third_of_refresh);
+  FaultPlan refresh;
+  refresh.fire_every = 1;
+  refresh.skip_first = 1;
+  refresh.max_fires = 1;
+  inj.arm(FaultSite::kFactorPivot, refresh);
   InjectorScope scope(&inj);
-  SchwarzPreconditioner prec(a, partition, so);
-  EXPECT_EQ(inj.draws(FaultSite::kFactorPivot), 4);
-  const FactorReport report = prec.refactor(a, 8);
-  EXPECT_EQ(inj.draws(FaultSite::kFactorPivot), 8);
+  SchwarzPreconditioner prec(a, so, assemble);
+  fills = 0;
+  const FactorReport report = prec.refactor(assemble, 8);
   EXPECT_EQ(inj.fires(FaultSite::kFactorPivot), 1);
   EXPECT_TRUE(report.ok);
   EXPECT_EQ(report.shift_attempts, 1);
-
-  Vec r(a.scalar_n(), 1.0), z(r.size()), z_clean(r.size());
-  prec.apply(r.data(), z.data());
-  clean.apply(r.data(), z_clean.data());
-  bool faulted_differs = false;
-  for (int v = 0; v < a.nrows; ++v) {
-    const std::size_t at = static_cast<std::size_t>(v) * a.nb;
-    const bool same =
-        std::memcmp(&z[at], &z_clean[at], a.nb * sizeof(double)) == 0;
-    if (partition.part[v] != 2)
-      EXPECT_TRUE(same) << "vertex " << v;
-    else
-      faulted_differs = faulted_differs || !same;
-  }
-  EXPECT_TRUE(faulted_differs);
-
-  // Without a ladder the refresh stops at the failing subdomain.
-  FaultInjector stop(3);
-  FaultPlan third;
-  third.fire_every = 1;
-  third.skip_first = 2;
-  third.max_fires = 1;
-  stop.arm(FaultSite::kFactorPivot, third);
-  InjectorScope stop_scope(&stop);
-  EXPECT_FALSE(prec.refactor(a, 0).ok);
-  EXPECT_EQ(stop.draws(FaultSite::kFactorPivot), 3);
+  EXPECT_EQ(fills, 2);
+  EXPECT_EQ(report.shift_used, 1e-8 * scale);
 }
 
 // --- two-level coarse-disable rung ---------------------------------------
@@ -961,11 +1028,10 @@ TEST(PtcRecovery, InPlaceFactorRecoversPivotFaults) {
   for (const auto& e : res.recovery_log.events())
     events.emplace_back(e.step, e.action, e.detail);
   ASSERT_EQ(events.size(), 6u);
-  EXPECT_EQ(std::get<0>(events[0]), 0);
-  EXPECT_EQ(std::get<1>(events[0]), RecoveryAction::kDetectSingularFactor);
-  EXPECT_NE(std::get<2>(events[0]).find(
-                "singular diagonal block in block ILU at row 0"),
-            std::string::npos);
+  EXPECT_EQ(events[0],
+            std::make_tuple(0, RecoveryAction::kDetectSingularFactor,
+                            std::string("singular diagonal block in block "
+                                        "ILU at local row 0")));
   EXPECT_EQ(events[1], std::make_tuple(0, RecoveryAction::kStepRejected,
                                        std::string("attempt 1")));
   EXPECT_EQ(events[2], std::make_tuple(0, RecoveryAction::kCflBacktrack,
@@ -987,6 +1053,31 @@ TEST(PtcRecovery, InPlaceFactorRecoversPivotFaults) {
   // One assembly per build or refresh, each with one draw, plus one per
   // rung: A is gone, so a rung assembles it again.
   EXPECT_EQ(prob.assemblies, inj.draws(FaultSite::kFactorPivot) + rungs);
+}
+
+// A failed first build logs its failure's detail and nothing else: no
+// source location, so the recovery log and the checkpoint do not depend on
+// where the tree was built. kFactorPivot fires on draw 0, the first of two
+// gathered subdomains.
+TEST(PtcRecovery, FirstBuildFailureLogsOnlyItsDetail) {
+  for (const auto solver : {SubdomainSolver::kIlu, SubdomainSolver::kSsor}) {
+    FaultInjector inj(1);
+    FaultPlan first;
+    first.fire_every = 1;
+    first.max_fires = 1;
+    inj.arm(FaultSite::kFactorPivot, first);
+    PtcOptions o = campaign_options();
+    o.recovery.enabled = true;
+    o.schwarz.subdomain_solver = solver;
+    const auto res = run_wing(&inj, o);
+    ASSERT_FALSE(res.recovery_log.events().empty());
+    const auto& e = res.recovery_log.events().front();
+    EXPECT_EQ(e.step, 0);
+    EXPECT_EQ(e.action, RecoveryAction::kDetectSingularFactor);
+    EXPECT_EQ(e.detail, solver == SubdomainSolver::kIlu
+                            ? "singular diagonal block in block ILU at local row 0"
+                            : "singular diagonal block in SSOR at local row 0");
+  }
 }
 
 // The headline campaign: 4 fault classes x 5 seeds. With recovery enabled

@@ -210,20 +210,30 @@ TEST(InPlace, FactorMatchesTheGatheredFactorBitwise) {
       const std::string tag = "model " + std::to_string(static_cast<int>(model)) +
                               ", ILU(" + std::to_string(fill) + ")";
       {
-        // The factor alone: its values after the build and after a
-        // refactor with a diagonal edit.
+        // The factor alone: its values from a gather and from the
+        // assembler, built and then refactored through a fill that edits
+        // the diagonal.
         q.data() = q0;
         const auto a = assembled();
         sparse::BlockIlu<double> gathered(a, fill);
+        sparse::BlockIlu<double> in_place(
+            sparse::fill_pattern(pattern.ptr, pattern.col, fill), pattern.nb);
         calls = 0;
-        sparse::BlockIlu<double> in_place(pattern, fill, assemble);
+        ASSERT_TRUE(in_place.refactor(assemble).ok);
         EXPECT_EQ(calls, 1);
         expect_same_bytes(gathered.values(), in_place.values(), tag + " build");
-        const sparse::DiagonalEdit edit = [](int k, double* blk) {
-          if (k % 3 == 1) blk[0] *= 2;
+        const auto edited = [](const sparse::BlockAssembler& base) {
+          return [&base](sparse::Bcsr<double>& m) {
+            base(m);
+            for (int k = 1; k < m.nrows; k += 3) m.find_block(k, k)[0] *= 2;
+          };
         };
-        ASSERT_TRUE(gathered.refactor(a, edit).ok);
-        ASSERT_TRUE(in_place.refactor(assemble, edit).ok);
+        const auto map = sparse::principal_submatrix(a.ptr, a.col, {}, fill).second;
+        const sparse::BlockAssembler gather = [&](sparse::Bcsr<double>& m) {
+          map.gather(a, m);
+        };
+        ASSERT_TRUE(gathered.refactor(edited(gather)).ok);
+        ASSERT_TRUE(in_place.refactor(edited(assemble)).ok);
         expect_same_bytes(gathered.values(), in_place.values(),
                           tag + " refactor");
         EXPECT_THROW((void)in_place.refactor(a), Error);
